@@ -7,9 +7,10 @@ the sweep engine:
 
 1. a seeded population — N input sets drawn from the same generator
    distribution as the workload's named ``ref`` input,
-2. one lockstep batch-VM pass — every lane traced simultaneously and
-   bit-identically to a serial run, then profiled and ingested into a
-   warehouse under the population's tag,
+2. one sweep pass — every lane traced on the block-compiled VM
+   (compiled once for the whole population, bit-identical to the
+   interpreter), then profiled and ingested into a warehouse under the
+   population's tag,
 3. the stability report — per-site verdict agreement across lanes
    (stable-dependent / stable-independent / flaky), the cross-input
    companion to the paper's Table 3 train-vs-ref comparison,
@@ -40,9 +41,8 @@ def main():
     tmp = tempfile.TemporaryDirectory(prefix="sweep-demo-")
     warehouse = ProfileWarehouse(Path(tmp.name) / "warehouse")
 
-    # 1 + 2. Generate the population and sweep it.  The runner traces
-    # all lanes in one lockstep batch-VM pass when the program is
-    # batch-eligible, so the cost grows far slower than lane count.
+    # 1 + 2. Generate the population and sweep it.  The program is
+    # block-compiled once; every lane then runs the compiled code.
     print(f"sweeping {SPEC.tag} ...")
     result = run_sweep(SPEC, warehouse=warehouse)
     print(f"  {len(result.lanes)} lanes, {result.total_events} branch events "

@@ -17,7 +17,7 @@ Subcommands map to the paper's experiments::
     repro-2dprof db ingest gzipish          # profile + store in the warehouse
     repro-2dprof db diff r000001 r000002    # ground truth from stored runs
     repro-2dprof db reclassify r000001 --std-th 0.06   # threshold what-if
-    repro-2dprof sweep run gapish --size 16 # batch-VM input-population sweep
+    repro-2dprof sweep run gapish --size 16 # input-population sweep
     repro-2dprof sweep report sweep:gapish:ref~0x16@s1   # verdict stability
     repro-2dprof db bisect --population sweep:gapish:ref~0x16@s1  # input triage
 
@@ -1253,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs(p)
     p.set_defaults(func=_cmd_db_bisect)
 
-    p = sub.add_parser("sweep", help="input-population sweeps on the batch VM")
+    p = sub.add_parser("sweep", help="input-population sweeps: verdict stability across inputs")
     sweep = p.add_subparsers(dest="sweep_command", required=True)
 
     p = sweep.add_parser(
@@ -1263,7 +1263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="ref",
                    help="base input the population is grown from (default ref)")
     p.add_argument("--size", type=int, default=16,
-                   help="population size / batch-VM lane count (default 16)")
+                   help="population size, i.e. number of input sets (default 16)")
     p.add_argument("--seed", type=int, default=0,
                    help="population seed (default 0)")
     p.add_argument("--predictor", default="gshare")

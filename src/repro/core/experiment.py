@@ -210,10 +210,10 @@ class ExperimentRunner:
         return trace
 
     def traces(self, workload: str, input_names: list[str]) -> list[BranchTrace]:
-        """Traces for several inputs of one workload, batch-captured together.
+        """Traces for several inputs of one workload, captured together.
 
-        Cached traces load as usual; the remaining inputs execute in one
-        lockstep batch-VM run (:func:`repro.trace.capture.capture_traces`,
+        Cached traces load as usual; the remaining inputs execute through
+        one :func:`repro.trace.capture.capture_traces` call (one machine,
         bit-identical to serial capture) and publish to the same per-trace
         cache entries :meth:`trace` reads.
         """
@@ -252,11 +252,11 @@ class ExperimentRunner:
     def simulations(
         self, workload: str, input_names: list[str], predictor: str = "gshare"
     ) -> list[SimulationResult]:
-        """Simulations for several inputs, batch-capturing uncached traces.
+        """Simulations for several inputs, capturing uncached traces together.
 
         Determines which (input, predictor) simulations still need their
-        trace computed, captures those traces in one lockstep batch-VM
-        run, then replays each through the predictor as usual.
+        trace computed, captures those traces in one :meth:`traces`
+        call, then replays each through the predictor as usual.
         Bit-identical to calling :meth:`simulation` in a loop.
         """
         need_trace = [

@@ -1,11 +1,12 @@
-"""Input-population sweeps: batch-VM execution + cross-input verdict stability.
+"""Input-population sweeps: multi-input capture + cross-input verdict stability.
 
 The paper profiles each workload on a single input set; this package
 asks the next question — how stable are the 2D-profiling verdicts
 across a *population* of inputs from the same distribution?  It grows a
 seeded population from any named workload input
-(:class:`PopulationSpec` / :func:`generate_population`), runs the whole
-population in lockstep on the batch VM (:func:`run_sweep`), and reduces
+(:class:`PopulationSpec` / :func:`generate_population`), traces every
+input on the block-compiled VM, compiled once for the whole population
+(:func:`run_sweep`), and reduces
 the per-lane reports to a stability verdict per branch site
 (:func:`population_report`, :func:`population_report_from_store`).
 """

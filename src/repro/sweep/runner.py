@@ -1,13 +1,12 @@
-"""The sweep runner: batch-execute a population, profile and ingest each lane.
+"""The sweep runner: trace a population, profile and ingest each lane.
 
 One :func:`run_sweep` call prices an entire input population:
 
 1. expand the :class:`~repro.sweep.population.PopulationSpec` into its
    input-set lanes;
-2. execute **all lanes at once** on the lockstep batch VM
-   (:func:`repro.trace.capture.capture_traces` — bit-identical to N
-   serial runs, with automatic serial fallback for ineligible programs
-   or withdrawn lanes);
+2. trace every lane with :func:`repro.trace.capture.capture_traces`,
+   which block-compiles the program once and runs each lane on the
+   compiled VM (bit-identical to the interpreter);
 3. replay every lane's trace through the (vectorized) predictor and the
    2D profiler;
 4. ingest each lane's report into the profile warehouse under the

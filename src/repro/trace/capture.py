@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-import os
-
 from repro.bytecode.program import Program
-from repro.errors import ExperimentError
 from repro.trace.trace import BranchTrace
 from repro.vm.inputs import InputSet
-from repro.vm.machine import DEFAULT_FUEL, Machine
+from repro.vm.machine import DEFAULT_FUEL, Machine, RunResult
 
 
-def capture_trace(program: Program, input_set: InputSet, fuel: int = DEFAULT_FUEL) -> BranchTrace:
-    """Execute ``program`` on ``input_set`` and return its branch trace."""
-    machine = Machine(program, fuel=fuel)
-    result = machine.run(input_set, mode="trace")
+def _trace_of(program: Program, input_set: InputSet, result: RunResult) -> BranchTrace:
     return BranchTrace.from_packed(
         result.packed_trace,
         program=program.name,
@@ -24,80 +18,19 @@ def capture_trace(program: Program, input_set: InputSet, fuel: int = DEFAULT_FUE
     )
 
 
-def _batch_required(program_name: str) -> bool:
-    """Whether the environment forbids a silent batch-VM fallback.
-
-    ``REPRO_REQUIRE_BATCH_VM`` unset/``0`` requires nothing, ``1``
-    requires every program, and a comma-separated list of program names
-    requires exactly those.  Only *program-level* eligibility is
-    required; per-lane overflow/heap bailouts may still withdraw
-    individual lanes to the serial VM (that path is exercised and exact).
-    """
-    value = os.environ.get("REPRO_REQUIRE_BATCH_VM", "").strip()
-    if not value or value == "0":
-        return False
-    if value == "1":
-        return True
-    names = {part.strip() for part in value.split(",") if part.strip()}
-    return program_name in names
+def capture_trace(program: Program, input_set: InputSet, fuel: int = DEFAULT_FUEL) -> BranchTrace:
+    """Execute ``program`` on ``input_set`` and return its branch trace."""
+    result = Machine(program, fuel=fuel).run(input_set, mode="trace")
+    return _trace_of(program, input_set, result)
 
 
 def capture_traces(
     program: Program, input_sets: list[InputSet], fuel: int = DEFAULT_FUEL
 ) -> list[BranchTrace]:
-    """Capture one trace per input set, batching eligible programs.
+    """Capture one trace per input set: ``[capture_trace(p, s) for s in sets]``.
 
-    Uses the lockstep batch VM (:mod:`repro.vm.batch`) to execute all
-    input sets simultaneously when the program passes the static
-    eligibility check; otherwise (or for lanes the batch VM withdraws,
-    e.g. on int64 overflow) falls back to per-input serial capture.
-    Results are bit-identical to ``[capture_trace(p, s) for s in sets]``
-    either way.
-
-    Setting ``REPRO_REQUIRE_BATCH_VM=1`` (or to a comma-separated list of
-    program names) turns a program-level fallback into an
-    :class:`~repro.errors.ExperimentError`, so CI can prove the batch
-    path actually ran rather than quietly timing the serial loop.
+    All inputs share one machine, and the program is block-compiled once
+    however many inputs there are.
     """
-    if not input_sets:
-        return []
-    from repro.vm.batch import BatchFallback, BatchMachine, plan_program
-
-    plan = plan_program(program)
-    if not plan.eligible:
-        if _batch_required(program.name):
-            raise ExperimentError(
-                f"REPRO_REQUIRE_BATCH_VM is set but program {program.name!r} "
-                f"is ineligible for the batch VM: {plan.reason}"
-            )
-        return [capture_trace(program, s, fuel=fuel) for s in input_sets]
-    try:
-        batch = BatchMachine(program, fuel=fuel).run_lanes(input_sets, mode="trace")
-    except BatchFallback as exc:
-        if _batch_required(program.name):
-            raise ExperimentError(
-                f"REPRO_REQUIRE_BATCH_VM is set but program {program.name!r} "
-                f"fell back to the serial VM: {exc}"
-            ) from exc
-        return [capture_trace(program, s, fuel=fuel) for s in input_sets]
-
-    traces: list[BranchTrace] = []
-    for i, input_set in enumerate(input_sets):
-        result = batch.results[i]
-        if result is None:
-            # Faulted lanes re-raise their (bit-identical) serial error;
-            # withdrawn lanes re-run serially from scratch.
-            if batch.errors[i] is not None:
-                raise batch.errors[i]
-            traces.append(capture_trace(program, input_set, fuel=fuel))
-            continue
-        traces.append(
-            BranchTrace.from_packed(
-                result.packed_trace,
-                program=program.name,
-                input_name=input_set.name,
-                num_sites=program.num_sites,
-                instructions=result.instructions,
-            )
-        )
-    return traces
+    machine = Machine(program, fuel=fuel)
+    return [_trace_of(program, s, machine.run(s, mode="trace")) for s in input_sets]

@@ -1,10 +1,17 @@
-"""The Minic bytecode interpreter.
+"""The Minic virtual machine: block-compiled trace mode plus the interpreter.
+
+Trace-mode runs execute the program's block-compiled form
+(:mod:`repro.vm.compiled`), several times faster than interpretation.  Any
+guest fault, fuel overrun or call-depth overflow there abandons the run,
+which is then replayed from scratch on the interpreter; such fallbacks are
+counted (``vm_compiled_fallbacks_total{reason}``) and logged.
 
 The interpreter is a classic threaded loop over parallel op/arg lists.  It
-is written for throughput (the experiments retire tens of millions of guest
-instructions): opcodes are compared as plain ints, hot locals are bound
-once, and the conditional-branch observation is a single packed-int append
-in trace mode.
+runs the ``none`` and ``callback`` modes (so Figure 16's overhead ratios
+compare like with like) and is the reference the compiled form is tested
+against.  Opcodes are compared as plain ints, hot locals are bound once,
+and the conditional-branch observation is a single packed-int append in
+trace mode.
 
 Semantics notes
 ---------------
@@ -19,6 +26,7 @@ Semantics notes
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +34,11 @@ from repro.errors import FuelExhausted, VMRuntimeError
 from repro.bytecode.opcodes import Opcode
 from repro.bytecode.program import Program
 from repro.obs import get_registry, get_tracer
+from repro.obs.logs import log_event
+from repro.vm.compiled import MAX_CALL_DEPTH, Bail, compiled
 from repro.vm.inputs import InputSet
+
+log = logging.getLogger(__name__)
 
 # Plain-int opcode constants: dispatching on ints instead of IntEnum
 # members keeps the hot loop free of enum __eq__ overhead.
@@ -124,9 +136,15 @@ class Machine:
             conditional branch).
         hook:
             Required for ``mode="callback"``.
+
+        Trace mode runs block-compiled (see the module docstring); the
+        other modes run on the interpreter.
         """
         start = time.perf_counter()
-        result = self._run(input_set, mode, hook)
+        if mode == "trace":
+            result, engine = self._run_compiled(input_set)
+        else:
+            result, engine = self._run(input_set, mode, hook), "interpreter"
         elapsed = time.perf_counter() - start
         registry = get_registry()
         registry.counter("vm_instructions_total",
@@ -143,11 +161,29 @@ class Machine:
         if tracer.enabled:
             tracer.add_span(
                 "vm.run", ts_us=(time.time_ns() / 1e3) - elapsed * 1e6,
-                dur_us=elapsed * 1e6, cat="vm", mode=mode,
+                dur_us=elapsed * 1e6, cat="vm", mode=mode, engine=engine,
                 instructions=result.instructions, branches=result.branches,
                 events_per_sec=round(events_per_sec, 1),
             )
         return result
+
+    def _run_compiled(self, input_set: InputSet) -> tuple[RunResult, str]:
+        """A trace-mode run on the compiled form, replayed if it bails."""
+        try:
+            return_value, executed, output, trace = compiled(self.program).run(
+                input_set, self.fuel, self._fresh_globals())
+        except Bail as bail:
+            get_registry().counter(
+                "vm_compiled_fallbacks_total",
+                "compiled trace runs replayed on the interpreter",
+            ).labels(reason=bail.reason).inc()
+            log_event(log, "vm_compiled_fallback", reason=bail.reason,
+                      program=self.program.name, input=input_set.name)
+            return self._run(input_set, "trace"), "interpreter"
+        result = RunResult(return_value=return_value, output=output,
+                           instructions=executed, branches=len(trace),
+                           packed_trace=trace)
+        return result, "compiled"
 
     def _run(self, input_set: InputSet, mode: str = "none", hook=None) -> RunResult:
         if mode not in ("none", "trace", "callback"):
@@ -378,7 +414,7 @@ class Machine:
                     for i in range(argc - 1, -1, -1):
                         new_locals[i] = pop()
                     frames.append((ops, args, pc, locals_))
-                    if len(frames) > 4000:
+                    if len(frames) > MAX_CALL_DEPTH:
                         raise VMRuntimeError("guest call stack overflow (recursion too deep)")
                     ops, args, locals_ = callee_ops, callee_args, new_locals
                     pc = 0

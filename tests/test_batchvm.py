@@ -1,39 +1,50 @@
-"""Lockstep batch VM: serial/batch differential and edge-case parity.
+"""Block-compiled VM vs the interpreter: the differential oracle.
 
-The contract under test is absolute: for every eligible program, the
-batch VM's per-lane traces, instruction counts, return values, outputs,
-and *errors* are bit-identical to running each lane through the serial
-:class:`~repro.vm.machine.Machine`.  The first half checks that on the
-shipped workloads across seeded input populations; the second half pins
-the serial VM's nastiest edge semantics (fuel exhaustion mid-call,
-out-of-range indexing, shift-count masking, C-style truncating division)
-and the per-lane int64-overflow withdrawal path.
+Trace mode runs block-compiled code (:mod:`repro.vm.compiled`); the
+interpreter is its reference.  The contract is absolute: for every
+program and input, the compiled run's trace bytes, instruction count,
+return value and output equal the interpreter's, and wherever the
+interpreter raises, the compiled code bails (with the matching reason)
+and the machine re-raises the interpreter's exact error, type and
+message.  This also covers multi-input capture (``capture_traces``, the
+sweep and experiment entry point), hence the module name.
 
-``REPRO_BATCHVM_FULL=1`` (the CI batchvm-smoke job) widens every
-workload's population to the full 16 lanes; the tier-1 defaults keep the
-recursion-heavy workloads small so the suite stays fast.
+Covered: every shipped workload on its named inputs (train, ref, ext-*)
+and on seeded populations, Hypothesis-generated programs from the fuzz
+generator, the interpreter's edge semantics (fuel exhaustion mid-call,
+out-of-range indexing, shift-count masking, truncating division, division
+by zero, the RNG, recursion overflow), and the counted fallback path.
+
+``REPRO_VM_FUZZ_EXAMPLES`` sets the number of generated programs (CI's
+vm-differential job raises it).
 """
 
 from __future__ import annotations
 
+import logging
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ExperimentError, FuelExhausted, VMRuntimeError
+from repro.bytecode.opcodes import Opcode
+from repro.bytecode.program import Function, Program
+from repro.errors import FuelExhausted, VMError, VMRuntimeError
 from repro.lang import compile_source
+from repro.obs import get_registry, get_tracer
 from repro.sweep import PopulationSpec, generate_population
 from repro.trace.capture import capture_trace, capture_traces
 from repro.vm import InputSet, Machine
-from repro.vm.batch import BatchFallback, BatchMachine, plan_program
+from repro.vm.compiled import Bail, compiled
+from repro.vm.machine import DEFAULT_FUEL
 from repro.workloads import all_workloads, get_workload
+from tests.test_fuzz import ProgramGenerator
 
-_FULL = os.environ.get("REPRO_BATCHVM_FULL", "") == "1"
+_FUZZ_EXAMPLES = int(os.environ.get("REPRO_VM_FUZZ_EXAMPLES", "60"))
 
-#: Tier-1 (lanes, scale) per workload; the SIMT batch VM shatters on the
-#: recursion-heavy workloads, so those get small populations by default.
-_TIER1 = {
+#: (lanes, scale) of each workload's seeded population.
+_POPULATIONS = {
     "bzipish": (6, 0.02),
     "gzipish": (8, 0.03),
     "twolfish": (6, 0.03),
@@ -49,124 +60,117 @@ _TIER1 = {
 }
 
 
-def _population(workload: str) -> PopulationSpec:
-    lanes, scale = _TIER1[workload]
-    if _FULL:
-        lanes = 16
-    return PopulationSpec(workload=workload, base_input="ref",
-                          size=lanes, seed=5, scale=scale)
+def _interpreted(program, input_set, fuel=DEFAULT_FUEL):
+    """The interpreter's observable outcome: a result tuple or the error."""
+    try:
+        result = Machine(program, fuel=fuel)._run(input_set, mode="trace")
+    except VMError as exc:
+        return exc
+    return (np.asarray(result.packed_trace, dtype=np.int64).tobytes(),
+            result.instructions, result.branches, result.return_value,
+            list(result.output))
 
 
-def _assert_traces_identical(batch, serial):
-    assert len(batch) == len(serial)
-    for got, want in zip(batch, serial):
+def _compiled_only(program, input_set, fuel=DEFAULT_FUEL):
+    """The compiled code's outcome with no replay: a result tuple or a Bail."""
+    globals_ = Machine(program)._fresh_globals()
+    try:
+        return_value, executed, output, trace = compiled(program).run(
+            input_set, fuel, globals_)
+    except Bail as bail:
+        return bail
+    return (np.asarray(trace, dtype=np.int64).tobytes(), executed, len(trace),
+            return_value, list(output))
+
+
+def _bail_reason(error: VMError) -> str:
+    if isinstance(error, FuelExhausted):
+        return "fuel"
+    if "recursion too deep" in str(error):
+        return "depth"
+    return "fault"
+
+
+def _assert_parity(program, input_set, fuel=DEFAULT_FUEL):
+    """Compiled == interpreter for one input; returns the interpreter's outcome."""
+    want = _interpreted(program, input_set, fuel)
+    got = _compiled_only(program, input_set, fuel)
+    if isinstance(want, VMError):
+        assert isinstance(got, Bail), f"interpreter raised {want!r}, compiled ran"
+        assert got.reason == _bail_reason(want)
+        # The machine replays the bail and raises the interpreter's error.
+        with pytest.raises(type(want)) as raised:
+            Machine(program, fuel=fuel).run(input_set, mode="trace")
+        assert str(raised.value) == str(want)
+        if isinstance(want, FuelExhausted):
+            assert raised.value.executed == want.executed
+    else:
+        assert not isinstance(got, Bail), f"compiled bailed ({got.reason}) on a clean run"
+        assert got == want
+    return want
+
+
+def _assert_traces_identical(got_traces, want_traces):
+    assert len(got_traces) == len(want_traces)
+    for got, want in zip(got_traces, want_traces):
         assert got.instructions == want.instructions
         np.testing.assert_array_equal(got.sites, want.sites)
         np.testing.assert_array_equal(got.outcomes, want.outcomes)
 
 
-@pytest.mark.parametrize("workload", sorted(_TIER1))
-def test_workload_population_differential(workload, monkeypatch):
-    """Batch traces are bit-identical to serial across an input population."""
-    assert _TIER1.keys() == {wl.name for wl in all_workloads()}, (
-        "differential must cover every shipped workload")
-    # Hard-require the batch path: a silent serial fallback would make
-    # this test vacuous.
-    monkeypatch.setenv("REPRO_REQUIRE_BATCH_VM", "1")
-    spec = _population(workload)
+def test_every_workload_is_covered():
+    assert _POPULATIONS.keys() == {wl.name for wl in all_workloads()}
+
+
+@pytest.mark.parametrize("workload", sorted(_POPULATIONS))
+def test_named_inputs_differential(workload):
+    """Train, ref and every ext input: compiled == interpreter."""
+    wl = get_workload(workload)
+    program = wl.program()
+    for name in wl.input_names:
+        _assert_parity(program, wl.make_input(name, 0.02))
+
+
+@pytest.mark.parametrize("workload", sorted(_POPULATIONS))
+def test_workload_population_differential(workload):
+    """A seeded population through capture_traces == the interpreter."""
+    lanes, scale = _POPULATIONS[workload]
+    spec = PopulationSpec(workload=workload, base_input="ref",
+                          size=lanes, seed=5, scale=scale)
     program = get_workload(workload).program()
     input_sets = generate_population(spec)
-    batch = capture_traces(program, input_sets)
-    serial = [capture_trace(program, s) for s in input_sets]
-    _assert_traces_identical(batch, serial)
+    fallbacks = get_registry().counter("vm_compiled_fallbacks_total")
+    before = fallbacks.total()
+    traces = capture_traces(program, input_sets)
+    assert fallbacks.total() == before  # the compiled code ran every lane
+    for input_set, trace in zip(input_sets, traces):
+        want = _interpreted(program, input_set)
+        assert np.asarray(
+            trace.sites.astype(np.int64) * 2 + trace.outcomes, dtype=np.int64
+        ).tobytes() == want[0]
+        assert trace.instructions == want[1]
 
 
-class TestRequireBatchEnv:
-    SOURCE = "func main() { var i = 0; while (i < arg(0)) { i = i + 1; } return i; }"
-
-    def test_eligible_program_runs_batched(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REQUIRE_BATCH_VM", "1")
-        program = compile_source(self.SOURCE, name="tiny")
-        sets = [InputSet.make(f"i{k}", args=[k]) for k in (3, 5, 9)]
-        traces = capture_traces(program, sets)
-        assert [t.instructions for t in traces] == \
-            [capture_trace(program, s).instructions for s in sets]
-
-    def test_unset_and_zero_do_not_require(self, monkeypatch):
-        from repro.trace.capture import _batch_required
-
-        monkeypatch.delenv("REPRO_REQUIRE_BATCH_VM", raising=False)
-        assert not _batch_required("anything")
-        monkeypatch.setenv("REPRO_REQUIRE_BATCH_VM", "0")
-        assert not _batch_required("anything")
-
-    def test_named_list_requires_only_named(self, monkeypatch):
-        from repro.trace.capture import _batch_required
-
-        monkeypatch.setenv("REPRO_REQUIRE_BATCH_VM", "gapish, mcfish")
-        assert _batch_required("gapish")
-        assert _batch_required("mcfish")
-        assert not _batch_required("craftyish")
-
-    def test_ineligible_program_fails_when_required(self, monkeypatch):
-        # Inputs with magnitude >= 2**62 are rejected at lane load time,
-        # making the whole batch fall back.
-        monkeypatch.setenv("REPRO_REQUIRE_BATCH_VM", "1")
-        program = compile_source(
-            "func main() { return arg(0); }", name="hugearg")
-        sets = [InputSet.make("big", args=[1 << 62])]
-        with pytest.raises(ExperimentError, match="REPRO_REQUIRE_BATCH_VM"):
-            capture_traces(program, sets)
-        monkeypatch.setenv("REPRO_REQUIRE_BATCH_VM", "0")
-        traces = capture_traces(program, sets)  # silent serial fallback
-        assert len(traces) == 1
+@settings(max_examples=_FUZZ_EXAMPLES, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       optimize=st.booleans(),
+       fuel=st.sampled_from([40, 400, 5_000, 3_000_000]))
+def test_generated_programs_differential(seed, optimize, fuel):
+    """Random valid Minic programs, including fuel cut-offs at any point."""
+    source = ProgramGenerator(seed).program()
+    program = compile_source(source, name="fuzz", optimize=optimize)
+    _assert_parity(program, InputSet.make("fuzz"), fuel)
 
 
 class TestEdgeParity:
-    """Serial-VM edge semantics honored identically by the batch VM."""
+    """Interpreter edge semantics honoured identically by the compiled VM."""
 
-    def _run_both(self, source, input_sets, fuel=None):
+    def _check(self, source, input_sets, fuel=DEFAULT_FUEL):
         program = compile_source(source, name="edge")
-        assert plan_program(program).eligible, plan_program(program).reason
-        kwargs = {"fuel": fuel} if fuel is not None else {}
-        batch = BatchMachine(program, **kwargs).run_lanes(input_sets, mode="trace")
-        serial = []
-        for s in input_sets:
-            try:
-                serial.append(Machine(program, **kwargs).run(s, mode="trace"))
-            except (VMRuntimeError, FuelExhausted) as exc:
-                serial.append(exc)
-        return batch, serial
-
-    def _assert_parity(self, batch, serial, fallback=()):
-        assert batch.fallback_lanes == sorted(fallback)
-        for lane, want in enumerate(serial):
-            if lane in fallback:
-                # Withdrawn to the serial VM, not faulted: nothing to
-                # compare here (capture_traces parity is checked by the
-                # caller / test_overflow_lane_withdraws_not_faults).
-                assert batch.results[lane] is None
-                assert batch.errors[lane] is None
-                continue
-            if isinstance(want, Exception):
-                got = batch.errors[lane]
-                assert got is not None, f"lane {lane}: serial raised, batch ran"
-                assert type(got) is type(want)
-                assert str(got) == str(want)
-                if isinstance(want, FuelExhausted):
-                    assert got.executed == want.executed
-            else:
-                got = batch.results[lane]
-                assert got is not None, f"lane {lane}: batch faulted: {batch.errors[lane]}"
-                assert got.return_value == want.return_value
-                assert list(got.output) == list(want.output)
-                assert got.instructions == want.instructions
-                assert got.branches == want.branches
-                np.testing.assert_array_equal(
-                    np.asarray(got.packed_trace), np.asarray(want.packed_trace))
+        return [_assert_parity(program, s, fuel) for s in input_sets]
 
     def test_fuel_exhaustion_mid_call(self):
-        # Lanes burn fuel at different rates and die inside the callee at
+        # Inputs burn fuel at different rates and die inside the callee at
         # different depths; FuelExhausted.executed must match exactly.
         source = """
         func burn(n) {
@@ -183,14 +187,32 @@ class TestEdgeParity:
         }
         """
         sets = [InputSet.make(f"l{k}", args=[k]) for k in (1, 7, 40, 200)]
-        batch, serial = self._run_both(source, sets, fuel=6000)
-        assert any(isinstance(s, FuelExhausted) for s in serial)
-        assert any(not isinstance(s, Exception) for s in serial)
-        self._assert_parity(batch, serial)
+        outcomes = self._check(source, sets, fuel=6000)
+        assert any(isinstance(o, FuelExhausted) for o in outcomes)
+        assert any(not isinstance(o, VMError) for o in outcomes)
+
+    def test_fuel_exact_at_the_limit(self):
+        # Every fuel value up to the run's length: the compiled code must
+        # bail exactly where the interpreter raises and finish where it
+        # does, including a jump that runs straight into the final return.
+        source = """
+        func main() {
+            var i = 0;
+            while (i < 5) { if (i % 2 == 0) { output(i); } i = i + 1; }
+            if (arg(0) > 0) { i = 1; } else { i = 2; }
+            return i;
+        }
+        """
+        program = compile_source(source, name="edge")
+        for args in ([1], [0]):
+            input_set = InputSet.make("x", args=args)
+            total = Machine(program).run(input_set).instructions
+            for fuel in range(total + 2):
+                _assert_parity(program, input_set, fuel)
 
     def test_out_of_range_indexing(self):
-        # Some lanes index in range, some out; error strings must match
-        # the serial VM byte for byte.
+        # Some inputs index in range, some out; error strings must match
+        # the interpreter byte for byte.
         source = """
         global data[4];
         func main() {
@@ -199,30 +221,22 @@ class TestEdgeParity:
         }
         """
         sets = [InputSet.make(f"l{k}", args=[k]) for k in (0, 3, 4, -1, 100)]
-        batch, serial = self._run_both(source, sets)
-        assert sum(isinstance(s, VMRuntimeError) for s in serial) == 3
-        self._assert_parity(batch, serial)
+        outcomes = self._check(source, sets)
+        assert sum(isinstance(o, VMRuntimeError) for o in outcomes) == 3
 
     def test_shift_count_masking(self):
-        # Shift counts are masked to 6 bits like x86-64 shifts.
+        # Shift counts are masked to 6 bits like x86-64 shifts; values are
+        # unbounded ints (1 << 63 does not wrap).
         source = """
         func main() {
             output(1 << arg(0));
             output(1000 >> arg(0));
+            output(5 << 70);
             return (arg(1) << arg(0)) + (arg(1) >> arg(0));
         }
         """
         shifts = (0, 1, 5, 63, 64, 65, 130)
-        sets = [InputSet.make(f"l{k}", args=[k, 3]) for k in shifts]
-        batch, serial = self._run_both(source, sets)
-        # shift=63 overflows int64 (1 << 63), so that one lane withdraws
-        # to the serial VM; masked shifts (64 -> 0, 65 -> 1, 130 -> 2)
-        # stay in-bounds and must match exactly.
-        self._assert_parity(batch, serial, fallback=[shifts.index(63)])
-        program = compile_source(source, name="edge")
-        _assert_traces_identical(
-            capture_traces(program, sets),
-            [capture_trace(program, s) for s in sets])
+        self._check(source, [InputSet.make(f"l{k}", args=[k, 3]) for k in shifts])
 
     def test_truncating_division_on_negatives(self):
         # Minic division truncates toward zero (C semantics), unlike
@@ -233,54 +247,25 @@ class TestEdgeParity:
             var b = arg(1);
             output(a / b);
             output(a % b);
+            output(a / 3);
+            output(a % -3);
             return (a / b) * b + (a % b) - a;
         }
         """
         cases = [(7, 2), (-7, 2), (7, -2), (-7, -2), (-1, 3), (1, -3), (0, -5)]
         sets = [InputSet.make(f"l{i}", args=list(c)) for i, c in enumerate(cases)]
-        batch, serial = self._run_both(source, sets)
-        for s in serial:
-            assert not isinstance(s, Exception)
-            assert s.return_value == 0  # the div/mod identity holds
-        self._assert_parity(batch, serial)
+        for outcome in self._check(source, sets):
+            assert outcome[3] == 0  # the div/mod identity holds
 
     def test_division_by_zero_parity(self):
         source = "func main() { return arg(0) / arg(1) + arg(0) % 1; }"
         sets = [InputSet.make("ok", args=[8, 2]), InputSet.make("boom", args=[8, 0])]
-        batch, serial = self._run_both(source, sets)
-        assert isinstance(serial[1], VMRuntimeError)
-        assert "division by zero" in str(serial[1])
-        self._assert_parity(batch, serial)
-
-    def test_overflow_lane_withdraws_not_faults(self):
-        # The serial VM computes with unbounded ints; a lane whose
-        # arithmetic leaves int64 must withdraw (fallback), never fault
-        # or silently wrap.  capture_traces re-runs it serially.
-        source = """
-        func main() {
-            var a = arg(0);
-            var i = 0;
-            var acc = 1;
-            while (i < 4) { acc = acc * a; i = i + 1; }
-            return acc % 1000007;
-        }
-        """
-        program = compile_source(source, name="overflow")
-        assert plan_program(program).eligible
-        sets = [InputSet.make("small", args=[7]),
-                InputSet.make("big", args=[1 << 20])]  # (2**20)**4 = 2**80
-        batch = BatchMachine(program).run_lanes(sets, mode="trace")
-        assert batch.fallback_lanes == [1]
-        assert batch.results[0] is not None and batch.errors[1] is None
-        # capture_traces hides the withdrawal: results identical to serial.
-        traces = capture_traces(program, sets)
-        serial = [capture_trace(program, s) for s in sets]
-        _assert_traces_identical(traces, serial)
-        expected = Machine(program).run(sets[1]).return_value
-        assert expected == pow(1 << 20, 4) % 1000007
+        outcomes = self._check(source, sets)
+        assert "division by zero" in str(outcomes[1])
+        self._check("func main() { return arg(0) % arg(1); }", sets)
 
     def test_rng_parity(self):
-        # The LCG stream and srand reseeding must match lane for lane.
+        # The LCG stream and srand reseeding must match.
         source = """
         func main() {
             srand(arg(0));
@@ -293,9 +278,70 @@ class TestEdgeParity:
             return acc;
         }
         """
-        sets = [InputSet.make(f"l{k}", args=[k]) for k in (0, 1, 12345, 999999)]
-        batch, serial = self._run_both(source, sets)
-        self._assert_parity(batch, serial)
+        self._check(source, [InputSet.make(f"l{k}", args=[k])
+                             for k in (0, 1, 12345, 999999)])
+
+    def test_recursion_overflow(self):
+        # Guarded recursion within the depth limit runs; past it, the
+        # interpreter's "recursion too deep" error comes back exactly.
+        source = """
+        func down(n) {
+            if (n == 0) { return 0; }
+            return 1 + down(n - 1);
+        }
+        func main() { return down(arg(0)); }
+        """
+        outcomes = self._check(source, [InputSet.make(f"d{k}", args=[k])
+                                        for k in (10, 3999, 4000, 10000)])
+        assert outcomes[1][3] == 3999
+        assert "recursion too deep" in str(outcomes[2])
+
+    def test_discarded_expression_still_faults(self):
+        # An expression statement's value is dropped, but its evaluation
+        # (here: arithmetic on an array) must fault as in the interpreter.
+        source = """
+        func main() {
+            var a = array(2);
+            var n = arg(0);
+            if (n > 0) { a = n; }
+            a + 1;
+            return 0;
+        }
+        """
+        outcomes = self._check(source, [InputSet.make("int", args=[1]),
+                                        InputSet.make("array", args=[0])])
+        assert isinstance(outcomes[1], VMRuntimeError)
+
+    def test_pending_load_survives_store(self):
+        # Hand-written bytecode: a local is loaded, then overwritten while
+        # the loaded value is still on the stack.
+        ops = [Opcode.LOAD_LOCAL, Opcode.LOAD_GLOBAL, Opcode.CONST,
+               Opcode.STORE_LOCAL, Opcode.CONST, Opcode.STORE_GLOBAL,
+               Opcode.SUB, Opcode.RET]
+        main = Function(name="main", num_params=0, num_locals=1,
+                        ops=[int(op) for op in ops],
+                        args=[0, 0, 5, 0, 9, 0, None, None], lines=[1] * 8)
+        program = Program(name="handmade", functions=[main],
+                          func_index={"main": 0}, global_names=["g"],
+                          global_init=[3], sites=[])
+        assert _assert_parity(program, InputSet.make("x"))[3] == -3
+
+    def test_bad_builtin_arguments(self):
+        # Negative sizes and indexes must not wrap or silently succeed.
+        source = """
+        func main() {
+            var a = array(arg(0));
+            output(len(a));
+            output(input(arg(1)));
+            return abs(min(arg(0), arg(1))) + max(arg(0), 2);
+        }
+        """
+        self._check(source, [
+            InputSet.make("ok", data=[4, 5], args=[3, 1]),
+            InputSet.make("neg-size", data=[4], args=[-1, 0]),
+            InputSet.make("neg-input", data=[4], args=[2, -1]),
+            InputSet.make("big-input", data=[4], args=[2, 1]),
+        ])
 
 
 def test_capture_traces_matches_serial_loop():
@@ -305,17 +351,87 @@ def test_capture_traces_matches_serial_loop():
     sets = [workload.make_input("train", 0.05),
             workload.make_input("ref", 0.05),
             workload.make_input("train", 0.05)]  # duplicates allowed
-    batch = capture_traces(program, sets)
-    serial = [capture_trace(program, s) for s in sets]
-    _assert_traces_identical(batch, serial)
+    _assert_traces_identical(capture_traces(program, sets),
+                             [capture_trace(program, s) for s in sets])
     assert capture_traces(program, []) == []
 
 
-def test_batch_fallback_is_not_an_error():
-    """A whole-batch fallback still yields correct serial traces."""
-    program = compile_source("func main() { return input(0); }", name="hugeinput")
-    sets = [InputSet.make("big", data=[1 << 62])]
-    with pytest.raises(BatchFallback):
-        BatchMachine(program).run_lanes(sets, mode="trace")
-    traces = capture_traces(program, sets)
-    assert len(traces) == 1
+def test_program_compiles_once(monkeypatch):
+    """A whole population shares one compiled form per Program object."""
+    import repro.vm.compiled as compiled_module
+
+    built = []
+    original = compiled_module.CompiledProgram.__init__
+
+    def counting_init(self, program):
+        built.append(program.name)
+        original(self, program)
+
+    monkeypatch.setattr(compiled_module.CompiledProgram, "__init__", counting_init)
+    program = compile_source(
+        "func main() { var i = 0; while (i < arg(0)) { i = i + 1; } return i; }",
+        name="once")
+    sets = [InputSet.make(f"i{k}", args=[k]) for k in range(64)]
+    capture_traces(program, sets)
+    capture_trace(program, sets[0])
+    assert built == ["once"]
+
+
+class TestCountedFallbacks:
+    """Each bail is counted, logged, and replayed to the interpreter's answer."""
+
+    def _fallbacks(self, reason: str) -> float:
+        return get_registry().counter("vm_compiled_fallbacks_total").labels(
+            reason=reason).value
+
+    def test_fault_is_counted_logged_and_replayed(self, caplog):
+        program = compile_source(
+            "func main() { output(7); return 10 / arg(0); }", name="faulty")
+        input_set = InputSet.make("zero", args=[0])
+        want = _interpreted(program, input_set)
+        assert isinstance(want, VMRuntimeError)
+        before = self._fallbacks("fault")
+        with caplog.at_level(logging.INFO, logger="repro.vm.machine"):
+            with pytest.raises(VMRuntimeError) as raised:
+                Machine(program).run(input_set, mode="trace")
+        assert str(raised.value) == str(want)
+        assert self._fallbacks("fault") == before + 1
+        events = [r for r in caplog.records
+                  if getattr(r, "structured_event", None) == "vm_compiled_fallback"]
+        assert len(events) == 1
+        assert events[0].structured_fields == {
+            "reason": "fault", "program": "faulty", "input": "zero"}
+
+    @pytest.mark.parametrize("reason, source, fuel", [
+        ("fuel", "func main() { while (1) { } return 0; }", 1000),
+        ("depth", "func f(n) { return f(n + 1); } func main() { return f(0); }",
+         DEFAULT_FUEL),
+    ])
+    def test_fuel_and_depth_are_counted(self, reason, source, fuel):
+        program = compile_source(source, name=reason)
+        before = self._fallbacks(reason)
+        with pytest.raises(VMError):
+            Machine(program, fuel=fuel).run(InputSet.make("x"), mode="trace")
+        assert self._fallbacks(reason) == before + 1
+
+    def test_clean_runs_do_not_fall_back(self):
+        program = get_workload("gzipish").program()
+        before = get_registry().counter("vm_compiled_fallbacks_total").total()
+        capture_traces(program, [get_workload("gzipish").make_input("ref", 0.02)])
+        assert get_registry().counter("vm_compiled_fallbacks_total").total() == before
+
+    def test_vm_run_span_names_the_engine(self):
+        program = compile_source("func main() { return 1; }", name="span")
+        tracer = get_tracer()
+        tracer.clear()
+        tracer.configure(enabled=True)
+        try:
+            machine = Machine(program)
+            machine.run(InputSet.make("x"), mode="trace")
+            machine.run(InputSet.make("x"), mode="none")
+            events = [e for e in tracer.events() if e["name"] == "vm.run"]
+        finally:
+            tracer.configure(enabled=False)
+            tracer.clear()
+        assert [(e["args"]["mode"], e["args"]["engine"]) for e in events] == [
+            ("trace", "compiled"), ("none", "interpreter")]
