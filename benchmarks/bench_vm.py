@@ -9,11 +9,8 @@ each) plus the one-time per-program compile cost, which the compiled
 column excludes.
 
 The acceptance floor is aggregate events/s at >= 3x the interpreter.
-
-``REPRO_BENCH_VM_SCALE`` (default 0.02) sets the input scale.
 """
 
-import os
 import time
 
 import numpy as np
@@ -22,7 +19,7 @@ from repro.vm import Machine
 from repro.vm.compiled import compiled
 from repro.workloads import all_workloads
 
-_SCALE = float(os.environ.get("REPRO_BENCH_VM_SCALE", "0.02"))
+_SCALE = 0.02
 
 
 def _timed(run, input_set, repeats=3):

@@ -25,10 +25,10 @@ A driver loop (``while blk: blk = blk()``) runs the blocks; calls push
 never recurses in Python.
 
 Exactness rule: the compiled code never reports an error itself.  On a
-guest fault (any exception, or a guard such as a negative index), fuel
-overrun or call-depth overflow it raises :class:`Bail`; the caller then
-re-runs the input from scratch on the interpreter, which returns the
-exact result or raises the exact error.
+guest fault (an exception guest code can raise, or a guard such as a
+negative index), fuel overrun or call-depth overflow it raises
+:class:`Bail`; the caller then re-runs the input from scratch on the
+interpreter, which returns the exact result or raises the exact error.
 """
 
 from __future__ import annotations
@@ -404,9 +404,10 @@ class CompiledProgram:
                 [0] * self.main_locals)
         except Bail:
             raise
-        except Exception as exc:
-            # Any exception in generated code is a guest fault; the
-            # interpreter's replay reports it with its exact message.
+        except (TypeError, IndexError, OverflowError, MemoryError) as exc:
+            # The exceptions guest code can raise: the interpreter's replay
+            # reports each one exactly.  Anything else is a compiler bug and
+            # propagates.
             raise Bail("fault") from exc
         return return_value, executed, output, trace
 

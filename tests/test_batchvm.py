@@ -402,6 +402,21 @@ class TestCountedFallbacks:
         assert events[0].structured_fields == {
             "reason": "fault", "program": "faulty", "input": "zero"}
 
+    def test_compiler_bug_is_not_a_guest_fault(self, monkeypatch):
+        # Only exceptions guest code can raise become a fault bail; an
+        # error in the generated code itself must not be replayed away.
+        program = compile_source("func main() { return 1; }", name="bug")
+        code = compiled(program)
+
+        def broken(*args):
+            raise NameError("name 'x' is not defined")
+
+        monkeypatch.setattr(code, "_run", broken)
+        before = self._fallbacks("fault")
+        with pytest.raises(NameError):
+            Machine(program).run(InputSet.make("x"), mode="trace")
+        assert self._fallbacks("fault") == before
+
     @pytest.mark.parametrize("reason, source, fuel", [
         ("fuel", "func main() { while (1) { } return 0; }", 1000),
         ("depth", "func f(n) { return f(n + 1); } func main() { return f(0); }",
