@@ -289,7 +289,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_dir=None if checkpoint_dir == "" else checkpoint_dir,
         warehouse_dir=args.warehouse_dir,
         shard_name=args.shard_name,
-        reuse_port=args.reuseport,
         limits=ServiceLimits(
             max_sessions=args.max_sessions,
             max_batch_events=args.max_batch_events,
@@ -475,7 +474,6 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         host=args.host,
         idle_timeout=args.idle_timeout,
         max_sessions=args.max_sessions,
-        reuse_port=args.reuseport,
         trace_dir=trace_dir,
         flight_dir=telemetry_dir / "flight" if telemetry_dir else None,
         log_dir=telemetry_dir / "logs" if telemetry_dir else None,
@@ -998,10 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-name", default=None,
                    help="this server's identity within a fleet (stamped on "
                         "stats/metrics replies)")
-    p.add_argument("--reuseport", action="store_true",
-                   help="bind with SO_REUSEPORT so several shard processes "
-                        "can share one port (kernel-balanced fallback "
-                        "deployment; no session affinity)")
     p.add_argument("--flight-record", default=None, metavar="DIR",
                    help="arm a flight recorder: keep a trace ring buffer in "
                         "memory and dump it to DIR on SIGUSR2")
@@ -1028,8 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-shard idle-session eviction timeout (seconds)")
     p.add_argument("--max-sessions", type=int, default=4096,
                    help="per-shard live session limit (default 4096)")
-    p.add_argument("--reuseport", action="store_true",
-                   help="shards additionally bind one shared SO_REUSEPORT port")
     p.add_argument("--telemetry-dir", default=None, metavar="DIR",
                    help="telemetry root: tsdb/, flight/, logs/ "
                         "(default <fleet-dir>/telemetry)")

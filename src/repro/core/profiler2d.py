@@ -1,17 +1,18 @@
 """The 2D-profiling algorithm (paper Section 3, Figure 9).
 
-Two equivalent execution paths exist and are tested against each other:
+:class:`TwoDProfiler` maintains exactly the seven per-branch variables of
+Figure 9a and performs the slice update of Figure 9b, including the 2-tap
+FIR filter and the running-mean NPAM approximation the paper describes in
+footnote 5.  It has two entry points that are tested against each other:
 
-* **online** — :class:`TwoDProfiler` receives one ``record(site, correct)``
-  call per dynamic branch (used behind the Pin-style callback hook, as the
-  paper's actual tool runs);
-* **offline** — :func:`profile_trace` replays a captured trace through a
-  predictor simulation and folds whole slices with vectorized numpy
-  bincounts (how the experiment suite runs, orders of magnitude faster).
+* ``record(site, correct)`` — one call per dynamic branch (used behind the
+  Pin-style callback hook, as the paper's actual tool runs); this is the
+  reference path;
+* ``record_batch(sites, correct)`` — folds whole slices at once with
+  flattened numpy bincounts.  The streaming service and
+  :func:`profile_trace` (how the experiment suite runs) both use it.
 
-Both maintain exactly the seven per-branch variables of Figure 9a and
-perform the slice update of Figure 9b, including the 2-tap FIR filter and
-the running-mean NPAM approximation the paper describes in footnote 5.
+Either way, :meth:`TwoDProfiler._fold_slice` is the one Figure 9b update.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ _STATE_ARRAYS = ("N", "SPA", "SSPA", "NPAM", "LPA", "has_lpa",
 
 
 class TwoDProfiler:
-    """Online 2D-profiler: one :meth:`record` call per dynamic branch.
+    """The 2D-profiler: :meth:`record` per branch or :meth:`record_batch`.
 
     State lives in per-site numpy arrays (the columns of Figure 9a), which
     makes three things cheap: batched ingestion (:meth:`record_batch`
@@ -513,11 +514,11 @@ class TwoDProfiler:
         A trailing partial slice is processed only if it holds at least
         half a slice worth of branches; tiny tails would only add noise.
         """
-        if self._in_slice >= self._slice_size // 2:
+        if self._in_slice and self._in_slice >= self._slice_size // 2:
             self._end_slice()
         elif self._in_slice:
             # A dropped tail leaves no trace: clear the intra-slice
-            # scratch so the report matches the offline path exactly.
+            # scratch so the report's exec/predict counters read zero.
             self._exec[:] = 0
             self._pred[:] = 0
             self._in_slice = 0
@@ -556,10 +557,12 @@ def profile_trace(
     config: ProfilerConfig | None = None,
     simulation: SimulationResult | None = None,
 ) -> TwoDReport:
-    """Run 2D-profiling over a captured trace (vectorized fast path).
+    """Run 2D-profiling over a captured trace.
 
     Either pass a ``predictor`` (it will be simulated over the trace) or a
-    precomputed ``simulation`` for the same trace.
+    precomputed ``simulation`` for the same trace.  The whole correctness
+    stream goes through one :meth:`TwoDProfiler.record_batch` call, so the
+    result is exactly what the online profiler reports.
     """
     if (predictor is None) == (simulation is None):
         raise ExperimentError("pass exactly one of predictor or simulation")
@@ -569,83 +572,6 @@ def profile_trace(
         raise ExperimentError("simulation does not match the trace length")
 
     config = (config or ProfilerConfig()).resolve(total_branches=len(trace))
-    num_sites = trace.num_sites
-    slice_size = config.slice_size
-    exec_threshold = config.exec_threshold
-    use_fir = config.use_fir
-
-    sites = trace.sites
-    correct = simulation.correct.astype(np.float64)
-
-    n = len(trace)
-    boundaries = list(range(0, n, slice_size))
-    # Fold a trailing partial slice only if it is at least half full.
-    full_slices = [(start, min(start + slice_size, n)) for start in boundaries]
-    if full_slices and (full_slices[-1][1] - full_slices[-1][0]) < slice_size // 2:
-        full_slices.pop()
-
-    N = np.zeros(num_sites, dtype=np.int64)
-    SPA = np.zeros(num_sites, dtype=np.float64)
-    SSPA = np.zeros(num_sites, dtype=np.float64)
-    NPAM = np.zeros(num_sites, dtype=np.int64)
-    LPA = np.zeros(num_sites, dtype=np.float64)
-    has_lpa = np.full(num_sites, config.fir_cold_start)
-    series_rows: list[np.ndarray] | None = [] if config.keep_series else None
-    slice_overall: list[float] = []
-
-    # Price every slice at once with a flattened (slice, site) bincount;
-    # per-slice fold arithmetic below is unchanged, so results stay
-    # bit-identical to the slice-at-a-time loop.
-    limit = full_slices[-1][1] if full_slices else 0
-    if limit:
-        exec_matrix, correct_matrix = _slice_counts(
-            sites[:limit], correct[:limit], slice_size, num_sites
-        )
-    for row_index, (start, stop) in enumerate(full_slices):
-        chunk_correct_sum = float(correct_matrix[row_index].sum())
-        exec_counts = exec_matrix[row_index]
-        correct_counts = correct_matrix[row_index]
-        qualified = exec_counts > exec_threshold
-        if series_rows is not None:
-            row = np.full(num_sites, np.nan)
-            row[qualified] = correct_counts[qualified] / exec_counts[qualified]
-            series_rows.append(row)
-        slice_overall.append(chunk_correct_sum / (stop - start))
-        if not qualified.any():
-            continue
-        accuracy = correct_counts[qualified] / exec_counts[qualified]
-        if use_fir:
-            filtered = np.where(
-                has_lpa[qualified], (accuracy + LPA[qualified]) / 2.0, accuracy
-            )
-        else:
-            filtered = accuracy
-        has_lpa[qualified] = True
-        N[qualified] += 1
-        SPA[qualified] += filtered
-        SSPA[qualified] += filtered * filtered
-        running_mean = SPA[qualified] / N[qualified]
-        NPAM[qualified] += (filtered > running_mean + PAM_EPSILON).astype(np.int64)
-        LPA[qualified] = filtered
-
-    stats: list[BranchSliceStats] = []
-    for site in range(num_sites):
-        stats.append(
-            BranchSliceStats(
-                N=int(N[site]),
-                SPA=float(SPA[site]),
-                SSPA=float(SSPA[site]),
-                NPAM=int(NPAM[site]),
-                LPA=float(LPA[site]),
-                has_lpa=bool(has_lpa[site]),
-            )
-        )
-    return TwoDReport(
-        num_sites=num_sites,
-        stats=stats,
-        thresholds=config.thresholds,
-        overall_accuracy=simulation.overall_accuracy,
-        config=config,
-        series=np.array(series_rows) if series_rows else None,
-        slice_overall=np.array(slice_overall) if slice_overall else None,
-    )
+    profiler = TwoDProfiler(trace.num_sites, config)
+    profiler.record_batch(trace.sites, simulation.correct)
+    return profiler.finish()

@@ -2,8 +2,8 @@
 
 Each shard is one ``repro-2dprof serve`` subprocess with a stable *name*
 (``s0`` .. ``sN-1``) — the name, not the port, is what rendezvous
-hashing keys on, so a replaced shard (same name, fresh process, usually
-a new ephemeral port) keeps owning the same slice of the session space.
+hashing keys on, so a replaced shard (same name, fresh process, new
+ephemeral port) keeps owning the same slice of the session space.
 All shards share one checkpoint directory and (optionally) one warehouse
 root; that sharing is what makes any-shard resume and concurrent
 finalization work.
@@ -61,10 +61,8 @@ class ShardProcess:
         checkpoint_dir: str | Path,
         warehouse_dir: str | Path | None = None,
         host: str = "127.0.0.1",
-        port: int = 0,
         idle_timeout: float | None = None,
         max_sessions: int = 1024,
-        reuse_port: bool = False,
         trace_path: str | Path | None = None,
         flight_dir: str | Path | None = None,
         log_path: str | Path | None = None,
@@ -73,10 +71,8 @@ class ShardProcess:
         self.checkpoint_dir = Path(checkpoint_dir)
         self.warehouse_dir = Path(warehouse_dir) if warehouse_dir else None
         self.host = host
-        self.port = port
         self.idle_timeout = idle_timeout
         self.max_sessions = max_sessions
-        self.reuse_port = reuse_port
         self.trace_path = Path(trace_path) if trace_path else None
         self.flight_dir = Path(flight_dir) if flight_dir else None
         self.log_path = Path(log_path) if log_path else None
@@ -89,7 +85,7 @@ class ShardProcess:
         cmd = [
             sys.executable, "-m", "repro.cli", "serve",
             "--host", self.host,
-            "--port", str(self.port),
+            "--port", "0",
             "--checkpoint-dir", str(self.checkpoint_dir),
             "--shard-name", self.name,
             "--max-sessions", str(self.max_sessions),
@@ -98,8 +94,6 @@ class ShardProcess:
             cmd += ["--warehouse-dir", str(self.warehouse_dir)]
         if self.idle_timeout is not None:
             cmd += ["--idle-timeout", str(self.idle_timeout)]
-        if self.reuse_port:
-            cmd += ["--reuseport"]
         if self.trace_path is not None:
             cmd += ["--trace", str(self.trace_path)]
         if self.flight_dir is not None:
@@ -179,8 +173,6 @@ class FleetSupervisor:
         host: str = "127.0.0.1",
         idle_timeout: float | None = None,
         max_sessions: int = 1024,
-        reuse_port: bool = False,
-        port: int = 0,
         trace_dir: str | Path | None = None,
         flight_dir: str | Path | None = None,
         log_dir: str | Path | None = None,
@@ -207,10 +199,8 @@ class FleetSupervisor:
             checkpoint_dir=self.checkpoint_dir,
             warehouse_dir=warehouse_dir,
             host=host,
-            port=port,
             idle_timeout=idle_timeout,
             max_sessions=max_sessions,
-            reuse_port=reuse_port,
         )
         self._names = [f"s{i}" for i in range(num_shards)]
 

@@ -117,28 +117,3 @@ class FlightRecorder:
         if not self.out_dir.is_dir():
             return []
         return sorted(self.out_dir.glob(f"flight-{self.name}-*.json"))
-
-
-def install_signal_dump(recorder: FlightRecorder, signum=None) -> bool:
-    """Dump ``recorder`` when ``signum`` (default ``SIGUSR2``) arrives.
-
-    Returns ``False`` off the main thread or on platforms without the
-    signal, leaving the recorder usable but not externally triggerable.
-    """
-    import signal as _signal
-
-    if signum is None:
-        signum = getattr(_signal, "SIGUSR2", None)
-    if signum is None:
-        return False
-    if threading.current_thread() is not threading.main_thread():
-        return False
-
-    def _handler(_signum, _frame):
-        recorder.dump(reason="signal", force=True)
-
-    try:
-        _signal.signal(signum, _handler)
-    except (ValueError, OSError):
-        return False
-    return True

@@ -204,11 +204,6 @@ def read_logs(
         yield doc
 
 
-def tail_logs(root: str | Path, n: int = 20, **filters) -> list[dict]:
-    """The last ``n`` matching records (convenience for CLI/status)."""
-    return list(read_logs(root, **filters))[-n:]
-
-
 def format_record(doc: dict) -> str:
     """One human-readable line for a structured record."""
     ts = time.strftime("%H:%M:%S", time.localtime(doc.get("ts", 0)))
@@ -224,13 +219,6 @@ def format_record(doc: dict) -> str:
     if "exc" in doc:
         line += f"\n{doc['exc']}"
     return line
-
-
-def default_log_dir(base: str | Path) -> Path:
-    """``<base>/logs``, created — the fleet's shared log directory."""
-    path = Path(base) / "logs"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def process_log_path(log_dir: str | Path, name: str | None = None) -> Path:

@@ -184,10 +184,6 @@ class Histogram(_Metric):
             if value > self.max:
                 self.max = value
 
-    def time(self):
-        """Context manager observing the elapsed wall seconds."""
-        return _HistogramTimer(self)
-
     def percentile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1]); NaN when empty."""
         if not 0.0 <= q <= 1.0:
@@ -239,25 +235,6 @@ class Histogram(_Metric):
             if state.get("count", 0):
                 self.min = min(self.min, state.get("min", math.inf))
                 self.max = max(self.max, state.get("max", -math.inf))
-
-
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_t0")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-
-    def __enter__(self) -> "_HistogramTimer":
-        import time
-
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        import time
-
-        self._histogram.observe(time.perf_counter() - self._t0)
-        return False
 
 
 class Registry:
@@ -385,10 +362,6 @@ class Registry:
         for label_str, child_entry in entry.get("labels", {}).items():
             labels = _parse_label_str(label_str)
             self._merge_entry(name, child_entry, parent=metric.labels(**labels))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
 
 
 def _unquote(value: str) -> str:

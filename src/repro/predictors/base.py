@@ -43,10 +43,3 @@ class Predictor(ABC):
         an empty dict.
         """
         return {}
-
-
-def saturating_update(counter: int, taken: int, maximum: int = 3) -> int:
-    """Advance a saturating counter toward ``taken`` within [0, maximum]."""
-    if taken:
-        return counter + 1 if counter < maximum else counter
-    return counter - 1 if counter > 0 else counter

@@ -4,65 +4,22 @@ Replays a :class:`repro.trace.trace.BranchTrace` through a predictor and
 records, for every dynamic branch, whether the prediction was correct.
 The per-branch correctness stream is what the 2D-profiler consumes; the
 per-site aggregates are what a conventional accuracy profiler reports.
+
+:func:`simulate` is the one production entry point: it runs the exact
+vectorized kernel when the predictor's type has one and otherwise
+:func:`simulate_reference`, the branch-at-a-time loop every kernel is
+tested against.  A kernel that refuses its input state is the one
+fallback: it is counted and logged.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ExperimentError
 from repro.predictors.base import Predictor
-from repro.predictors.bimodal import Bimodal
-from repro.predictors.gag import GAg
-from repro.predictors.gshare import Gshare
-from repro.predictors.local import LocalTwoLevel
-from repro.predictors.loopp import LoopPredictor
-from repro.predictors.perceptron import Perceptron
-from repro.predictors.tage import Tage
-from repro.predictors.tournament import Tournament
 from repro.trace.trace import BranchTrace
-
-#: Exact types that must take the vectorized fast path when
-#: ``REPRO_REQUIRE_VECTORIZED=1``: every kind with an unconditional exact
-#: kernel.  TAGE is requirable by name but not required by default — its
-#: kernel may legitimately refuse (stored folded registers that disagree
-#: with the history window), and the acceptance contract allows the
-#: fallback.
-_REQUIRED_BY_DEFAULT = {
-    "bimodal": Bimodal,
-    "gshare": Gshare,
-    "gag": GAg,
-    "local": LocalTwoLevel,
-    "tournament": Tournament,
-    "loop": LoopPredictor,
-    "perceptron": Perceptron,
-}
-_REQUIRABLE_KINDS = dict(_REQUIRED_BY_DEFAULT, tage=Tage)
-
-
-def _required_vectorized_kinds() -> tuple[type, ...]:
-    """Exact types the environment forbids from silently falling back.
-
-    ``REPRO_REQUIRE_VECTORIZED`` unset/``0`` requires nothing, ``1``
-    requires every default kind, and a comma-separated list of registry
-    names (e.g. ``local,perceptron,tage``) requires exactly those.
-    """
-    value = os.environ.get("REPRO_REQUIRE_VECTORIZED", "").strip()
-    if not value or value == "0":
-        return ()
-    if value == "1":
-        return tuple(_REQUIRED_BY_DEFAULT.values())
-    names = [part.strip() for part in value.split(",") if part.strip()]
-    unknown = sorted(set(names) - set(_REQUIRABLE_KINDS))
-    if unknown:
-        known = ", ".join(sorted(_REQUIRABLE_KINDS))
-        raise ExperimentError(
-            f"REPRO_REQUIRE_VECTORIZED names unknown kinds {unknown}; known: {known}"
-        )
-    return tuple(_REQUIRABLE_KINDS[name] for name in names)
 
 
 @dataclass
@@ -107,34 +64,24 @@ class SimulationResult:
 
 
 def simulate(
-    predictor: Predictor, trace: BranchTrace, reset: bool = True, vectorize: bool = True
+    predictor: Predictor, trace: BranchTrace, reset: bool = True
 ) -> SimulationResult:
     """Replay ``trace`` through ``predictor`` from (by default) a cold start.
 
     Every stock predictor kind takes an exact vectorized fast path
     (:mod:`repro.predictors.vectorized`); subclasses, predictors without a
-    kernel, and any caller passing ``vectorize=False`` use the Python-loop
+    kernel, and a kernel that refuses its input state use the Python-loop
     reference implementation.  The two are bit-identical — predictions,
     per-site counts, and the end-of-run predictor state — and the
-    differential test harness enforces it.
-
-    Setting ``REPRO_REQUIRE_VECTORIZED=1`` (or to a comma-separated list
-    of kind names) turns a silent fallback for those kinds into an
-    :class:`~repro.errors.ExperimentError`, so CI can prove the fast path
-    actually ran rather than quietly timing the slow one.
+    differential test harness enforces it.  A refusing kernel increments
+    ``replay_fallbacks_total{kind}`` and logs a ``replay_fallback`` event.
     """
-    if vectorize:
-        from repro.predictors.vectorized import try_simulate_vectorized
+    from repro.predictors.vectorized import try_simulate_vectorized
 
-        result = try_simulate_vectorized(predictor, trace, reset=reset)
-        if result is not None:
-            return result
-        if type(predictor) in _required_vectorized_kinds():
-            raise ExperimentError(
-                f"REPRO_REQUIRE_VECTORIZED is set but {type(predictor).__name__} "
-                f"({predictor.name}) fell back to the reference loop"
-            )
-    return simulate_reference(predictor, trace, reset=reset)
+    result = try_simulate_vectorized(predictor, trace, reset=reset)
+    if result is None:
+        result = simulate_reference(predictor, trace, reset=reset)
+    return result
 
 
 def simulate_reference(

@@ -13,14 +13,7 @@ a harsher version of the paper's Section 5.3 mismatch study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.predictors.base import Predictor
-
-
-@dataclass
-class _TaggedEntry:
-    __slots__ = ()
 
 
 class _FoldedHistory:

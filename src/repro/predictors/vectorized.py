@@ -32,7 +32,8 @@ it.  That covers most of the zoo:
   code: runs of taken outcomes terminated by a not-taken exit.  The
   trained trip count after any completed run is always that run's length,
   and confidence is the (saturating) streak of equal consecutive run
-  lengths — both computable with vectorized run-length encoding per site.
+  lengths — both computable with one vectorized run-length decode over
+  all entries at once.
 * **perceptron** — predictions do feed back into *when* weights train,
   but only within one table entry, and the ±1 history matrix is pure
   trace data (a sliding window over the outcome signs).  Per entry the
@@ -58,19 +59,22 @@ predictor ``state_dict()`` on hundreds of seeded traces — including the
 end-of-run state write-back, so ``reset=False`` chains behave the same on
 either path.  :func:`try_simulate_vectorized` returns ``None`` for exact
 types it has no kernel for (and for subclasses, which may change the
-update rule); ``REPRO_REQUIRE_VECTORIZED=1`` turns that silent fallback
-into a hard error for the kinds that must stay fast (see
-:mod:`repro.predictors.simulate`).
+update rule) and for a kernel that refuses its input state;
+:func:`repro.predictors.simulate.simulate` then runs the reference loop.
+Only a refusal is a fallback: it is counted in ``replay_fallbacks_total``
+and logged as a ``replay_fallback`` event.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from functools import lru_cache
 
 import numpy as np
 
 from repro.obs import get_registry, get_tracer
+from repro.obs.logs import log_event
 from repro.predictors.bimodal import Bimodal
 from repro.predictors.gag import GAg
 from repro.predictors.gshare import Gshare
@@ -81,6 +85,7 @@ from repro.predictors.tage import Tage, _FoldedHistory
 from repro.predictors.tournament import Tournament
 from repro.trace.trace import BranchTrace
 
+log = logging.getLogger(__name__)
 
 #: A transition function f: {0..3} -> {0..3} packs into one byte with
 #: f[s] stored at bits 2s..2s+1.  The saturating-counter steps:
@@ -371,215 +376,96 @@ def _replay_tournament(predictor: Tournament, sites: np.ndarray, outcomes: np.nd
     return np.where(choice_before >= 2, global_pred, simple_pred).astype(np.uint8)
 
 
-#: Above this average events-per-entry density, the per-segment loop
-#: kernel beats the flat all-segments pass (long segments amortize its
-#: per-segment numpy overhead and stay cache-resident).
-_LOOP_SEGMENT_DENSITY = 1536
-
-
 def _replay_loop(predictor: LoopPredictor, sites: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """One run-length decode over every predictor entry at once.
+
+    Branches are stably sorted by entry, so each entry's outcome stream is
+    one contiguous segment, and it decodes into runs: maximal spans of
+    taken outcomes each closed by one not-taken exit.  Cut every segment
+    at its exits into *slots*: a segment's first slot holds the branches
+    before its first exit (and carries the entry's saved count, trip and
+    confidence), and each exit opens the next slot.  Slots are numbered
+    globally in sorted order, so exit ``j`` of segment ``s`` opens slot
+    ``j + s + 1``.  Within a slot the entry's trip and confidence are
+    constant and its count climbs by one per branch, so the whole slot's
+    predictions follow from one per-slot threshold position.
+    """
     n = int(sites.size)
-    if n == 0:
-        return np.ones(0, dtype=np.uint8)
-    keys = sites.astype(np.int64) % predictor.num_entries
+    # The narrowest key type lets the stable sort use radix sort (<= 16 bits).
+    keys = (sites.astype(np.int64) % predictor.num_entries).astype(
+        np.min_scalar_type(predictor.num_entries - 1))
     order = np.argsort(keys, kind="stable")
     key_sorted = keys[order]
-    stream = outcomes[order].astype(np.int64)
     starts, stops = _segments(key_sorted)
-    if n >= _LOOP_SEGMENT_DENSITY * int(starts.size):
-        return _replay_loop_segments(predictor, order, key_sorted, stream,
-                                     starts, stops)
-    return _replay_loop_flat(predictor, order, key_sorted, stream,
-                             starts, stops)
-
-
-def _replay_loop_segments(predictor: LoopPredictor, order: np.ndarray,
-                          key_sorted: np.ndarray, out_sorted: np.ndarray,
-                          starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Per-entry kernel: one vectorized run-length decode per segment."""
-    n = int(key_sorted.size)
-    threshold = predictor.confidence_threshold
-    predictions = np.ones(n, dtype=np.uint8)
-    for begin, end in zip(starts.tolist(), stops.tolist()):
-        entry = predictor.entries[int(key_sorted[begin])]
-        stream = out_sorted[begin:end]
-        original = order[begin:end]
-        m = end - begin
-        local_pos = np.arange(m, dtype=np.int64)
-
-        # Run-length decode: a "run" is a maximal span of taken outcomes
-        # closed by one not-taken exit.  last_zero[i] = position of the
-        # most recent exit before i (-1 if none), so count_before[i] (the
-        # entry's `count` at branch i) is the distance to it, plus any
-        # iterations carried in from before this replay.
-        zero_positions = np.nonzero(stream == 0)[0]
-        marks = np.where(stream == 0, local_pos, -1)
-        last_zero = np.empty(m, dtype=np.int64)
-        last_zero[0] = -1
-        if m > 1:
-            np.maximum.accumulate(marks[:-1], out=last_zero[1:])
-        count_before = local_pos - last_zero - 1
-        count_before[last_zero == -1] += entry.count
-
-        runs_before = np.cumsum(stream == 0) - (stream == 0)
-        if zero_positions.size:
-            # The trained trip after any completed run is always that
-            # run's length (on a match it already equals the trip), and
-            # confidence is the saturating streak of equal consecutive
-            # run lengths — with the entry's carried trip/confidence
-            # seeding the first comparison.
-            run_lengths = count_before[zero_positions]
-            previous_trip = np.r_[entry.trip, run_lengths[:-1]]
-            equal = run_lengths == previous_trip
-            run_index = np.arange(zero_positions.size, dtype=np.int64)
-            mismatch = np.where(~equal, run_index, -1)
-            last_mismatch = np.maximum.accumulate(mismatch)
-            confidence_after = np.where(
-                equal,
-                np.minimum(
-                    15,
-                    run_index - last_mismatch
-                    + np.where(last_mismatch < 0, entry.confidence, 0),
-                ),
-                0,
-            )
-            prior = np.maximum(runs_before - 1, 0)
-            trip_before = np.where(runs_before == 0, entry.trip, run_lengths[prior])
-            confidence_before = np.where(
-                runs_before == 0, entry.confidence, confidence_after[prior]
-            )
-        else:
-            trip_before = np.full(m, entry.trip, dtype=np.int64)
-            confidence_before = np.full(m, entry.confidence, dtype=np.int64)
-
-        confident = (confidence_before >= threshold) & (trip_before > 0)
-        predicted = np.where(
-            confident, (count_before < trip_before).astype(np.uint8), np.uint8(1)
-        )
-        predictions[original] = predicted
-
-        if zero_positions.size:
-            entry.trip = int(run_lengths[-1])
-            entry.confidence = int(confidence_after[-1])
-            entry.count = int(m - 1 - zero_positions[-1])
-        else:
-            entry.count += m
-    return predictions
-
-
-def _replay_loop_flat(predictor: LoopPredictor, order: np.ndarray,
-                      key_sorted: np.ndarray, stream: np.ndarray,
-                      starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Flat kernel: one run-length decode over ALL segments at once.
-
-    Same math as :func:`_replay_loop_segments` but with every scan done
-    globally; each accumulate is allowed to leak across segment
-    boundaries because a leaked value is always detectable (it falls
-    below the segment's own base) and is replaced by the entry's seeded
-    carry-in state.  Wins when the table shatters the trace into many
-    short segments, where the per-segment kernel drowns in numpy call
-    overhead (and can fall behind even the scalar reference loop).
-    """
-    n = int(key_sorted.size)
-    threshold = predictor.confidence_threshold
     num_segs = int(starts.size)
 
     entries = predictor.entries
-    touched = key_sorted[starts]
-    seed_trip = np.array([entries[k].trip for k in touched.tolist()], dtype=np.int64)
-    seed_conf = np.array(
-        [entries[k].confidence for k in touched.tolist()], dtype=np.int64)
-    seed_count = np.array([entries[k].count for k in touched.tolist()], dtype=np.int64)
+    touched = key_sorted[starts].tolist()
+    seed_trip = np.array([entries[k].trip for k in touched], dtype=np.int64)
+    seed_conf = np.array([entries[k].confidence for k in touched], dtype=np.int64)
+    seed_count = np.array([entries[k].count for k in touched], dtype=np.int64)
 
-    seg_len = stops - starts
-    seg_id = np.repeat(np.arange(num_segs, dtype=np.int64), seg_len)
-    seg_start = starts[seg_id]
-    gpos = np.arange(n, dtype=np.int64)
-    local_pos = gpos - seg_start
-
-    # Run-length decode, one pass over ALL segments at once: a "run" is a
-    # maximal span of taken outcomes closed by one not-taken exit.  A
-    # plain global maximum-accumulate of the exit positions leaks across
-    # segment boundaries, but a leaked value is always < the segment's
-    # start, so "no exit yet in this segment" is just `last_zero <
-    # seg_start` — no per-segment reset needed.
-    is_zero = stream == 0
-    gmarks = np.where(is_zero, gpos, np.int64(-1))
-    last_zero = np.empty(n, dtype=np.int64)
-    last_zero[0] = -1
-    if n > 1:
-        np.maximum.accumulate(gmarks[:-1], out=last_zero[1:])
-    fresh = last_zero < seg_start  # no completed run yet in this segment
-    count_before = np.where(
-        fresh, local_pos + seed_count[seg_id], gpos - last_zero - 1)
-
-    # Exclusive zero-count prefix sums double as global run indices: the
-    # value at a segment's start is the segment's run-index base.
-    zcum = np.cumsum(is_zero)
-    zcum_excl = zcum - is_zero
-    run_base = zcum_excl[starts]
-    runs_before = zcum_excl - run_base[seg_id]
-
-    zero_pos = np.nonzero(is_zero)[0]
+    zero_pos = np.flatnonzero(outcomes[order] == 0)  # exits, in sorted order
     num_runs = int(zero_pos.size)
-    if num_runs:
-        # The trained trip after any completed run is always that run's
-        # length (on a match it already equals the trip), and confidence
-        # is the saturating streak of equal consecutive run lengths —
-        # with each entry's carried trip/confidence seeding its
-        # segment's first comparison.  The mismatch accumulate uses the
-        # same boundary-leak trick as the exit scan above.
-        run_lengths = count_before[zero_pos]
-        zseg = seg_id[zero_pos]
-        first_run = np.empty(num_runs, dtype=bool)
-        first_run[0] = True
-        first_run[1:] = zseg[1:] != zseg[:-1]
-        prev_lengths = np.empty(num_runs, dtype=np.int64)
-        prev_lengths[0] = 0
-        prev_lengths[1:] = run_lengths[:-1]
-        previous_trip = np.where(first_run, seed_trip[zseg], prev_lengths)
-        equal = run_lengths == previous_trip
-        grun = np.arange(num_runs, dtype=np.int64)
-        zbase = run_base[zseg]
-        mismatch = np.where(~equal, grun, np.int64(-1))
-        last_mismatch = np.maximum.accumulate(mismatch)
-        seen_mismatch = last_mismatch >= zbase
-        streak = np.where(
-            seen_mismatch,
-            grun - last_mismatch,
-            grun - zbase + 1 + seed_conf[zseg],
-        )
-        confidence_after = np.where(equal, np.minimum(15, streak), 0)
+    run_base = np.searchsorted(zero_pos, starts)  # global index of a segment's first run
+    runs_in_seg = np.diff(run_base, append=num_runs)
+    zseg = np.repeat(np.arange(num_segs, dtype=np.int64), runs_in_seg)
+    grun = np.arange(num_runs, dtype=np.int64)
+    first_slot = run_base + np.arange(num_segs, dtype=np.int64)
+    next_slot = grun + zseg + 1  # the slot exit j opens
+    num_slots = num_runs + num_segs
 
-        prior = run_base[seg_id] + np.maximum(runs_before - 1, 0)
-        np.minimum(prior, num_runs - 1, out=prior)  # masked when runs_before == 0
-        no_run_yet = runs_before == 0
-        trip_before = np.where(no_run_yet, seed_trip[seg_id], run_lengths[prior])
-        confidence_before = np.where(
-            no_run_yet, seed_conf[seg_id], confidence_after[prior])
-    else:
-        trip_before = seed_trip[seg_id]
-        confidence_before = seed_conf[seg_id]
+    # The entry's count before the branch at sorted position i of slot k
+    # is i - base[k].
+    slot_start = np.empty(num_slots, dtype=np.int64)
+    slot_start[first_slot] = starts
+    slot_start[next_slot] = zero_pos + 1
+    base = slot_start.copy()
+    base[first_slot] -= seed_count
 
-    confident = (confidence_before >= threshold) & (trip_before > 0)
-    predicted = np.where(
-        confident, (count_before < trip_before).astype(np.uint8), np.uint8(1))
-    predictions = np.ones(n, dtype=np.uint8)
-    predictions[order] = predicted
+    # The trained trip after any completed run is always that run's length
+    # (on a match it already equals the trip), and confidence is the
+    # saturating streak of equal consecutive run lengths — with the
+    # entry's carried trip/confidence seeding its segment's first
+    # comparison.  A global maximum-accumulate of mismatch positions leaks
+    # across segment boundaries, but a leaked value is always below the
+    # segment's own run base, so no per-segment reset is needed.
+    run_lengths = zero_pos - base[next_slot - 1]
+    trip = np.empty(num_slots, dtype=np.int64)
+    trip[first_slot] = seed_trip
+    trip[next_slot] = run_lengths
+    equal = run_lengths == trip[next_slot - 1]
+    zbase = run_base[zseg]
+    mismatch = np.where(~equal, grun, np.int64(-1))
+    last_mismatch = np.maximum.accumulate(mismatch)
+    streak = np.where(
+        last_mismatch >= zbase,
+        grun - last_mismatch,
+        grun - zbase + 1 + seed_conf[zseg],
+    )
+    confidence_after = np.where(equal, np.minimum(15, streak), 0)
+    confidence = np.empty(num_slots, dtype=np.int64)
+    confidence[first_slot] = seed_conf
+    confidence[next_slot] = confidence_after
 
-    last_exit = np.maximum.accumulate(gmarks)[stops - 1]
-    trained = last_exit >= starts
-    final_run = zcum[stops - 1] - 1  # last global run index of each segment
-    final_count = np.where(trained, stops - 1 - last_exit, seg_len)
+    # A confident entry predicts taken while count < trip, i.e. for sorted
+    # positions below base + trip; an unconfident one always predicts taken.
+    confident = (confidence >= predictor.confidence_threshold) & (trip > 0)
+    limit = np.where(confident, base + trip, n)
+    slot_len = np.diff(slot_start, append=n)
+    predictions = np.empty(n, dtype=np.uint8)
+    predictions[order] = np.arange(n) < np.repeat(limit, slot_len)
+
+    last_run = run_base + runs_in_seg - 1
     for seg in range(num_segs):
-        entry = entries[int(touched[seg])]
-        if trained[seg]:
-            run = int(final_run[seg])
+        entry = entries[touched[seg]]
+        if runs_in_seg[seg]:
+            run = int(last_run[seg])
             entry.trip = int(run_lengths[run])
             entry.confidence = int(confidence_after[run])
-            entry.count = int(final_count[seg])
+            entry.count = int(stops[seg] - 1 - zero_pos[run])
         else:
-            entry.count += int(final_count[seg])
+            entry.count += int(stops[seg] - starts[seg])
     return predictions
 
 
@@ -873,6 +759,11 @@ def try_simulate_vectorized(predictor, trace: BranchTrace, reset: bool = True):
         predictions = kernel(predictor, trace.sites, trace.outcomes)
         if predictions is None:
             sp.set("fallback", True)
+            get_registry().counter(
+                "replay_fallbacks_total", "kernels that refused their input state",
+            ).labels(kind=kind).inc()
+            log_event(log, "replay_fallback", kind=kind, predictor=predictor.name,
+                      events=len(trace))
             return None
         correct = (predictions == trace.outcomes).astype(np.uint8)
         elapsed = time.perf_counter() - start

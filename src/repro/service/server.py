@@ -142,16 +142,12 @@ class ProfilingServer:
         limits: ServiceLimits | None = None,
         warehouse_dir: str | Path | None = None,
         shard_name: str | None = None,
-        reuse_port: bool = False,
     ):
         self.host = host
         self.port = port
         #: Identity within a fleet; stamped on stats/metrics replies so the
         #: router can label merged series with ``shard="<name>"``.
         self.shard_name = shard_name
-        #: SO_REUSEPORT fallback deployment: several shard processes bind
-        #: the same port and the kernel spreads connections across them.
-        self.reuse_port = reuse_port
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.warehouse_dir = Path(warehouse_dir) if warehouse_dir else None
         self._warehouse = None
@@ -176,9 +172,8 @@ class ProfilingServer:
         if self.checkpoint_dir is not None:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
             ckpt.sweep_checkpoint_dir(self.checkpoint_dir)
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, **kwargs)
+            self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.limits.idle_timeout:
             self._reaper = asyncio.create_task(self._reap_idle_sessions())

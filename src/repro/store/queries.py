@@ -237,12 +237,6 @@ class StoredRun:
 
     # -- derived statistics --------------------------------------------
 
-    def site_stats(self, site_id: int) -> BranchSliceStats:
-        """Figure 9a statistics of one branch, folded from stored slices."""
-        _slices, acc = self.site_series(site_id)
-        config = self.record.config
-        return fold_slice_values(acc, config["use_fir"], config["fir_cold_start"])
-
     def all_stats(self) -> dict[int, BranchSliceStats]:
         """Stats for every profiled branch (one pass over the run's slab)."""
         indptr = np.asarray(self.reader.run_indptr(self.record))

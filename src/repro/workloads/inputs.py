@@ -158,17 +158,8 @@ def magnitude_mix(
 
 
 # ----------------------------------------------------------------------
-# Structured generators (graphs, boards, token streams)
+# Structured generators (graphs, boards)
 # ----------------------------------------------------------------------
-
-
-def token_stream(n: int, seed: int, weights: dict[int, float]) -> list[int]:
-    """A stream over small token/opcode classes with given mix weights."""
-    generator = rng(seed)
-    kinds = np.array(sorted(weights))
-    probs = np.array([weights[k] for k in kinds], dtype=np.float64)
-    probs /= probs.sum()
-    return generator.choice(kinds, size=n, p=probs).astype(int).tolist()
 
 
 def random_graph_edges(num_nodes: int, num_edges: int, seed: int, max_weight: int = 100) -> list[int]:

@@ -7,12 +7,13 @@ required to be interchangeable:
   (:func:`repro.predictors.simulate.simulate_reference`) vs the vectorized
   segmented-scan replay (:mod:`repro.predictors.vectorized`) — for every
   predictor kind in the zoo, not just bimodal/gshare;
-* the online profiler (:class:`TwoDProfiler`, one ``record`` per branch)
-  vs the batched ``record_batch`` path vs the offline bincount profiler
-  (:func:`profile_trace`);
+* the paper-literal Figure 9 fold (:meth:`BranchSliceStats.end_slice`,
+  one object per branch) vs the online profiler (:class:`TwoDProfiler`,
+  one ``record`` per branch) vs the batched ``record_batch`` path behind
+  :func:`profile_trace`;
 * ``simulate()``'s dispatch, which must pick the fast path only when it
-  is exact, and must *fail loudly* instead of silently falling back when
-  ``REPRO_REQUIRE_VECTORIZED`` is set.
+  is exact, and must count and log every kernel that refuses its input
+  state (``replay_fallbacks_total``) — none for the stock kinds.
 
 Each replay pair is driven with seeded traces from several families
 (mixed-random, bursty, phase-shifted, single-site, alias-heavy) and the
@@ -24,12 +25,20 @@ lockstep too.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler, profile_trace
-from repro.errors import ExperimentError
+from repro.core.stats import BranchSliceStats
+from repro.errors import VMError
+from repro.lang import compile_source
+from repro.obs import get_registry
 from repro.predictors import (
+    AlwaysNotTaken,
+    AlwaysTaken,
     Bimodal,
     GAg,
     Gshare,
@@ -42,6 +51,7 @@ from repro.predictors import (
     simulate_reference,
 )
 from repro.predictors.vectorized import try_simulate_vectorized
+from repro.trace.capture import capture_trace
 from repro.trace.trace import BranchTrace
 from repro.trace.synthetic import (
     SiteSpec,
@@ -50,6 +60,8 @@ from repro.trace.synthetic import (
     loop_site,
     pattern_site,
 )
+from repro.vm import InputSet
+from tests.test_fuzz import ProgramGenerator
 
 # ----------------------------------------------------------------------
 # Trace families
@@ -306,7 +318,7 @@ def test_vectorized_empty_trace():
 
 
 # ----------------------------------------------------------------------
-# Dispatch exactness and the REPRO_REQUIRE_VECTORIZED contract
+# Dispatch exactness and counted fallbacks
 # ----------------------------------------------------------------------
 
 
@@ -330,56 +342,60 @@ def test_simulate_dispatch_only_when_exact():
     for factory in (lambda: Gshare(history_bits=6),
                     lambda: Perceptron(num_entries=16, history_bits=8)):
         auto = simulate(factory(), trace)
-        forced_ref = simulate(factory(), trace, vectorize=False)
+        forced_ref = simulate_reference(factory(), trace)
         _assert_sim_equal(forced_ref, auto)
 
+    # Running a predictor that has no kernel is not a fallback.
+    before = _fallbacks().total()
+    for factory in (TweakedBimodal, AlwaysTaken, AlwaysNotTaken):
+        _assert_sim_equal(simulate_reference(factory(), trace), simulate(factory(), trace))
+    assert _fallbacks().total() == before
 
-def test_require_vectorized_env(monkeypatch):
+
+def _fallbacks():
+    return get_registry().counter("replay_fallbacks_total")
+
+
+def test_refused_kernel_is_counted_logged_and_exact(caplog):
+    """A TAGE whose folded registers were hand-edited makes its kernel
+    refuse; simulate() counts and logs the fallback and still matches the
+    reference loop exactly."""
     trace = random_trace(42)
 
-    # "1" requires every default kind; all of them satisfy it.
-    monkeypatch.setenv("REPRO_REQUIRE_VECTORIZED", "1")
-    for name, factory in PREDICTOR_CONFIGS:
-        simulate(factory(), trace)
+    def edited_tage() -> Tage:
+        tage = Tage(num_tables=2, table_bits=4)
+        tage.reset()
+        tage.folded_index[0].folded ^= 1
+        return tage
 
-    # Subclasses are not stock kinds: the requirement does not apply.
-    class TweakedBimodal(Bimodal):
-        pass
+    ref_pred, pred = edited_tage(), edited_tage()
+    assert try_simulate_vectorized(edited_tage(), trace, reset=False) is None
+    before = _fallbacks().labels(kind="Tage").value
+    with caplog.at_level(logging.INFO, logger="repro.predictors.vectorized"):
+        result = simulate(pred, trace, reset=False)
+    assert _fallbacks().labels(kind="Tage").value == before + 1
+    events = [r for r in caplog.records
+              if getattr(r, "structured_event", None) == "replay_fallback"]
+    assert len(events) == 1
+    assert events[0].structured_fields == {
+        "kind": "Tage", "predictor": pred.name, "events": len(trace)}
+    _assert_sim_equal(simulate_reference(ref_pred, trace, reset=False), result)
+    _assert_state_equal(ref_pred.state_dict(), pred.state_dict())
 
-    simulate(TweakedBimodal(), trace)
 
-    # Force the kernel to refuse: required kinds must now fail loudly.
-    monkeypatch.setattr(
-        "repro.predictors.vectorized.try_simulate_vectorized",
-        lambda predictor, trace, reset=True: None,
-    )
-    with pytest.raises(ExperimentError, match="fell back"):
-        simulate(Gshare(history_bits=6), trace)
-    # ... but TAGE is only requirable by name, not required by "1".
-    simulate(Tage(num_tables=2, table_bits=4), trace)
-
-    # A comma list requires exactly the named kinds.
-    monkeypatch.setenv("REPRO_REQUIRE_VECTORIZED", "gshare,tage")
-    simulate(Bimodal(table_bits=4), trace)
-    with pytest.raises(ExperimentError, match="fell back"):
-        simulate(Gshare(history_bits=6), trace)
-    with pytest.raises(ExperimentError, match="fell back"):
-        simulate(Tage(num_tables=2, table_bits=4), trace)
-
-    # Unknown kind names are a configuration error, not a silent no-op.
-    monkeypatch.setenv("REPRO_REQUIRE_VECTORIZED", "nosuchkind")
-    with pytest.raises(ExperimentError, match="unknown kinds"):
-        simulate(Gshare(history_bits=6), trace)
-
-    # "0"/unset requires nothing.
-    monkeypatch.setenv("REPRO_REQUIRE_VECTORIZED", "0")
-    simulate(Gshare(history_bits=6), trace)
-    monkeypatch.delenv("REPRO_REQUIRE_VECTORIZED")
-    simulate(Gshare(history_bits=6), trace)
+def test_stock_kinds_never_fall_back():
+    """Every stock kind takes its kernel through simulate() on every trace
+    family: the fallback counter does not move."""
+    before = _fallbacks().total()
+    for family, make_trace in sorted(TRACE_FAMILIES.items()):
+        trace = make_trace(7)
+        for name, factory in PREDICTOR_CONFIGS:
+            simulate(factory(), trace)
+            assert _fallbacks().total() == before, f"{name} fell back on {family}"
 
 
 # ----------------------------------------------------------------------
-# Online profiler vs batched profiler vs offline profiler
+# Paper-literal fold vs online profiler vs batched profiler
 # ----------------------------------------------------------------------
 
 PROFILER_CONFIGS = [
@@ -449,11 +465,63 @@ def test_record_batch_matches_record_loop():
             np.testing.assert_array_equal(a[key], b[key], err_msg=key)
 
 
+def _paper_literal_fold(trace: BranchTrace, correct: np.ndarray,
+                        config: ProfilerConfig) -> list[BranchSliceStats]:
+    """Figure 9 transcribed: one BranchSliceStats per branch, the Fig. 9b
+    end_slice method run for every branch at every slice boundary, and a
+    trailing partial slice folded only when at least half full."""
+    stats = [BranchSliceStats(has_lpa=config.fir_cold_start)
+             for _ in range(trace.num_sites)]
+
+    def end_slice():
+        for branch in stats:
+            branch.end_slice(config.exec_threshold, config.use_fir,
+                             config.fir_cold_start)
+
+    in_slice = 0
+    for site, hit in zip(trace.sites.tolist(), correct.tolist()):
+        stats[site].exec_counter += 1
+        stats[site].predict_counter += hit
+        in_slice += 1
+        if in_slice == config.slice_size:
+            end_slice()
+            in_slice = 0
+    if in_slice and in_slice >= config.slice_size // 2:
+        end_slice()
+    for branch in stats:
+        branch.exec_counter = branch.predict_counter = 0
+    return stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       use_fir=st.booleans(),
+       fir_cold_start=st.booleans(),
+       slices=st.integers(1, 12),
+       exec_threshold=st.integers(0, 2))
+def test_profile_trace_matches_paper_literal_fold(
+        seed, use_fir, fir_cold_start, slices, exec_threshold):
+    """profile_trace's stats equal the literal Figure 9 fold bit for bit on
+    traces of generated programs, cut into about ``slices`` slices."""
+    program = compile_source(ProgramGenerator(seed).program(), name="fuzz")
+    try:
+        trace = capture_trace(program, InputSet.make("fuzz"), fuel=200_000)
+    except VMError:
+        return  # a faulting program has no trace to profile
+    config = ProfilerConfig(slice_size=max(1, len(trace) // slices),
+                            exec_threshold=exec_threshold,
+                            use_fir=use_fir, fir_cold_start=fir_cold_start)
+    sim = simulate(Gshare(history_bits=4), trace)
+    report = profile_trace(trace, simulation=sim, config=config)
+    assert report.stats == _paper_literal_fold(trace, sim.correct, config)
+    assert report.overall_accuracy == sim.overall_accuracy
+
+
 def test_three_way_agreement_on_real_workload(tiny_runner):
     """Reference sim, vectorized sim and both profilers agree end to end on
     a real compiled-workload trace, not just synthetic streams."""
     trace = tiny_runner.trace("gzipish", "train")
-    ref = simulate(Gshare(history_bits=14), trace, vectorize=False)
+    ref = simulate_reference(Gshare(history_bits=14), trace)
     vec = simulate(Gshare(history_bits=14), trace)
     _assert_sim_equal(ref, vec)
 

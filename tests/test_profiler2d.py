@@ -126,6 +126,13 @@ class TestOnlineOfflineEquivalence:
             small_tail.record(0, 1)
         assert small_tail.finish().stats[0].N == 1
 
+        # With slice_size 1 every slice closes on its event: no phantom
+        # empty tail slice is folded at finish().
+        single = TwoDProfiler(1, ProfilerConfig(slice_size=1, exec_threshold=0))
+        for _ in range(3):
+            single.record(0, 1)
+        assert len(single.finish().slice_overall) == 3
+
 
 class TestProfileTraceValidation:
     def test_requires_exactly_one_source(self, mixed_trace):
