@@ -31,7 +31,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -57,12 +57,12 @@ def _observe_publish(seconds: float) -> None:
     ).observe(seconds)
 
 
-def atomic_savez(path: str | Path, **arrays) -> None:
-    """Write a compressed ``.npz`` so that ``path`` is all-or-nothing.
+def _atomic_publish(path: str | Path, write: Callable[[BinaryIO], object]) -> Path:
+    """The publication protocol: ``write`` a ``*.tmp`` sibling, fsync, rename.
 
-    The data goes to a unique ``*.tmp`` file in the same directory, is
-    fsynced, and is then renamed over ``path``.  If this process dies
-    mid-write, ``path`` is untouched and only a ``*.tmp`` file remains.
+    If this process dies mid-write, ``path`` is untouched and only a
+    ``*.tmp`` file remains; any exception unlinks the tmp file.  Returns
+    ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -70,46 +70,38 @@ def atomic_savez(path: str | Path, **arrays) -> None:
         dir=path.parent, prefix=path.name + ".", suffix=TMP_SUFFIX
     )
     try:
-        with get_tracer().span("cachefs.publish", cat="cachefs", artifact=path.name) as sp:
-            start = time.perf_counter()
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-            _observe_publish(time.perf_counter() - start)
-            sp.set("bytes", path.stat().st_size)
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
+    return path
+
+
+def atomic_savez(path: str | Path, **arrays) -> None:
+    """Write a compressed ``.npz`` so that ``path`` is all-or-nothing."""
+    with get_tracer().span("cachefs.publish", cat="cachefs", artifact=Path(path).name) as sp:
+        start = time.perf_counter()
+        path = _atomic_publish(path, lambda handle: np.savez_compressed(handle, **arrays))
+        _observe_publish(time.perf_counter() - start)
+        sp.set("bytes", path.stat().st_size)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Publish arbitrary bytes with the same all-or-nothing guarantee.
 
     Used for non-``.npz`` artifacts (e.g. the streaming service's session
-    manifest): write to a ``*.tmp`` sibling, fsync, rename over ``path``.
+    manifest).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=TMP_SUFFIX
-    )
-    try:
-        with get_tracer().span("cachefs.publish", cat="cachefs",
-                               artifact=path.name, bytes=len(data)):
-            start = time.perf_counter()
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-            _observe_publish(time.perf_counter() - start)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
+    with get_tracer().span("cachefs.publish", cat="cachefs",
+                           artifact=Path(path).name, bytes=len(data)):
+        start = time.perf_counter()
+        _atomic_publish(path, lambda handle: handle.write(data))
+        _observe_publish(time.perf_counter() - start)
 
 
 def lock_path_for(path: str | Path) -> Path:

@@ -15,6 +15,8 @@ recorded in DESIGN.md/EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.core.profiler2d import ProfilerConfig, TwoDReport, profile_trace
@@ -63,17 +65,7 @@ class Edge2DProfiler:
         # mean_th = -1 disables the MEAN-test (a mean in [0,1] is never < -1),
         # reducing the classifier to (STD-test AND PAM-test).
         thresholds = TestThresholds(mean_th=-1.0, std_th=std_th, pam_th=pam_th)
-        self.config = ProfilerConfig(
-            slice_size=base.slice_size,
-            exec_threshold=base.exec_threshold,
-            thresholds=thresholds,
-            use_fir=base.use_fir,
-            fir_cold_start=base.fir_cold_start,
-            pam_exact=base.pam_exact,
-            keep_series=base.keep_series,
-            target_slices=base.target_slices,
-            min_slice_size=base.min_slice_size,
-        )
+        self.config = dataclasses.replace(base, thresholds=thresholds)
 
     def profile(self, trace: BranchTrace) -> Edge2DReport:
         """Compute per-slice biases and classify every branch."""

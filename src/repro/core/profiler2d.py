@@ -12,11 +12,14 @@ footnote 5.  It has two entry points that are tested against each other:
   flattened numpy bincounts.  The streaming service and
   :func:`profile_trace` (how the experiment suite runs) both use it.
 
-Either way, :meth:`TwoDProfiler._fold_slice` is the one Figure 9b update.
+Either way, :meth:`TwoDProfiler._fold_row` is the one Figure 9b update.
+:func:`report_from_series` feeds it stored raw-accuracy rows (warehouse
+runs, the ``pam_exact`` ablation).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,16 +74,11 @@ class ProfilerConfig:
         exec_threshold = self.exec_threshold
         if exec_threshold is None:
             exec_threshold = max(4, int(slice_size * self._EXEC_THRESHOLD_RATIO))
-        return ProfilerConfig(
+        return dataclasses.replace(
+            self,
             slice_size=slice_size,
             exec_threshold=exec_threshold,
-            thresholds=self.thresholds,
-            use_fir=self.use_fir,
-            fir_cold_start=self.fir_cold_start,
-            pam_exact=self.pam_exact,
             keep_series=self.keep_series or self.pam_exact,
-            target_slices=self.target_slices,
-            min_slice_size=self.min_slice_size,
         )
 
 
@@ -122,39 +120,6 @@ class TwoDReport:
         self.series = series
         #: Optional per-slice overall program accuracy (Fig. 8's black line).
         self.slice_overall = slice_overall
-        self._apply_exact_pam_if_requested()
-
-    def _apply_exact_pam_if_requested(self) -> None:
-        """Ablation: recompute NPAM against the end-of-run mean (footnote 5)."""
-        if not self.config.pam_exact:
-            return
-        if self.series is None:
-            raise ExperimentError("pam_exact requires keep_series")
-        filtered = self._filtered_series()
-        for site, stats in enumerate(self.stats):
-            if stats.N == 0:
-                continue
-            column = filtered[:, site]
-            values = column[~np.isnan(column)]
-            stats.NPAM = int(np.sum(values > stats.mean + PAM_EPSILON))
-
-    def _filtered_series(self) -> np.ndarray:
-        """Apply the FIR filter to the stored raw series, column-wise."""
-        if self.series is None:
-            raise ExperimentError("series was not kept")
-        filtered = np.full_like(self.series, np.nan)
-        for site in range(self.num_sites):
-            lpa = 0.0
-            has_lpa = self.config.fir_cold_start
-            for slice_index in range(self.series.shape[0]):
-                raw = self.series[slice_index, site]
-                if np.isnan(raw):
-                    continue
-                value = (raw + lpa) / 2.0 if (self.config.use_fir and has_lpa) else raw
-                filtered[slice_index, site] = value
-                lpa = value
-                has_lpa = True
-        return filtered
 
     # ------------------------------------------------------------------
     # Classification (Figure 9c)
@@ -389,31 +354,35 @@ class TwoDProfiler:
         slice_len: int,
         slice_correct: int,
     ) -> None:
-        """The Figure 9b slice update over one slice's per-site counts."""
+        """Price one slice's per-site counts into a raw-accuracy row and fold it."""
         qualified = exec_counts > self._exec_threshold
-        any_qualified = bool(qualified.any())
+        row = np.full(self.num_sites, np.nan)
+        row[qualified] = pred_counts[qualified] / exec_counts[qualified]
+        self._fold_row(row, slice_correct / slice_len if slice_len else 0.0)
+
+    def _fold_row(self, row: np.ndarray, slice_overall: float) -> np.ndarray:
+        """The Figure 9b slice update over one row of raw accuracies.
+
+        ``row[site]`` is the branch's prediction accuracy in this slice, NaN
+        where it did not qualify.  Returns the FIR-filtered row (NaN where
+        the branch did not qualify).
+        """
         if self._series_rows is not None:
-            row = np.full(self.num_sites, np.nan)
-            if any_qualified:
-                row[qualified] = pred_counts[qualified] / exec_counts[qualified]
             self._series_rows.append(row)
-        self._slice_overall.append(slice_correct / slice_len if slice_len else 0.0)
-        if not any_qualified:
-            return
-        accuracy = pred_counts[qualified] / exec_counts[qualified]
-        if self._use_fir:
-            filtered = np.where(
-                self._has_lpa[qualified], (accuracy + self._LPA[qualified]) / 2.0, accuracy
-            )
-        else:
-            filtered = accuracy
-        self._has_lpa[qualified] = True
-        self._N[qualified] += 1
+        self._slice_overall.append(slice_overall)
+        qualified = ~np.isnan(row)
+        filtered_row = (
+            np.where(self._has_lpa, (row + self._LPA) / 2.0, row) if self._use_fir else row
+        )
+        filtered = filtered_row[qualified]
+        self._has_lpa |= qualified
+        self._N += qualified
         self._SPA[qualified] += filtered
         self._SSPA[qualified] += filtered * filtered
         running_mean = self._SPA[qualified] / self._N[qualified]
-        self._NPAM[qualified] += (filtered > running_mean + PAM_EPSILON).astype(np.int64)
+        self._NPAM[qualified] += filtered > running_mean + PAM_EPSILON
         self._LPA[qualified] = filtered
+        return filtered_row
 
     # ------------------------------------------------------------------
     # Serialization (checkpoint/resume)
@@ -513,6 +482,7 @@ class TwoDProfiler:
 
         A trailing partial slice is processed only if it holds at least
         half a slice worth of branches; tiny tails would only add noise.
+        A ``pam_exact`` run is reported through :func:`report_from_series`.
         """
         if self._in_slice and self._in_slice >= self._slice_size // 2:
             self._end_slice()
@@ -523,17 +493,48 @@ class TwoDProfiler:
             self._pred[:] = 0
             self._in_slice = 0
         overall = self.total_correct / self.total_branches if self.total_branches else 0.0
-        series = np.array(self._series_rows) if self._series_rows is not None and self._series_rows else None
-        slice_overall = np.array(self._slice_overall) if self._slice_overall else None
+        if self.config.pam_exact:
+            series = np.array(self._series_rows).reshape(len(self._series_rows), self.num_sites)
+            return report_from_series(series, self._slice_overall, overall, self.config)
+        return self._report(overall)
+
+    def _report(self, overall_accuracy: float) -> TwoDReport:
         return TwoDReport(
             num_sites=self.num_sites,
             stats=self.stats,
             thresholds=self.config.thresholds,
-            overall_accuracy=overall,
+            overall_accuracy=overall_accuracy,
             config=self.config,
-            series=series,
-            slice_overall=slice_overall,
+            series=np.array(self._series_rows) if self._series_rows else None,
+            slice_overall=np.array(self._slice_overall) if self._slice_overall else None,
         )
+
+
+def report_from_series(
+    series: np.ndarray,
+    slice_overall,
+    overall_accuracy: float,
+    config: ProfilerConfig,
+) -> TwoDReport:
+    """Fold a raw (n_slices, num_sites) accuracy matrix into a report.
+
+    ``series`` holds each branch's per-slice accuracy, NaN where it did not
+    qualify — what a ``keep_series`` report or a warehouse run stores — and
+    ``slice_overall`` the per-slice program accuracy.  Every row goes
+    through :meth:`TwoDProfiler._fold_row`, so the report is bit-identical
+    to the live run that produced the matrix.  With ``config.pam_exact``
+    (ablation, footnote 5) NPAM counts the filtered values above the
+    end-of-run mean instead of the running mean.
+    """
+    series = np.asarray(series, dtype=np.float64)
+    profiler = TwoDProfiler(series.shape[1], config)
+    filtered = np.full_like(series, np.nan)
+    for index, (row, overall) in enumerate(zip(series, slice_overall, strict=True)):
+        filtered[index] = profiler._fold_row(row, float(overall))
+    if profiler.config.pam_exact:
+        final_mean = profiler._SPA / np.maximum(profiler._N, 1)
+        profiler._NPAM = np.sum(filtered > final_mean + PAM_EPSILON, axis=0)
+    return profiler._report(overall_accuracy)
 
 
 class OnlineProfilerTool:

@@ -32,7 +32,6 @@ from repro.store.queries import (
     StoredRun,
     WindowCounts,
     diff_runs,
-    fold_slice_values,
     join_runs,
     reclassify,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "StoredRun",
     "WindowCounts",
     "diff_runs",
-    "fold_slice_values",
     "join_runs",
     "reclassify",
     "SegmentBuilder",

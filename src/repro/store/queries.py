@@ -6,10 +6,12 @@ ever replayed.  Four query families:
 * **Time-series retrieval** — :meth:`StoredRun.site_series` returns one
   branch's (slice indices, per-slice accuracies) as zero-copy slabs of
   the segment memmap (Figure 8 without re-simulation).
-* **Re-classification** — :func:`reclassify` folds the stored raw slices
-  through the same FIR/accumulator arithmetic as
-  :func:`~repro.core.profiler2d.profile_trace` (bit-identical, by
-  property test) and applies MEAN/STD/PAM under *new* thresholds.
+* **Re-classification** — :meth:`StoredRun.report` refolds the stored raw
+  slices through :func:`~repro.core.profiler2d.report_from_series`, the
+  live profiler's own Figure 9b update, into a
+  :class:`~repro.core.profiler2d.TwoDReport` (bit-identical to the live
+  report, by property test); :func:`reclassify` and :func:`join_runs`
+  read their verdicts from it, under *new* thresholds if asked.
 * **Cross-input deltas** — :func:`diff_runs` rebuilds the paper's
   ground-truth input-dependence straight from stored per-site counts,
   through the very :func:`repro.core.groundtruth.ground_truth` function
@@ -25,7 +27,7 @@ ever replayed.  Four query families:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +37,8 @@ from repro.core.groundtruth import (
     GroundTruth,
     ground_truth,
 )
-from repro.core.stats import PAM_EPSILON, BranchSliceStats, TestThresholds, classify
+from repro.core.profiler2d import ProfilerConfig, TwoDReport, report_from_series
+from repro.core.stats import BranchSliceStats, TestThresholds
 from repro.errors import StoreError
 from repro.obs import get_registry, get_tracer
 from repro.predictors.simulate import SimulationResult
@@ -67,36 +70,6 @@ class timed_query:
     def __exit__(self, exc_type, exc, tb):
         observe_query(self.kind, time.perf_counter() - self._start)
         return self._span.__exit__(exc_type, exc, tb)
-
-
-def fold_slice_values(values, use_fir: bool, fir_cold_start: bool) -> BranchSliceStats:
-    """Fold one branch's raw per-slice accuracies into Figure 9a stats.
-
-    Performs exactly the arithmetic :func:`~repro.core.profiler2d.profile_trace`
-    applies to that branch — same FIR filter, same running-mean NPAM
-    comparison, same operation order — so the resulting statistics (and
-    any classification over them) are bit-identical to a fresh profiling
-    run.  ``tests/test_store.py`` pins this with a property test.
-    """
-    n = 0
-    spa = 0.0
-    sspa = 0.0
-    npam = 0
-    lpa = 0.0
-    has_lpa = bool(fir_cold_start)
-    for raw in values:
-        value = (raw + lpa) / 2.0 if (use_fir and has_lpa) else raw
-        n += 1
-        spa += value
-        sspa += value * value
-        if value > spa / n + PAM_EPSILON:
-            npam += 1
-        lpa = value
-        has_lpa = True
-    return BranchSliceStats(
-        N=n, SPA=float(spa), SSPA=float(sspa), NPAM=npam,
-        LPA=float(lpa), has_lpa=has_lpa,
-    )
 
 
 @dataclass(frozen=True)
@@ -208,13 +181,7 @@ class StoredRun:
         lo = int(lo_slice)
         line = record.overall_accuracy if low_line is None else float(low_line)
         with timed_query("window_counts", run=record.run_id, lo=lo, hi=hi):
-            indptr = np.asarray(self.reader.run_indptr(record))
-            start = record.entry_start
-            stop = record.entry_start + record.entry_count
-            slice_idx = np.asarray(self.reader.array("slice")[start:stop])
-            acc = np.asarray(self.reader.array("acc")[start:stop])
-            sites = np.repeat(
-                np.arange(record.num_sites), np.diff(indptr - indptr[0]))
+            sites, slice_idx, acc = self._entries()
             in_window = (slice_idx >= lo) & (slice_idx < hi)
             total = np.bincount(
                 sites[in_window], minlength=record.num_sites).astype(np.int64)
@@ -235,20 +202,44 @@ class StoredRun:
             correct_counts=np.asarray(correct_counts),
         )
 
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(site, slice index, raw accuracy) of every stored entry of the run."""
+        slice_idx, acc = self.reader.run_entries(self.record)
+        indptr = self.reader.run_indptr(self.record)
+        sites = np.repeat(np.arange(self.record.num_sites), np.diff(indptr))
+        return sites, np.asarray(slice_idx), np.asarray(acc)
+
     # -- derived statistics --------------------------------------------
 
+    def report(self, mean_th=..., std_th: float | None = None,
+               pam_th: float | None = None) -> TwoDReport:
+        """The run refolded into a :class:`TwoDReport` (no replay).
+
+        Rebuilds the dense raw (slice, site) accuracy matrix from the CSR
+        slabs and feeds it through
+        :func:`~repro.core.profiler2d.report_from_series` under the stored
+        profiler config, with the given threshold overrides.
+        """
+        record = self.record
+        config = record.config
+        sites, slice_idx, acc = self._entries()
+        series = np.full((record.n_slices, record.num_sites), np.nan)
+        series[slice_idx, sites] = acc
+        profiler_config = ProfilerConfig(
+            slice_size=config["slice_size"],
+            exec_threshold=config["exec_threshold"],
+            thresholds=self.thresholds(mean_th, std_th, pam_th),
+            use_fir=config["use_fir"],
+            fir_cold_start=config["fir_cold_start"],
+            keep_series=True,
+        )
+        return report_from_series(series, self.slice_overall(),
+                                  record.overall_accuracy, profiler_config)
+
     def all_stats(self) -> dict[int, BranchSliceStats]:
-        """Stats for every profiled branch (one pass over the run's slab)."""
-        indptr = np.asarray(self.reader.run_indptr(self.record))
-        start, stop = self.record.entry_start, self.record.entry_start + self.record.entry_count
-        acc = self.reader.array("acc")[start:stop]
-        config = self.record.config
-        use_fir, cold = config["use_fir"], config["fir_cold_start"]
-        return {
-            site: fold_slice_values(acc[indptr[site]:indptr[site + 1]], use_fir, cold)
-            for site in range(self.record.num_sites)
-            if indptr[site + 1] > indptr[site]
-        }
+        """Stats for every profiled branch (a view over :meth:`report`)."""
+        report = self.report()
+        return {site: report.stats[site] for site in sorted(report.profiled_sites())}
 
 
 def reclassify(
@@ -261,25 +252,16 @@ def reclassify(
 
     Defaults reproduce the classification of the original run; overrides
     answer "what if ``std_th``/``pam_th`` were different" with no replay.
-    Returns ``{"input_dependent", "profiled", "thresholds", "verdicts"}``.
+    Returns ``{"run", "thresholds", "profiled", "input_dependent", "verdicts"}``.
     """
     with timed_query("reclassify", run=run.run_id):
-        thresholds = run.thresholds(mean_th=mean_th, std_th=std_th, pam_th=pam_th)
-        stats = run.all_stats()
-        dependent = sorted(
-            site for site, st in stats.items()
-            if classify(st, thresholds, run.overall_accuracy)
-        )
+        report = run.report(mean_th=mean_th, std_th=std_th, pam_th=pam_th)
         return {
             "run": run.run_id,
-            "thresholds": {
-                "mean_th": thresholds.mean_th,
-                "std_th": thresholds.std_th,
-                "pam_th": thresholds.pam_th,
-            },
-            "profiled": sorted(stats),
-            "input_dependent": dependent,
-            "stats": stats,
+            "thresholds": asdict(report.thresholds),
+            "profiled": sorted(report.profiled_sites()),
+            "input_dependent": sorted(report.input_dependent_sites()),
+            "verdicts": report.verdicts(),
         }
 
 
@@ -316,21 +298,17 @@ def join_runs(a: StoredRun, b: StoredRun) -> list[dict]:
     version of the paper's Section 5.3 cross-predictor comparison.
     """
     with timed_query("join", a=a.run_id, b=b.run_id):
-        stats_a = a.all_stats()
-        stats_b = b.all_stats()
-        th_a = a.thresholds()
-        th_b = b.thresholds()
+        verdicts_a = a.report().verdicts()
+        verdicts_b = b.report().verdicts()
         rows = []
-        for site in sorted(stats_a.keys() & stats_b.keys()):
-            sa, sb = stats_a[site], stats_b[site]
-            dep_a = classify(sa, th_a, a.overall_accuracy)
-            dep_b = classify(sb, th_b, b.overall_accuracy)
+        for site in sorted(verdicts_a.keys() & verdicts_b.keys()):
+            va, vb = verdicts_a[site], verdicts_b[site]
             rows.append({
                 "site": site,
-                "a_mean": sa.mean, "a_std": sa.std, "a_pam": sa.pam_fraction,
-                "a_dependent": dep_a,
-                "b_mean": sb.mean, "b_std": sb.std, "b_pam": sb.pam_fraction,
-                "b_dependent": dep_b,
-                "agree": dep_a == dep_b,
+                "a_mean": va.mean, "a_std": va.std, "a_pam": va.pam_fraction,
+                "a_dependent": va.input_dependent,
+                "b_mean": vb.mean, "b_std": vb.std, "b_pam": vb.pam_fraction,
+                "b_dependent": vb.input_dependent,
+                "agree": va.input_dependent == vb.input_dependent,
             })
         return rows

@@ -14,36 +14,18 @@ half-written array behind a committed name.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.cachefs import TMP_SUFFIX
+from repro.cachefs import _atomic_publish
 from repro.errors import StoreError
 from repro.store.layout import SEGMENT_FILES, RunRecord
 
 
 def atomic_save_array(path: str | Path, array: np.ndarray) -> int:
     """Publish one ``.npy`` all-or-nothing; returns the published byte size."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=TMP_SUFFIX
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.save(handle, array)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-        return path.stat().st_size
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
+    return _atomic_publish(path, lambda handle: np.save(handle, array)).stat().st_size
 
 
 class SegmentBuilder:

@@ -101,7 +101,8 @@ class ProfileWarehouse:
 
         ``report`` is a :class:`~repro.core.profiler2d.TwoDReport` produced
         with ``keep_series=True`` (the raw slice matrix is the stored
-        payload).  ``sim`` optionally supplies the run's per-site
+        payload) and without the ``pam_exact`` ablation, which the stored
+        config cannot express.  ``sim`` optionally supplies the run's per-site
         exec/correct counts (a :class:`~repro.predictors.simulate.SimulationResult`
         or anything with ``exec_counts``/``correct_counts``); without it
         the run cannot participate in ground-truth ``diff`` queries.
@@ -114,6 +115,9 @@ class ProfileWarehouse:
             raise StoreError(
                 "ingest needs the raw slice matrix; profile with keep_series=True"
             )
+        if report.config.pam_exact:
+            raise StoreError("pam_exact reports cannot be stored: stored runs "
+                             "refold with the running-mean NPAM")
         config = profiler_config_dict(report.config)
         digest = config_digest(config)
         tracer = get_tracer()

@@ -14,7 +14,10 @@ Reports can be built two ways, with identical results:
 
 * :func:`population_report` — from a live :class:`~repro.sweep.runner.SweepResult`;
 * :func:`population_report_from_store` — from warehouse runs ingested
-  under the population's source tag (no replay, memmapped stats only).
+  under the population's source tag (no replay: each run is refolded
+  into a :class:`~repro.core.profiler2d.TwoDReport`).
+
+Both read each lane's verdicts from its report through one helper.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.stats import classify
 from repro.errors import ExperimentError
 from repro.obs import get_tracer
 from repro.sweep.population import PopulationSpec
@@ -243,16 +245,21 @@ def _build_report(
     )
 
 
+def _lane_verdicts(report) -> dict[int, tuple[bool, float, float]]:
+    """One lane's ``{site: (dependent, mean, std)}`` from its 2D report."""
+    return {
+        site: (v.input_dependent, v.mean, v.std)
+        for site, v in report.verdicts().items()
+    }
+
+
 def population_report(result) -> PopulationReport:
     """Build the stability report from a live :class:`SweepResult`."""
     with get_tracer().span("sweep.report", cat="sweep", population=result.tag):
-        lane_rows = []
-        for entry in result.lanes:
-            verdicts = {
-                site: (v.input_dependent, v.mean, v.std)
-                for site, v in entry.report.verdicts().items()
-            }
-            lane_rows.append((entry.lane, entry.input_name, entry.run_id, verdicts))
+        lane_rows = [
+            (entry.lane, entry.input_name, entry.run_id, _lane_verdicts(entry.report))
+            for entry in result.lanes
+        ]
         return _build_report(
             result.tag, result.spec.workload, result.predictor, lane_rows
         )
@@ -294,19 +301,11 @@ def population_report_from_store(
         "sweep.report", cat="sweep", population=tag, lanes=len(records)
     ):
         lane_rows = []
-        predictor = records[0].predictor
         for lane, record in enumerate(records):
-            run = warehouse.open_run(record)
-            thresholds = run.thresholds(
+            report = warehouse.open_run(record).report(
                 mean_th=mean_th, std_th=std_th, pam_th=pam_th
             )
-            verdicts = {
-                site: (
-                    classify(stats, thresholds, run.overall_accuracy),
-                    stats.mean,
-                    stats.std,
-                )
-                for site, stats in run.all_stats().items()
-            }
-            lane_rows.append((lane, record.input, record.run_id, verdicts))
-        return _build_report(tag, spec.workload, predictor, lane_rows)
+            lane_rows.append(
+                (lane, record.input, record.run_id, _lane_verdicts(report))
+            )
+        return _build_report(tag, spec.workload, records[0].predictor, lane_rows)

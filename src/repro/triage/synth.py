@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.profiler2d import ProfilerConfig, TwoDReport
+from repro.core.profiler2d import ProfilerConfig, TwoDReport, report_from_series
 from repro.core.stats import TestThresholds
 from repro.predictors.simulate import SimulationResult
-from repro.store.queries import fold_slice_values
 
 #: Executions per slice for ordinary sites; the anchor gets 50x this.
 _EXEC_PER_SLICE = 2000
@@ -41,22 +40,16 @@ _REGRESSION_DROP = 0.25
 
 def _build_report(series: np.ndarray, exec_counts: np.ndarray,
                   predictor: str) -> tuple[TwoDReport, SimulationResult]:
-    n_slices, num_sites = series.shape
+    num_sites = series.shape[1]
     config = ProfilerConfig(
         slice_size=_EXEC_PER_SLICE, exec_threshold=10,
         thresholds=TestThresholds(), keep_series=True)
-    stats = [fold_slice_values(series[:, site], config.use_fir,
-                               config.fir_cold_start)
-             for site in range(num_sites)]
     correct_counts = np.rint(
         series.mean(axis=0) * exec_counts).astype(np.int64)
     overall = float(int(correct_counts.sum()) / int(exec_counts.sum()))
     weights = exec_counts / exec_counts.sum()
     slice_overall = series @ weights
-    report = TwoDReport(
-        num_sites=num_sites, stats=stats, thresholds=config.thresholds,
-        overall_accuracy=overall, config=config, series=series,
-        slice_overall=np.asarray(slice_overall, dtype=np.float64))
+    report = report_from_series(series, slice_overall, overall, config)
     sim = SimulationResult(
         predictor_name=predictor, num_sites=num_sites,
         correct=np.zeros(0, dtype=np.uint8),

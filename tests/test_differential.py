@@ -31,8 +31,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.profiler2d import ProfilerConfig, TwoDProfiler, profile_trace
-from repro.core.stats import BranchSliceStats
+from repro.core.profiler2d import (
+    ProfilerConfig,
+    TwoDProfiler,
+    profile_trace,
+    report_from_series,
+)
+from repro.core.stats import PAM_EPSILON, BranchSliceStats
 from repro.errors import VMError
 from repro.lang import compile_source
 from repro.obs import get_registry
@@ -469,14 +474,20 @@ def _paper_literal_fold(trace: BranchTrace, correct: np.ndarray,
                         config: ProfilerConfig) -> list[BranchSliceStats]:
     """Figure 9 transcribed: one BranchSliceStats per branch, the Fig. 9b
     end_slice method run for every branch at every slice boundary, and a
-    trailing partial slice folded only when at least half full."""
+    trailing partial slice folded only when at least half full.  With
+    ``pam_exact``, NPAM is recounted as the filtered values above the
+    final mean (footnote 5)."""
     stats = [BranchSliceStats(has_lpa=config.fir_cold_start)
              for _ in range(trace.num_sites)]
+    filtered = [[] for _ in range(trace.num_sites)]
 
     def end_slice():
-        for branch in stats:
+        for branch, values in zip(stats, filtered):
+            folded = branch.N
             branch.end_slice(config.exec_threshold, config.use_fir,
                              config.fir_cold_start)
+            if branch.N > folded:
+                values.append(branch.LPA)
 
     in_slice = 0
     for site, hit in zip(trace.sites.tolist(), correct.tolist()):
@@ -488,8 +499,10 @@ def _paper_literal_fold(trace: BranchTrace, correct: np.ndarray,
             in_slice = 0
     if in_slice and in_slice >= config.slice_size // 2:
         end_slice()
-    for branch in stats:
+    for branch, values in zip(stats, filtered):
         branch.exec_counter = branch.predict_counter = 0
+        if config.pam_exact:
+            branch.NPAM = sum(v > branch.mean + PAM_EPSILON for v in values)
     return stats
 
 
@@ -497,12 +510,15 @@ def _paper_literal_fold(trace: BranchTrace, correct: np.ndarray,
 @given(seed=st.integers(0, 2**31 - 1),
        use_fir=st.booleans(),
        fir_cold_start=st.booleans(),
+       pam_exact=st.booleans(),
        slices=st.integers(1, 12),
        exec_threshold=st.integers(0, 2))
 def test_profile_trace_matches_paper_literal_fold(
-        seed, use_fir, fir_cold_start, slices, exec_threshold):
+        seed, use_fir, fir_cold_start, pam_exact, slices, exec_threshold):
     """profile_trace's stats equal the literal Figure 9 fold bit for bit on
-    traces of generated programs, cut into about ``slices`` slices."""
+    traces of generated programs, cut into about ``slices`` slices — and so
+    does report_from_series refolding the kept raw series (the stored-run
+    path)."""
     program = compile_source(ProgramGenerator(seed).program(), name="fuzz")
     try:
         trace = capture_trace(program, InputSet.make("fuzz"), fuel=200_000)
@@ -510,11 +526,17 @@ def test_profile_trace_matches_paper_literal_fold(
         return  # a faulting program has no trace to profile
     config = ProfilerConfig(slice_size=max(1, len(trace) // slices),
                             exec_threshold=exec_threshold,
-                            use_fir=use_fir, fir_cold_start=fir_cold_start)
+                            use_fir=use_fir, fir_cold_start=fir_cold_start,
+                            pam_exact=pam_exact, keep_series=True)
     sim = simulate(Gshare(history_bits=4), trace)
     report = profile_trace(trace, simulation=sim, config=config)
-    assert report.stats == _paper_literal_fold(trace, sim.correct, config)
+    literal = _paper_literal_fold(trace, sim.correct, config)
+    assert report.stats == literal
     assert report.overall_accuracy == sim.overall_accuracy
+    if report.series is not None:  # an empty trace folds no slice
+        stored = report_from_series(report.series, report.slice_overall,
+                                    report.overall_accuracy, report.config)
+        assert stored.stats == literal
 
 
 def test_three_way_agreement_on_real_workload(tiny_runner):

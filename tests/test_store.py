@@ -23,6 +23,7 @@ from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.core.profiler2d import ProfilerConfig, profile_trace
 from repro.core.stats import TestThresholds
 from repro.errors import StoreError
+from repro.service.protocol import serialize_report
 from repro.store import ProfileWarehouse, diff_runs, join_runs, reclassify
 
 SCALE = 0.05
@@ -108,6 +109,17 @@ class TestIngest:
         with pytest.raises(StoreError, match="keep_series"):
             warehouse.ingest(report, workload=WORKLOAD, input_name="train",
                              predictor="gshare")
+
+    def test_ingest_rejects_pam_exact(self, warehouse, runner):
+        """A pam_exact report would be refolded with the running-mean NPAM
+        (and share a plain run's config digest), so ingest refuses it."""
+        report = runner.profile_2d(WORKLOAD, "gshare",
+                                   config=ProfilerConfig(pam_exact=True))
+        assert report.series is not None
+        with pytest.raises(StoreError, match="pam_exact"):
+            warehouse.ingest(report, workload=WORKLOAD, input_name="train",
+                             predictor="gshare")
+        assert warehouse.runs() == []
 
     def test_find_honors_key_and_scale(self, stocked):
         warehouse, ids = stocked
@@ -288,11 +300,12 @@ class TestReclassifyProperty:
            pam_th=st.floats(0.0, 1.0, allow_nan=False))
     def test_reclassify_bit_identical_to_fresh_profile(
             self, runner, module_store, std_th, pam_th):
-        """For any (std_th, pam_th), reclassifying the stored matrix gives
-        exactly the classification of a fresh ``profile_trace`` run."""
+        """For any (std_th, pam_th), the stored run's refolded report is
+        exactly the report of a fresh ``profile_trace`` run: same verdicts,
+        same statistics, bit for bit."""
         warehouse, run_id = module_store
-        stored = reclassify(warehouse.open_run(run_id),
-                            std_th=std_th, pam_th=pam_th)
+        run = warehouse.open_run(run_id)
+        stored = run.report(std_th=std_th, pam_th=pam_th)
         config = ProfilerConfig(
             thresholds=TestThresholds(std_th=std_th, pam_th=pam_th))
         fresh = profile_trace(
@@ -300,8 +313,11 @@ class TestReclassifyProperty:
             simulation=runner.simulation(WORKLOAD, "train", "gshare"),
             config=config,
         )
-        assert stored["input_dependent"] == sorted(fresh.input_dependent_sites())
-        assert stored["profiled"] == sorted(fresh.profiled_sites())
+        assert serialize_report(stored) == serialize_report(fresh)
+        assert stored.stats == fresh.stats
+        relabeled = reclassify(run, std_th=std_th, pam_th=pam_th)
+        assert relabeled["input_dependent"] == sorted(fresh.input_dependent_sites())
+        assert relabeled["profiled"] == sorted(fresh.profiled_sites())
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +426,14 @@ def _run_db_cli(capsys, store, *argv) -> str:
     return capsys.readouterr().out
 
 
+def _ingest_run(warehouse, runner, workload, input_name, predictor) -> str:
+    report = runner.profile_2d(workload, predictor, input_name=input_name,
+                               config=KEEP)
+    return warehouse.ingest(
+        report, workload=workload, input_name=input_name, predictor=predictor,
+        scale=SCALE, sim=runner.simulation(workload, input_name, predictor))
+
+
 def _check_golden(name: str, actual: str) -> None:
     path = GOLDEN_DIR / name
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
@@ -424,7 +448,7 @@ def _check_golden(name: str, actual: str) -> None:
 
 
 class TestGoldenGuard:
-    """``db reclassify``/``db diff`` output is pinned byte for byte.
+    """``db reclassify``/``db diff``/``db join`` output is pinned byte for byte.
 
     The pinned numbers were produced by the pre-vectorization pipeline,
     so any replay or profiler fast path that shifts a classification —
@@ -464,15 +488,23 @@ class TestGoldenGuard:
 
     def test_db_diff_matches_golden_vortexish(self, stocked, runner, capsys):
         warehouse, _ids = stocked
-        ids = {}
-        for input_name in ("train", "ref"):
-            report = runner.profile_2d("vortexish", "gshare",
-                                       input_name=input_name, config=KEEP)
-            sim = runner.simulation("vortexish", input_name, "gshare")
-            ids[input_name] = warehouse.ingest(
-                report, workload="vortexish", input_name=input_name,
-                predictor="gshare", scale=SCALE, sim=sim)
+        ids = {input_name: _ingest_run(warehouse, runner, "vortexish",
+                                       input_name, "gshare")
+               for input_name in ("train", "ref")}
         assert ids["train"] == "r000003", "golden fixture assumes ingest order"
         out = _run_db_cli(capsys, warehouse.root, "diff",
                           ids["train"], ids["ref"])
         _check_golden("warehouse_diff_vortexish.txt", out)
+
+    def test_db_join_matches_golden(self, stocked, runner, capsys):
+        """The gshare-vs-perceptron join, stocked in the CI job's ingest
+        order (gzipish, vortexish, then gzipish train under perceptron)."""
+        warehouse, ids = stocked
+        for input_name in ("train", "ref"):
+            _ingest_run(warehouse, runner, "vortexish", input_name, "gshare")
+        perceptron = _ingest_run(warehouse, runner, WORKLOAD, "train",
+                                 "perceptron")
+        assert perceptron == "r000005", "golden fixture assumes ingest order"
+        out = _run_db_cli(capsys, warehouse.root, "join", ids["train"],
+                          perceptron, "--all")
+        _check_golden("warehouse_join_gzipish.txt", out)
