@@ -22,7 +22,7 @@ from repro import (
 )
 from repro.service.client import StreamingClient, stream_simulation
 from repro.service.protocol import serialize_report
-from repro.service.server import ServerThread
+from repro.service.server import ProfilingServer, ServerThread
 
 from quickstart import SOURCE, make_phased_input
 
@@ -38,7 +38,7 @@ def main():
 
     with tempfile.TemporaryDirectory() as ckpt_dir:
         # --- serve + stream the first half, querying mid-run -----------
-        server = ServerThread(checkpoint_dir=ckpt_dir).start()
+        server = ServerThread(ProfilingServer(checkpoint_dir=ckpt_dir)).start()
         print(f"server listening on 127.0.0.1:{server.port}")
 
         with StreamingClient("127.0.0.1", server.port) as client:
@@ -61,7 +61,7 @@ def main():
         print("server killed (no drain) — resuming from the checkpoint")
 
         # --- restart + resume: the stream continues from the offset ----
-        server = ServerThread(checkpoint_dir=ckpt_dir).start()
+        server = ServerThread(ProfilingServer(checkpoint_dir=ckpt_dir)).start()
         with StreamingClient("127.0.0.1", server.port) as client:
             outcome = stream_simulation(
                 client, "live-run", trace.sites, sim.correct, config,

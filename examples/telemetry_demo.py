@@ -26,7 +26,7 @@ import numpy as np
 from repro import ProfilerConfig
 from repro.fleet import FleetHarness
 from repro.obs.dashboard import overview, render
-from repro.obs.logs import configure_logging, read_logs
+from repro.obs.logs import read_logs
 from repro.obs.tsdb import MetricTSDB
 
 SCRAPE_INTERVAL = 0.3
@@ -58,9 +58,9 @@ def wait_for(predicate, timeout: float, what: str):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        # Shards write their own logs/<shard>.jsonl; this process (router,
-        # scraper, alert manager, watchdog) joins the same directory.
-        configure_logging(path=root / "telemetry" / "logs" / "harness.jsonl")
+        # Shards write their own logs/<shard>.jsonl; the harness points
+        # this process (router, scraper, alert manager, watchdog) at
+        # logs/router.jsonl in the same directory.
         with FleetHarness(root, num_shards=2, telemetry=True,
                           scrape_interval=SCRAPE_INTERVAL) as fleet:
             print(f"fleet up: router on {fleet.host}:{fleet.port}, "

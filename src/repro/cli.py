@@ -148,20 +148,33 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_verdicts(workload: str, report: dict) -> None:
+    """The verdict listing of one ``serialize_report`` dict.
+
+    ``profile`` and ``stream`` both print through here, so CI's diff of
+    their outputs can only trip on a real difference in the report.
+    """
+    program = get_workload(workload).program()
+    verdicts = {v["site_id"]: v for v in report["verdicts"]}
+    dependent = report["input_dependent"]
+    print(f"{workload}: profiled {len(report['profiled'])} branches "
+          f"({program.num_sites} static), overall accuracy {report['overall_accuracy']:.3f}")
+    print(f"predicted input-dependent ({len(dependent)}):")
+    for site in dependent:
+        verdict = verdicts[site]
+        site_info = program.sites[site]
+        print(f"  {site_info.label():28s} kind={site_info.kind:7s} "
+              f"mean={verdict['mean']:.3f} std={verdict['std']:.3f} "
+              f"pam={verdict['pam_fraction']:.2f}")
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.service.protocol import serialize_report
+
     runner = _make_runner(args)
     _prefetch(runner, [(args.workload, "train", args.predictor)])
     report = runner.profile_2d(args.workload, args.predictor)
-    program = get_workload(args.workload).program()
-    dependent = report.input_dependent_sites()
-    print(f"{args.workload}: profiled {len(report.profiled_sites())} branches "
-          f"({program.num_sites} static), overall accuracy {report.overall_accuracy:.3f}")
-    print(f"predicted input-dependent ({len(dependent)}):")
-    for site in sorted(dependent):
-        verdict = report.verdict(site)
-        site_info = program.sites[site]
-        print(f"  {site_info.label():28s} kind={site_info.kind:7s} "
-              f"mean={verdict.mean:.3f} std={verdict.std:.3f} pam={verdict.pam_fraction:.2f}")
+    _print_verdicts(args.workload, serialize_report(report))
     return 0
 
 
@@ -397,18 +410,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                   f"(checkpointed on the server); continue with --resume")
             return 0
         remote = client.query(session)["report"]
-        program = get_workload(args.workload).program()
-        verdicts = {v["site_id"]: v for v in remote["verdicts"]}
-        dependent = remote["input_dependent"]
-        print(f"{args.workload}: profiled {len(remote['profiled'])} branches "
-              f"({program.num_sites} static), overall accuracy {remote['overall_accuracy']:.3f}")
-        print(f"predicted input-dependent ({len(dependent)}):")
-        for site in dependent:
-            verdict = verdicts[site]
-            site_info = program.sites[site]
-            print(f"  {site_info.label():28s} kind={site_info.kind:7s} "
-                  f"mean={verdict['mean']:.3f} std={verdict['std']:.3f} "
-                  f"pam={verdict['pam_fraction']:.2f}")
+        _print_verdicts(args.workload, remote)
         code = 0
         if args.verify:
             offline = serialize_report(profile_trace(trace, simulation=sim, config=config))
@@ -431,106 +433,48 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _merge_fleet_traces(trace_dir) -> int:
-    """Fold the shard processes' trace files into this process's tracer."""
-    from pathlib import Path
-
-    merged = 0
-    tracer = get_tracer()
-    for path in sorted(Path(trace_dir).glob("*.trace.json")):
-        try:
-            doc = json.loads(path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue  # a SIGKILLed shard never wrote its trace
-        events = doc.get("traceEvents", []) if isinstance(doc, dict) else doc
-        # Drop per-file process metadata; export regenerates it per pid.
-        merged += tracer.add_chrome_events(
-            e for e in events if e.get("ph") != "M")
-    return merged
-
-
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import contextlib
     import signal
     from pathlib import Path
 
-    from repro.fleet import FleetRouter, FleetSupervisor
+    from repro.fleet import FleetHarness
 
     fleet_dir = Path(args.fleet_dir) if args.fleet_dir else default_cache_dir() / "fleet"
-    trace_dir = fleet_dir / "traces" if args.trace else None
-    telemetry_dir = None
-    if not args.no_telemetry:
-        telemetry_dir = (Path(args.telemetry_dir) if args.telemetry_dir
-                         else fleet_dir / "telemetry")
-        from repro.obs.logs import configure_logging, process_log_path
-
-        configure_logging(
-            path=process_log_path(telemetry_dir / "logs", "router"))
-    supervisor = FleetSupervisor(
-        args.shards,
-        checkpoint_dir=fleet_dir / "checkpoints",
-        warehouse_dir=args.warehouse_dir,
-        host=args.host,
-        idle_timeout=args.idle_timeout,
-        max_sessions=args.max_sessions,
-        trace_dir=trace_dir,
-        flight_dir=telemetry_dir / "flight" if telemetry_dir else None,
-        log_dir=telemetry_dir / "logs" if telemetry_dir else None,
-    )
-    shard_map = supervisor.start()
-    telemetry = None
-    if telemetry_dir is not None:
+    rules = None
+    if args.rules:
         from repro.obs.slo import load_rules
-        from repro.obs.telemetry import FleetTelemetry
 
-        telemetry = FleetTelemetry(
-            telemetry_dir,
-            shard_map=shard_map,
-            supervisor=supervisor,
-            rules=load_rules(args.rules) if args.rules else None,
-            scrape_interval=args.scrape_interval,
-            watchdog=not args.no_watchdog,
-            warehouse_dir=args.warehouse_dir,
-            triage_min_interval=args.triage_min_interval,
-        )
-    router = FleetRouter(
-        shard_map,
-        registry_dir=fleet_dir / "registry",
+        rules = load_rules(args.rules)
+    fleet = FleetHarness(
+        fleet_dir,
+        num_shards=args.shards,
         host=args.host,
         port=args.port,
-        supervisor=supervisor,
-        telemetry=telemetry,
+        warehouse=args.warehouse_dir,
+        idle_timeout=args.idle_timeout,
+        max_sessions=args.max_sessions,
+        trace_dir=fleet_dir / "traces" if args.trace else None,
+        telemetry=not args.no_telemetry and (args.telemetry_dir or True),
+        scrape_interval=args.scrape_interval,
+        rules=rules,
+        watchdog=not args.no_watchdog,
+        triage_min_interval=args.triage_min_interval,
     )
-    if telemetry is not None:
-        telemetry.scraper.local_registries["router"] = router.metrics
-        telemetry.start()
-
-    async def _main() -> None:
-        await router.start()
-        loop = asyncio.get_running_loop()
+    with fleet:
         for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError):  # pragma: no cover
-                loop.add_signal_handler(signum, router.shutdown)
-        shards = ", ".join(s.address for s in shard_map.shards)
-        print(f"fleet listening on {router.host}:{router.port} "
-              f"({len(shard_map)} shard(s): {shards})", flush=True)
-        if telemetry is not None:
-            print(f"telemetry in {telemetry_dir} "
+            signal.signal(signum, lambda *_: fleet.router_thread.shutdown())
+        shards = ", ".join(s.address for s in fleet.supervisor.shard_map.shards)
+        print(f"fleet listening on {fleet.host}:{fleet.port} "
+              f"({len(fleet.supervisor.shard_map)} shard(s): {shards})", flush=True)
+        if fleet.telemetry is not None:
+            print(f"telemetry in {fleet.telemetry_dir} "
                   f"(scrape every {args.scrape_interval:g}s, "
                   f"watchdog {'off' if args.no_watchdog else 'on'})",
                   flush=True)
-        await router.wait_stopped()
-
-    try:
-        asyncio.run(_main())
-    finally:
-        if telemetry is not None:
-            telemetry.stop()
-        supervisor.stop_all()
-        if trace_dir is not None:
-            merged = _merge_fleet_traces(trace_dir)
-            print(f"merged {merged} shard trace event(s)", file=sys.stderr)
+        fleet.router_thread.join()  # until a signal or `fleet drain`
+    if args.trace:
+        print(f"merged {fleet.merged_trace_events} shard trace event(s)",
+              file=sys.stderr)
     return 0
 
 

@@ -12,7 +12,8 @@ queryable store).
 * :mod:`repro.fleet.supervisor` — shard process lifecycle (spawn,
   rolling drain-and-replace, chaos kill, respawn);
 * :mod:`repro.fleet.loadgen` — thousands of concurrent verified streams;
-* :mod:`repro.fleet.harness` — one-call fleet bring-up for tests.
+* :mod:`repro.fleet.harness` — the one fleet bring-up, shared by
+  ``fleet serve``, tests, examples and benchmarks.
 
 Operator surface: the ``repro-2dprof fleet`` CLI family (``serve``,
 ``status``, ``drain``, ``loadgen``); see ``docs/fleet.md``.
@@ -21,7 +22,7 @@ Operator surface: the ``repro-2dprof fleet`` CLI family (``serve``,
 from repro.fleet.harness import FleetHarness  # noqa: F401
 from repro.fleet.loadgen import LoadgenResult, run_loadgen, write_bench  # noqa: F401
 from repro.fleet.registry import SessionRegistry  # noqa: F401
-from repro.fleet.router import FleetRouter, RouterThread  # noqa: F401
+from repro.fleet.router import FleetRouter  # noqa: F401
 from repro.fleet.shardmap import ShardMap, ShardSpec, rendezvous_score  # noqa: F401
 from repro.fleet.supervisor import FleetSupervisor, ShardProcess  # noqa: F401
 
@@ -30,7 +31,6 @@ __all__ = [
     "FleetRouter",
     "FleetSupervisor",
     "LoadgenResult",
-    "RouterThread",
     "SessionRegistry",
     "ShardMap",
     "ShardProcess",

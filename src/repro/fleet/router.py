@@ -41,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +51,7 @@ from repro.fleet.shardmap import ShardMap, ShardSpec
 from repro.obs import Registry, get_tracer, labeled_snapshot, merge_additive_snapshot
 from repro.service import protocol
 from repro.service.checkpoint import validate_session_name
+from repro.service.metrics import latency_summary
 
 log = logging.getLogger(__name__)
 
@@ -439,14 +439,8 @@ class FleetRouter:
             sessions.update(payload.get("sessions", {}))
         fleet["sessions"] = sessions
         fleet["active_sessions"] = len(sessions)
-        latency = merged.histogram("service_frame_latency_seconds")
-        fleet["frame_latency"] = {
-            "count": latency.count,
-            "sum_seconds": latency.sum,
-            "p50": latency.percentile(0.50) if latency.count else None,
-            "p90": latency.percentile(0.90) if latency.count else None,
-            "p99": latency.percentile(0.99) if latency.count else None,
-        }
+        fleet["frame_latency"] = latency_summary(
+            merged.histogram("service_frame_latency_seconds"))
         return fleet
 
     async def _op_metrics(self, state: _ConnState) -> dict:
@@ -507,58 +501,5 @@ class FleetRouter:
                 "stopping": len(self.shard_map)}
 
 
-class RouterThread:
-    """Run a :class:`FleetRouter` on a daemon thread's event loop.
-
-    The fleet analogue of :class:`repro.service.server.ServerThread`:
-    tests, the example, and the benchmark host a router next to blocking
-    clients in one process.
-    """
-
-    def __init__(self, **router_kwargs):
-        self._kwargs = router_kwargs
-        self.router: FleetRouter | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._error: BaseException | None = None
-
-    def start(self) -> "RouterThread":
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._error is not None:
-            raise self._error
-        if self.router is None:
-            raise ServiceError("router thread failed to start")
-        return self
-
-    @property
-    def port(self) -> int:
-        assert self.router is not None
-        return self.router.port
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - surfaced via start()
-            self._error = exc
-            self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        router = FleetRouter(**self._kwargs)
-        await router.start()
-        self.router = router
-        self._started.set()
-        await router.wait_stopped()
-
-    def shutdown(self) -> None:
-        if self._loop is None or self.router is None:
-            return
-        self._loop.call_soon_threadsafe(self.router.shutdown)
-        self._thread.join(timeout=30)
-
-
 #: Spec re-exported so router users need only one import.
-__all__ = ["FleetRouter", "RouterThread", "ShardSpec"]
+__all__ = ["FleetRouter", "ShardSpec"]

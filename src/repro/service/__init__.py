@@ -13,7 +13,9 @@ Modules:
 * :mod:`repro.service.protocol` — length-prefixed wire framing (binary
   event batches + JSON control frames) with strict decode validation;
 * :mod:`repro.service.server` — asyncio server multiplexing sessions,
-  each owning an incremental :class:`~repro.core.profiler2d.TwoDProfiler`;
+  each owning an incremental :class:`~repro.core.profiler2d.TwoDProfiler`,
+  and :class:`~repro.service.server.ServerThread`, the one daemon-thread
+  host for a server or a fleet router;
 * :mod:`repro.service.checkpoint` — atomic session snapshots so a killed
   server resumes every session to a byte-identical report;
 * :mod:`repro.service.client` — blocking client library used by the

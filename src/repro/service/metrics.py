@@ -43,6 +43,18 @@ _LATENCY_BUCKETS = (
 )
 
 
+def latency_summary(histogram) -> dict:
+    """The stats frame's ``frame_latency`` block of one histogram."""
+    count = histogram.count
+    return {
+        "count": count,
+        "sum_seconds": histogram.sum,
+        "p50": histogram.percentile(0.50) if count else None,
+        "p90": histogram.percentile(0.90) if count else None,
+        "p99": histogram.percentile(0.99) if count else None,
+    }
+
+
 class ServiceMetrics:
     """Registry-backed counters plus derived rates for the stats frame."""
 
@@ -95,14 +107,7 @@ class ServiceMetrics:
         }
         for name, _help in _COUNTERS:
             payload[name] = getattr(self, name).value
-        latency = self.frame_latency
-        payload["frame_latency"] = {
-            "count": latency.count,
-            "sum_seconds": latency.sum,
-            "p50": latency.percentile(0.50) if latency.count else None,
-            "p90": latency.percentile(0.90) if latency.count else None,
-            "p99": latency.percentile(0.99) if latency.count else None,
-        }
+        payload["frame_latency"] = latency_summary(self.frame_latency)
         payload["drain"] = {
             "count": self.drain_seconds.count,
             "sum_seconds": self.drain_seconds.sum,

@@ -560,16 +560,19 @@ class ProfilingServer:
 
 
 class ServerThread:
-    """Run a :class:`ProfilingServer` on a daemon thread's event loop.
+    """Host a server on a daemon thread's event loop.
 
-    Used by tests and :mod:`examples.live_profiling` to host a server and
-    a blocking client in one process.  ``drain()`` is the graceful path;
-    ``abort()`` simulates a crash (no checkpoints written).
+    ``server`` is any built-but-unstarted object with ``async start()``
+    and ``async wait_stopped()``: a :class:`ProfilingServer` or a
+    :class:`~repro.fleet.router.FleetRouter`.  Tests, examples and
+    :class:`~repro.fleet.harness.FleetHarness` use it to run a server
+    next to blocking clients in one process.  ``drain()`` is a server's
+    graceful stop, ``abort()`` simulates a crash (no checkpoints
+    written), and ``shutdown()`` stops a router.
     """
 
-    def __init__(self, **server_kwargs):
-        self._kwargs = server_kwargs
-        self.server: ProfilingServer | None = None
+    def __init__(self, server):
+        self.server = server
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
@@ -578,21 +581,25 @@ class ServerThread:
     def start(self) -> "ServerThread":
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
-        self._started.wait(timeout=30)
+        started = self._started.wait(timeout=30)
         if self._error is not None:
             raise self._error
-        if self.server is None:
+        if not started:
             raise ServiceError("server thread failed to start")
         return self
 
     @property
     def port(self) -> int:
-        assert self.server is not None
         return self.server.port
 
     def is_alive(self) -> bool:
         """Whether the server's event loop thread is still running."""
         return self._thread is not None and self._thread.is_alive()
+
+    def join(self, timeout: float | None = None) -> None:
+        """Block until the server stops (however it was told to)."""
+        if self._thread is not None:
+            self._thread.join(timeout)
 
     def _run(self) -> None:
         try:
@@ -602,27 +609,30 @@ class ServerThread:
             self._started.set()
 
     async def _main(self) -> None:
+        await self.server.start()
         self._loop = asyncio.get_running_loop()
-        server = ProfilingServer(**self._kwargs)
-        await server.start()
-        self.server = server
         self._started.set()
-        await server.wait_stopped()
+        await self.server.wait_stopped()
 
     def drain(self) -> None:
         """Checkpoint every session and stop the server (graceful)."""
-        if self._loop is None or self.server is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(self.server.drain(), self._loop)
-        future.result(timeout=30)
-        self._thread.join(timeout=30)
+        if self._loop is not None and self.is_alive():
+            asyncio.run_coroutine_threadsafe(
+                self.server.drain(), self._loop).result(timeout=30)
+            self.join(timeout=30)
 
     def abort(self) -> None:
         """Stop without checkpointing — in-memory sessions are lost."""
-        if self._loop is None or self.server is None:
-            return
-        self._loop.call_soon_threadsafe(self.server.abort)
-        self._thread.join(timeout=30)
+        self._stop_with(self.server.abort)
+
+    def shutdown(self) -> None:
+        """Stop a router: close its listener and every connection."""
+        self._stop_with(self.server.shutdown)
+
+    def _stop_with(self, stop) -> None:
+        if self._loop is not None and self.is_alive():
+            self._loop.call_soon_threadsafe(stop)
+            self.join(timeout=30)
 
 
 async def serve_until_signalled(server: ProfilingServer,

@@ -102,9 +102,10 @@ class TestCommands:
 
 class TestStreamCommand:
     def test_stream_verify_and_pause_resume(self, capsys, tmp_path):
-        from repro.service.server import ServerThread
+        from repro.service.server import ProfilingServer, ServerThread
 
-        thread = ServerThread(checkpoint_dir=tmp_path / "ckpt").start()
+        thread = ServerThread(
+            ProfilingServer(checkpoint_dir=tmp_path / "ckpt")).start()
         port = str(thread.port)
         try:
             # Full stream, verified bit-identical against the offline path.

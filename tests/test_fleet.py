@@ -1,7 +1,7 @@
 """Tests for the fleet layer: shard map, registry, router, merged metrics.
 
-Everything here runs in-process (shard servers on :class:`ServerThread`,
-the router on :class:`RouterThread`) so it stays in the fast tier; the
+Everything here runs in-process (shard servers and the router, each on a
+:class:`ServerThread`) so it stays in the fast tier; the
 subprocess chaos tests (kill -9, rolling restart) live in
 ``tests/test_fleet_handoff.py`` under the ``slow`` marker.
 
@@ -22,13 +22,13 @@ import pytest
 from repro.core.profiler2d import ProfilerConfig, profile_trace
 from repro.errors import ServiceError
 from repro.fleet import SessionRegistry, ShardMap, ShardSpec
-from repro.fleet.router import RouterThread
+from repro.fleet.router import FleetRouter
 from repro.obs import Registry, labeled_snapshot, merge_additive_snapshot
 from repro.predictors import make_predictor, simulate
 from repro.service import protocol
 from repro.service.client import StreamingClient, stream_simulation
 from repro.service.protocol import serialize_report
-from repro.service.server import ServerThread
+from repro.service.server import ProfilingServer, ServerThread
 from repro.trace.synthetic import phased_trace
 
 
@@ -221,11 +221,12 @@ def fleet(tmp_path):
     shard_map = ShardMap()
     shards: dict[str, ServerThread] = {}
     for name in ("s0", "s1"):
-        thread = ServerThread(checkpoint_dir=ckpt_dir, shard_name=name).start()
+        thread = ServerThread(
+            ProfilingServer(checkpoint_dir=ckpt_dir, shard_name=name)).start()
         shards[name] = thread
         shard_map.add(ShardSpec(name, "127.0.0.1", thread.port))
-    router = RouterThread(shard_map=shard_map, registry_dir=tmp_path / "registry",
-                          dead_cooldown=0.2).start()
+    router = ServerThread(FleetRouter(shard_map, registry_dir=tmp_path / "registry",
+                                      dead_cooldown=0.2)).start()
     yield SimpleNamespace(router=router, shards=shards, shard_map=shard_map)
     router.shutdown()
     for thread in shards.values():
@@ -245,7 +246,7 @@ class TestRouterEndToEnd:
             reply = client.close_session("run")
             assert reply["report"] == offline
         # A clean close clears the placement record.
-        assert fleet.router.router.registry.lookup("run") is None
+        assert fleet.router.server.registry.lookup("run") is None
 
     def test_open_reply_names_the_owning_shard(self, fleet, stream_data):
         trace, _sim, config, _offline = stream_data
@@ -253,7 +254,7 @@ class TestRouterEndToEnd:
         with StreamingClient("127.0.0.1", fleet.router.port) as client:
             reply = client.open_session("placed", trace.num_sites, config)
             assert reply["shard"] == expected
-            registry = fleet.router.router.registry
+            registry = fleet.router.server.registry
             assert registry.lookup("placed")["shard"] == expected
             client.close_session("placed")
 
@@ -313,7 +314,7 @@ class TestRouterEndToEnd:
                 client, "run", trace.sites, sim.correct, config,
                 batch_size=500, stop_after=4000, num_sites=trace.num_sites)
             assert not outcome.completed  # checkpointed at 4000
-            owner = fleet.router.router.registry.lookup("run")["shard"]
+            owner = fleet.router.server.registry.lookup("run")["shard"]
             fleet.shards[owner].abort()  # SIGKILL-equivalent: no drain
             with pytest.raises(ServiceError, match="unavailable"):
                 client.send_events("run", trace.sites[4000:4500],
@@ -324,7 +325,7 @@ class TestRouterEndToEnd:
                 batch_size=800, resume=True, num_sites=trace.num_sites)
             assert outcome.resumed_from == 4000
             assert client.query("run")["report"] == offline
-            survivor = fleet.router.router.registry.lookup("run")["shard"]
+            survivor = fleet.router.server.registry.lookup("run")["shard"]
             assert survivor != owner
 
     def test_query_routes_by_registry_without_a_conn_mapping(self, fleet, stream_data):

@@ -11,15 +11,25 @@ contract end to end:
 * **rolling restart** — drain-and-replace every shard one at a time
   while sessions are parked; every one of them resumes exactly;
 * **loadgen under failover** — concurrent multiplexed streams survive a
-  shard kill via retriable errors + resume, with zero verify failures.
+  shard kill via retriable errors + resume, with zero verify failures;
+* **``fleet serve``** — the CLI command as a subprocess: fleet stats and
+  status through it, ``fleet drain`` stops it, shard traces are merged.
 
 All ``slow``-marked (seconds each): deselect with ``-m 'not slow'``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import cli
 from repro.core.profiler2d import ProfilerConfig, profile_trace
 from repro.fleet import FleetHarness
 from repro.fleet.loadgen import run_loadgen
@@ -143,3 +153,43 @@ class TestLoadgenFailover:
             assert result.events_total == 60 * 6000
             # The kill must actually have been noticed by somebody.
             assert result.retries > 0
+
+
+class TestFleetServeCommand:
+    def test_serve_status_drain_and_merged_trace(self, tmp_path, capsys):
+        """``fleet serve`` end to end: one subprocess, router + 2 shards."""
+        repo_root = Path(__file__).resolve().parents[1]
+        trace_path = tmp_path / "fleet-trace.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "fleet", "serve", "--port", "0",
+             "--shards", "2", "--fleet-dir", str(tmp_path / "fleet"),
+             "--trace", str(trace_path)],
+            stdout=subprocess.PIPE, text=True, cwd=repo_root,
+            env=dict(os.environ, PYTHONPATH=str(repo_root / "src"),
+                     REPRO_2DPROF_CACHE=str(tmp_path / "cache")))
+        try:
+            line = proc.stdout.readline()
+            match = re.match(r"fleet listening on \S+:(\d+) ", line)
+            assert match, f"unexpected first line: {line!r}"
+            port = match.group(1)
+
+            assert cli.main(["stats", "--port", port, "--json"]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert sorted(stats["shards"]) == ["s0", "s1"]
+
+            assert cli.main(["fleet", "status", "--port", port, "--json"]) == 0
+            status = json.loads(capsys.readouterr().out)
+            assert [s["alive"] for s in status["shards"]] == [True, True]
+
+            assert cli.main(["fleet", "drain", "--port", port]) == 0
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.terminate()  # graceful: stops the shards too
+                proc.wait(timeout=60)
+            proc.stdout.close()
+
+        # The router's spans plus each shard's, merged into one file.
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        pids = {e["pid"] for e in events if e.get("ph") == "X"}
+        assert len(pids) >= 3, pids

@@ -486,9 +486,9 @@ def test_cli_trace_and_metrics_flags(tmp_path, monkeypatch, capsys):
 def test_cli_stats_subcommand(tmp_path, capsys):
     from repro import cli
     from repro.service.client import StreamingClient
-    from repro.service.server import ServerThread
+    from repro.service.server import ProfilingServer, ServerThread
 
-    thread = ServerThread(checkpoint_dir=tmp_path / "ckpt").start()
+    thread = ServerThread(ProfilingServer(checkpoint_dir=tmp_path / "ckpt")).start()
     try:
         with StreamingClient("127.0.0.1", thread.port) as client:
             client.ping()

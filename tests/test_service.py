@@ -28,7 +28,7 @@ from repro.service import checkpoint as ckpt
 from repro.service import protocol
 from repro.service.client import StreamingClient, stream_simulation
 from repro.service.protocol import serialize_report
-from repro.service.server import ServerThread, ServiceLimits
+from repro.service.server import ProfilingServer, ServerThread, ServiceLimits
 from repro.trace.synthetic import phased_trace
 
 
@@ -172,7 +172,7 @@ class TestCheckpoint:
 
 def _start_server(tmp_path, **kwargs) -> ServerThread:
     kwargs.setdefault("checkpoint_dir", tmp_path / "ckpt")
-    return ServerThread(**kwargs).start()
+    return ServerThread(ProfilingServer(**kwargs)).start()
 
 
 class TestEndToEnd:

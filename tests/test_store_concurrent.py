@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
 from repro.service.client import StreamingClient, stream_simulation
-from repro.service.server import ServerThread
+from repro.service.server import ProfilingServer, ServerThread
 from repro.store import ProfileWarehouse
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -113,9 +113,9 @@ class TestConcurrentIngest:
         """3 shard servers, concurrent keep-series closes, one warehouse."""
         warehouse_dir = tmp_path / "wh"
         shards = [
-            ServerThread(checkpoint_dir=tmp_path / "ckpt",
-                         warehouse_dir=warehouse_dir,
-                         shard_name=f"s{i}").start()
+            ServerThread(ProfilingServer(checkpoint_dir=tmp_path / "ckpt",
+                                         warehouse_dir=warehouse_dir,
+                                         shard_name=f"s{i}")).start()
             for i in range(3)
         ]
         config = dataclasses.replace(

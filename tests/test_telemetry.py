@@ -772,8 +772,11 @@ def test_fleet_chaos_alert_flightdump_watchdog_restore(tmp_path):
     from repro.fleet.harness import FleetHarness
 
     interval = 0.3
-    with FleetHarness(tmp_path, num_shards=2, telemetry=True,
+    with FleetHarness(tmp_path, num_shards=2, telemetry=True, warehouse=True,
                       scrape_interval=interval) as fleet:
+        # With a warehouse attached, alert-driven triage is on.
+        assert fleet.telemetry.warehouse_dir == fleet.warehouse_dir
+        assert "triage" in fleet.telemetry.status()
         with fleet.client() as client:
             client.open_session("chaos-a", 4, ProfilerConfig(slice_size=32))
             sites = np.arange(100, dtype=np.int64) % 4
@@ -836,3 +839,6 @@ def test_fleet_chaos_alert_flightdump_watchdog_restore(tmp_path):
     events = [d for d in read_logs(log_dir) if d.get("event")]
     assert any(d["event"] == "session_opened" for d in events)
     assert any(d.get("trace_id") for d in events)
+    # The router process logs there too (the alert that fired, for one).
+    router_events = {d.get("event") for d in read_logs(log_dir / "router.jsonl")}
+    assert "alert_fired" in router_events
