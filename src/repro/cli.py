@@ -35,7 +35,7 @@ import sys
 from repro.core.experiment import ExperimentRunner, SuiteConfig, default_cache_dir
 from repro.core.profiler2d import ProfilerConfig
 from repro.core.stats import TestThresholds
-from repro.errors import ExperimentError, StoreError
+from repro.errors import ReproError
 from repro.obs import get_registry, get_tracer
 from repro.analysis import tables
 from repro.analysis.overhead import measure_overheads
@@ -1255,7 +1255,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output was piped into a pager/head that closed early; not an error.
         return 0
-    except (StoreError, ExperimentError) as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -32,7 +32,7 @@ from repro.core.groundtruth import (
 )
 from repro.core.metrics import CovAccMetrics, evaluate_detection
 from repro.core.profiler2d import ProfilerConfig, TwoDReport, profile_trace
-from repro.predictors import make_predictor, paper_gshare, paper_perceptron
+from repro.predictors import make_predictor
 from repro.predictors.simulate import SimulationResult, simulate
 from repro.trace.capture import capture_traces
 from repro.trace.trace import BranchTrace
@@ -41,15 +41,6 @@ from repro.workloads import get_workload
 log = logging.getLogger(__name__)
 
 _A = TypeVar("_A")
-
-#: Named predictor configurations used by the experiments.  "gshare" and
-#: "perceptron" are the paper's exact configurations.
-def _predictor_factory(name: str):
-    if name == "gshare":
-        return paper_gshare()
-    if name == "perceptron":
-        return paper_perceptron()
-    return make_predictor(name)
 
 
 def default_cache_dir() -> Path:
@@ -220,7 +211,7 @@ class ExperimentRunner:
 
         def compute() -> SimulationResult:
             trace = self.trace(workload, input_name)
-            return simulate(_predictor_factory(predictor), trace)
+            return simulate(make_predictor(predictor), trace)
 
         sim = self._load_or_compute(
             self._sim_path(workload, input_name, predictor),

@@ -39,6 +39,38 @@ from repro.predictors.simulate import SimulationResult, simulate
 from repro.trace.trace import BranchTrace
 
 
+_INTS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+_BOOLS = (bool, np.bool_)
+
+#: The encoded fields of a resolved config (see :meth:`ProfilerConfig.to_dict`):
+#: name -> (accepted types, converter, may be None, least value).
+_CONFIG_FIELDS = {
+    "slice_size": (_INTS, int, True, 1),
+    "exec_threshold": (_INTS, int, True, 0),
+    "mean_th": (_REALS, float, True, None),
+    "std_th": (_REALS, float, False, None),
+    "pam_th": (_REALS, float, False, None),
+    "use_fir": (_BOOLS, bool, False, None),
+    "fir_cold_start": (_BOOLS, bool, False, None),
+    "pam_exact": (_BOOLS, bool, False, None),
+    "keep_series": (_BOOLS, bool, False, None),
+}
+
+
+def _config_field(key: str, value):
+    """One config field as its JSON-safe Python value, type-checked."""
+    kinds, convert, nullable, least = _CONFIG_FIELDS[key]
+    if value is None and nullable:
+        return None
+    # bool is an int subclass: refuse it for numbers, require it for flags.
+    if not isinstance(value, kinds) or isinstance(value, _BOOLS) != (convert is bool):
+        raise ExperimentError(f"profiler config field {key!r} has bad value {value!r}")
+    if least is not None and value < least:
+        raise ExperimentError(f"profiler config field {key!r} must be >= {least}")
+    return convert(value)
+
+
 @dataclass(frozen=True)
 class ProfilerConfig:
     """Configuration of one 2D-profiling run.
@@ -80,6 +112,32 @@ class ProfilerConfig:
             exec_threshold=exec_threshold,
             keep_series=self.keep_series or self.pam_exact,
         )
+
+    def to_dict(self) -> dict:
+        """The resolved config as nine JSON-safe fields — its one encoding.
+
+        The service's ``open`` frame, profiler checkpoints and warehouse
+        run records all carry this dict; :meth:`from_dict` reads it back.
+        """
+        if self.slice_size is None:
+            raise ExperimentError("encoding a config needs an explicit slice_size")
+        config = self.resolve(0)
+        values = {**dataclasses.asdict(config), **dataclasses.asdict(config.thresholds)}
+        return {key: _config_field(key, values[key]) for key in _CONFIG_FIELDS}
+
+    @classmethod
+    def from_dict(cls, mapping) -> "ProfilerConfig":
+        """Decode the :meth:`to_dict` fields of ``mapping``; other keys are ignored.
+
+        An absent field takes the dataclass default; a value of the wrong
+        type (a bool where a number belongs, a string, a list, ``None``
+        for a required threshold) raises :class:`ExperimentError`.
+        """
+        fields = {key: _config_field(key, mapping[key])
+                  for key in _CONFIG_FIELDS if key in mapping}
+        names = [item.name for item in dataclasses.fields(TestThresholds)]
+        thresholds = TestThresholds(**{key: fields.pop(key) for key in names if key in fields})
+        return cls(thresholds=thresholds, **fields)
 
 
 @dataclass(frozen=True)
@@ -394,10 +452,12 @@ class TwoDProfiler:
         :meth:`from_state` reconstructs a profiler from this dict that
         continues — and finishes — byte-identically.  Every field is a
         numpy scalar or array so the dict can go straight through
-        ``savez``/``load`` without pickling.
+        ``savez``/``load`` without pickling; the config fields are
+        :meth:`ProfilerConfig.to_dict` (an unset ``mean_th`` stored as NaN).
         """
-        thresholds = self.config.thresholds
-        mean_th = np.nan if thresholds.mean_th is None else thresholds.mean_th
+        config = self.config.to_dict()
+        if config["mean_th"] is None:
+            config["mean_th"] = np.nan
         series = (
             np.array(self._series_rows)
             if self._series_rows
@@ -406,15 +466,7 @@ class TwoDProfiler:
         return {
             "state_version": np.int64(PROFILER_STATE_VERSION),
             "num_sites": np.int64(self.num_sites),
-            "slice_size": np.int64(self._slice_size),
-            "exec_threshold": np.int64(self._exec_threshold),
-            "use_fir": np.bool_(self.config.use_fir),
-            "fir_cold_start": np.bool_(self.config.fir_cold_start),
-            "pam_exact": np.bool_(self.config.pam_exact),
-            "keep_series": np.bool_(self.config.keep_series),
-            "mean_th": np.float64(mean_th),
-            "std_th": np.float64(thresholds.std_th),
-            "pam_th": np.float64(thresholds.pam_th),
+            **{key: np.asarray(value) for key, value in config.items()},
             "N": self._N.copy(),
             "SPA": self._SPA.copy(),
             "SSPA": self._SSPA.copy(),
@@ -439,20 +491,10 @@ class TwoDProfiler:
             if version != PROFILER_STATE_VERSION:
                 raise ExperimentError(f"unsupported profiler state version {version}")
             num_sites = int(state["num_sites"])
-            mean_th = float(state["mean_th"])
-            config = ProfilerConfig(
-                slice_size=int(state["slice_size"]),
-                exec_threshold=int(state["exec_threshold"]),
-                thresholds=TestThresholds(
-                    mean_th=None if np.isnan(mean_th) else mean_th,
-                    std_th=float(state["std_th"]),
-                    pam_th=float(state["pam_th"]),
-                ),
-                use_fir=bool(state["use_fir"]),
-                fir_cold_start=bool(state["fir_cold_start"]),
-                pam_exact=bool(state["pam_exact"]),
-                keep_series=bool(state["keep_series"]),
-            )
+            fields = {key: np.asarray(state[key])[()] for key in _CONFIG_FIELDS}
+            if np.isnan(fields["mean_th"]):
+                fields["mean_th"] = None
+            config = ProfilerConfig.from_dict(fields)
             profiler = cls(num_sites, config)
             for name, target in zip(
                 _STATE_ARRAYS,

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
 from repro.errors import ProtocolError, ServiceError
 from repro.service import protocol
-from repro.service.client import config_payload
 
 #: Re-open attempts per stream before it counts as failed.
 MAX_RETRIES = 8
@@ -127,7 +126,7 @@ async def _run_stream(
 ) -> None:
     sites, correct = _stream_data(seed, index, events, num_sites)
     open_msg = {"op": "open", "session": name, "num_sites": num_sites,
-                "resume": True, **config_payload(config)}
+                "resume": True, **config.to_dict()}
     attempts = 0
     while True:
         if attempts > MAX_RETRIES:

@@ -28,23 +28,6 @@ from repro.service import protocol
 DEFAULT_BATCH = 8192
 
 
-def config_payload(config: ProfilerConfig) -> dict:
-    """The open-frame fields describing a *resolved* profiler config."""
-    if config.slice_size is None:
-        raise ServiceError("streaming needs a resolved config (explicit slice_size)")
-    thresholds = config.thresholds
-    return {
-        "slice_size": int(config.slice_size),
-        "exec_threshold": int(config.exec_threshold) if config.exec_threshold is not None else None,
-        "mean_th": thresholds.mean_th,
-        "std_th": thresholds.std_th,
-        "pam_th": thresholds.pam_th,
-        "use_fir": config.use_fir,
-        "fir_cold_start": config.fir_cold_start,
-        "keep_series": config.keep_series,
-    }
-
-
 class StreamingClient:
     """One connection to a :class:`~repro.service.server.ProfilingServer`."""
 
@@ -119,12 +102,14 @@ class StreamingClient:
 
         ``reply["events"]`` is the number of events already folded into
         the server-side profiler — the index this client must continue
-        streaming from for an exact, gap-free stream.  ``meta`` tags the
-        session for warehouse ingestion on close (workload, input,
+        streaming from for an exact, gap-free stream.  The frame carries
+        ``config.to_dict()`` (``config`` needs an explicit slice_size); a
+        reattach or resume under a different config is refused.  ``meta``
+        tags the session for warehouse ingestion on close (workload, input,
         predictor, scale).
         """
         message = {"op": "open", "session": name, "num_sites": num_sites,
-                   "resume": resume, **config_payload(config)}
+                   "resume": resume, **config.to_dict()}
         if meta:
             message["meta"] = meta
         reply = self._checked(self._request(protocol.encode_control(message)))

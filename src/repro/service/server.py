@@ -12,8 +12,13 @@ never buffers more than one frame per connection.
 Robustness rules:
 
 * a malformed *payload* (bad JSON, bad counts, unknown op, site id out of
-  range) is rejected with an error reply and counted in
-  ``frames_rejected`` — it never kills the server or even the connection;
+  range, a profiler-config field of the wrong type) is rejected with an
+  error reply and counted in ``frames_rejected`` — it never kills the
+  server or even the connection;
+* the ``open`` frame carries the session's resolved
+  :class:`~repro.core.profiler2d.ProfilerConfig` as ``to_dict()`` fields
+  (decoded by ``from_dict``); a reattach or resume whose config differs
+  from the live or checkpointed session is refused;
 * a corrupt *header* means the byte stream cannot be re-synchronized, so
   only that connection is closed;
 * sessions idle past ``idle_timeout`` are checkpointed (when a checkpoint
@@ -38,7 +43,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
-from repro.core.stats import TestThresholds
 from repro.errors import ExperimentError, ProtocolError, ServiceError
 from repro.obs import get_tracer
 from repro.obs.logs import log_event
@@ -108,27 +112,19 @@ def _validate_meta(meta) -> dict:
     return dict(meta)
 
 
-def _config_from_message(message: dict) -> ProfilerConfig:
-    """Build the session's ProfilerConfig from validated open-frame fields."""
-    slice_size = message.get("slice_size")
-    if not isinstance(slice_size, int) or slice_size <= 0:
-        raise ServiceError("open requires a positive integer slice_size")
-    exec_threshold = message.get("exec_threshold")
-    if exec_threshold is not None and (not isinstance(exec_threshold, int) or exec_threshold < 0):
-        raise ServiceError("exec_threshold must be a non-negative integer")
-    mean_th = message.get("mean_th")
-    return ProfilerConfig(
-        slice_size=slice_size,
-        exec_threshold=exec_threshold,
-        thresholds=TestThresholds(
-            mean_th=float(mean_th) if mean_th is not None else None,
-            std_th=float(message.get("std_th", TestThresholds.std_th)),
-            pam_th=float(message.get("pam_th", TestThresholds.pam_th)),
-        ),
-        use_fir=bool(message.get("use_fir", True)),
-        fir_cold_start=bool(message.get("fir_cold_start", False)),
-        keep_series=bool(message.get("keep_series", False)),
-    )
+def _check_same_run(origin: str, name: str, profiler: TwoDProfiler,
+                    num_sites: int, config: ProfilerConfig) -> None:
+    """Refuse a reattach/resume whose open frame disagrees with the state."""
+    if profiler.num_sites != num_sites:
+        raise ServiceError(
+            f"{origin} {name!r} has num_sites={profiler.num_sites}, not {num_sites}"
+        )
+    ours, theirs = profiler.config.to_dict(), config.to_dict()
+    changed = [key for key in ours if ours[key] != theirs[key]]
+    if changed:
+        raise ServiceError(
+            f"{origin} {name!r} was opened with a different {', '.join(changed)}"
+        )
 
 
 class ProfilingServer:
@@ -368,15 +364,13 @@ class ProfilingServer:
         if not isinstance(num_sites, int) or num_sites <= 0:
             raise ServiceError("open requires a positive integer num_sites")
 
+        config = ProfilerConfig.from_dict(message)
+
         session = self._sessions.get(name)
         resumed = None
         if session is not None:
             # Reattach to live in-memory state (e.g. after a reconnect).
-            if session.profiler.num_sites != num_sites:
-                raise ServiceError(
-                    f"session {name!r} has num_sites={session.profiler.num_sites}, "
-                    f"not {num_sites}"
-                )
+            _check_same_run("session", name, session.profiler, num_sites, config)
             resumed = "memory"
         else:
             restored = None
@@ -384,18 +378,14 @@ class ProfilingServer:
                 restored = ckpt.load_checkpoint(self.checkpoint_dir, name)
             if restored is not None:
                 profiler, events = restored
-                if profiler.num_sites != num_sites:
-                    raise ServiceError(
-                        f"checkpoint for {name!r} has num_sites={profiler.num_sites}, "
-                        f"not {num_sites}"
-                    )
+                _check_same_run("checkpoint of", name, profiler, num_sites, config)
                 resumed = "checkpoint"
             else:
                 if len(self._sessions) >= self.limits.max_sessions:
                     raise ServiceError(
                         f"session limit {self.limits.max_sessions} reached"
                     )
-                profiler = TwoDProfiler(num_sites, _config_from_message(message))
+                profiler = TwoDProfiler(num_sites, config)
                 events = 0
             session = _Session(name, self._next_id, profiler, events,
                                meta=_validate_meta(message.get("meta")))

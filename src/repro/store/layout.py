@@ -66,23 +66,6 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def profiler_config_dict(config) -> dict:
-    """The stored (resolved) projection of a ProfilerConfig."""
-    if config.slice_size is None or config.exec_threshold is None:
-        raise StoreError("ingest requires a resolved ProfilerConfig "
-                         "(slice_size and exec_threshold set)")
-    thresholds = config.thresholds
-    return {
-        "slice_size": int(config.slice_size),
-        "exec_threshold": int(config.exec_threshold),
-        "use_fir": bool(config.use_fir),
-        "fir_cold_start": bool(config.fir_cold_start),
-        "mean_th": None if thresholds.mean_th is None else float(thresholds.mean_th),
-        "std_th": float(thresholds.std_th),
-        "pam_th": float(thresholds.pam_th),
-    }
-
-
 @dataclass
 class RunRecord:
     """One committed run: identity, provenance, and segment offsets."""
@@ -93,7 +76,7 @@ class RunRecord:
     predictor: str
     scale: float
     source: str                 # "experiment" | "service" | ...
-    config: dict                # resolved profiler config (see profiler_config_dict)
+    config: dict                # ProfilerConfig.to_dict() of the run
     num_sites: int
     n_slices: int
     overall_accuracy: float

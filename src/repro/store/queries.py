@@ -27,7 +27,7 @@ ever replayed.  Four query families:
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -112,11 +112,11 @@ class StoredRun:
     def thresholds(self, mean_th=..., std_th: float | None = None,
                    pam_th: float | None = None) -> TestThresholds:
         """The run's stored thresholds, with optional per-test overrides."""
-        config = self.record.config
+        stored = ProfilerConfig.from_dict(self.record.config).thresholds
         return TestThresholds(
-            mean_th=config["mean_th"] if mean_th is ... else mean_th,
-            std_th=config["std_th"] if std_th is None else std_th,
-            pam_th=config["pam_th"] if pam_th is None else pam_th,
+            mean_th=stored.mean_th if mean_th is ... else mean_th,
+            std_th=stored.std_th if std_th is None else std_th,
+            pam_th=stored.pam_th if pam_th is None else pam_th,
         )
 
     # -- columnar reads (all zero-copy memmap views) -------------------
@@ -218,23 +218,21 @@ class StoredRun:
         Rebuilds the dense raw (slice, site) accuracy matrix from the CSR
         slabs and feeds it through
         :func:`~repro.core.profiler2d.report_from_series` under the stored
-        profiler config, with the given threshold overrides.
+        profiler config (``pam_exact`` included), with the given threshold
+        overrides.  Records that predate the ``pam_exact``/``keep_series``
+        fields decode them as ``False``.
         """
         record = self.record
-        config = record.config
         sites, slice_idx, acc = self._entries()
         series = np.full((record.n_slices, record.num_sites), np.nan)
         series[slice_idx, sites] = acc
-        profiler_config = ProfilerConfig(
-            slice_size=config["slice_size"],
-            exec_threshold=config["exec_threshold"],
+        config = replace(
+            ProfilerConfig.from_dict(record.config),
             thresholds=self.thresholds(mean_th, std_th, pam_th),
-            use_fir=config["use_fir"],
-            fir_cold_start=config["fir_cold_start"],
             keep_series=True,
         )
         return report_from_series(series, self.slice_overall(),
-                                  record.overall_accuracy, profiler_config)
+                                  record.overall_accuracy, config)
 
     def all_stats(self) -> dict[int, BranchSliceStats]:
         """Stats for every profiled branch (a view over :meth:`report`)."""

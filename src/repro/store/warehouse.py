@@ -41,7 +41,6 @@ from repro.store.layout import (
     SegmentRecord,
     config_digest,
     csr_from_series,
-    profiler_config_dict,
 )
 from repro.store.manifest import load_manifest, manifest_commit
 from repro.store.queries import StoredRun
@@ -101,8 +100,8 @@ class ProfileWarehouse:
 
         ``report`` is a :class:`~repro.core.profiler2d.TwoDReport` produced
         with ``keep_series=True`` (the raw slice matrix is the stored
-        payload) and without the ``pam_exact`` ablation, which the stored
-        config cannot express.  ``sim`` optionally supplies the run's per-site
+        payload); its ``config.to_dict()`` is stored with the run and
+        digested into the dedupe key.  ``sim`` optionally supplies the run's per-site
         exec/correct counts (a :class:`~repro.predictors.simulate.SimulationResult`
         or anything with ``exec_counts``/``correct_counts``); without it
         the run cannot participate in ground-truth ``diff`` queries.
@@ -115,10 +114,7 @@ class ProfileWarehouse:
             raise StoreError(
                 "ingest needs the raw slice matrix; profile with keep_series=True"
             )
-        if report.config.pam_exact:
-            raise StoreError("pam_exact reports cannot be stored: stored runs "
-                             "refold with the running-mean NPAM")
-        config = profiler_config_dict(report.config)
+        config = report.config.to_dict()
         digest = config_digest(config)
         tracer = get_tracer()
         with tracer.span("store.ingest", cat="store", workload=workload,

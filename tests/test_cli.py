@@ -126,6 +126,13 @@ class TestStreamCommand:
             assert code == 0
             assert "paused" in out and "--resume" in out
 
+            # ...a resume under other thresholds is refused with an error...
+            code = main(["--scale", "0.03", "stream", "vortexish", "--port", port,
+                         "--session", "paused-run", "--resume", "--std-th", "0.08"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error:") and "std_th" in err
+
             # ...and --resume finishes it, still matching offline exactly.
             code, out = run_cli(
                 capsys, "--scale", "0.03", "stream", "vortexish",

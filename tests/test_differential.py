@@ -26,6 +26,7 @@ lockstep too.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from repro.core.profiler2d import (
     profile_trace,
     report_from_series,
 )
-from repro.core.stats import PAM_EPSILON, BranchSliceStats
+from repro.core.stats import PAM_EPSILON, BranchSliceStats, TestThresholds
 from repro.errors import VMError
 from repro.lang import compile_source
 from repro.obs import get_registry
@@ -506,19 +507,44 @@ def _paper_literal_fold(trace: BranchTrace, correct: np.ndarray,
     return stats
 
 
+def _paper_literal_verdicts(stats: list[BranchSliceStats], thresholds: TestThresholds,
+                            overall_accuracy: float) -> dict[int, tuple[bool, ...]]:
+    """Figure 9c transcribed over the Figure 9a variables: for every branch
+    with a qualifying slice, (MEAN, STD, PAM, (MEAN or STD) and PAM)."""
+    mean_th = overall_accuracy if thresholds.mean_th is None else thresholds.mean_th
+    verdicts = {}
+    for site, branch in enumerate(stats):
+        if branch.N == 0:
+            continue
+        mean = branch.SPA / branch.N
+        variance = branch.SSPA / branch.N - mean ** 2
+        std = math.sqrt(variance) if variance > 0.0 else 0.0
+        pam_fraction = branch.NPAM / branch.N
+        passed_mean = mean < mean_th
+        passed_std = std > thresholds.std_th
+        passed_pam = thresholds.pam_th <= pam_fraction <= 1.0 - thresholds.pam_th
+        verdicts[site] = (passed_mean, passed_std, passed_pam,
+                          (passed_mean or passed_std) and passed_pam)
+    return verdicts
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1),
        use_fir=st.booleans(),
        fir_cold_start=st.booleans(),
        pam_exact=st.booleans(),
        slices=st.integers(1, 12),
-       exec_threshold=st.integers(0, 2))
+       exec_threshold=st.integers(0, 2),
+       std_th=st.floats(0.0, 0.2),
+       pam_th=st.floats(0.0, 0.5))
 def test_profile_trace_matches_paper_literal_fold(
-        seed, use_fir, fir_cold_start, pam_exact, slices, exec_threshold):
+        seed, use_fir, fir_cold_start, pam_exact, slices, exec_threshold,
+        std_th, pam_th):
     """profile_trace's stats equal the literal Figure 9 fold bit for bit on
     traces of generated programs, cut into about ``slices`` slices — and so
     does report_from_series refolding the kept raw series (the stored-run
-    path)."""
+    path).  Its verdicts equal a literal Figure 9c over those stats, and
+    the config survives its to_dict/from_dict encoding."""
     program = compile_source(ProgramGenerator(seed).program(), name="fuzz")
     try:
         trace = capture_trace(program, InputSet.make("fuzz"), fuel=200_000)
@@ -526,13 +552,20 @@ def test_profile_trace_matches_paper_literal_fold(
         return  # a faulting program has no trace to profile
     config = ProfilerConfig(slice_size=max(1, len(trace) // slices),
                             exec_threshold=exec_threshold,
+                            thresholds=TestThresholds(std_th=std_th, pam_th=pam_th),
                             use_fir=use_fir, fir_cold_start=fir_cold_start,
                             pam_exact=pam_exact, keep_series=True)
+    assert ProfilerConfig.from_dict(config.to_dict()) == config
     sim = simulate(Gshare(history_bits=4), trace)
     report = profile_trace(trace, simulation=sim, config=config)
     literal = _paper_literal_fold(trace, sim.correct, config)
     assert report.stats == literal
     assert report.overall_accuracy == sim.overall_accuracy
+    verdicts = _paper_literal_verdicts(literal, config.thresholds, sim.overall_accuracy)
+    assert report.input_dependent_sites() == {
+        site for site, flags in verdicts.items() if flags[-1]}
+    assert {site: (v.passed_mean, v.passed_std, v.passed_pam, v.input_dependent)
+            for site, v in report.verdicts().items()} == verdicts
     if report.series is not None:  # an empty trace folds no slice
         stored = report_from_series(report.series, report.slice_overall,
                                     report.overall_accuracy, report.config)

@@ -3,9 +3,12 @@ detection behaviour on known synthetic phase structure, configuration
 resolution, and the Figure 8 time-series surface.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.stats import TestThresholds
 from repro.errors import ExperimentError
 from repro.core.profiler2d import (
     OnlineProfilerTool,
@@ -44,6 +47,43 @@ class TestConfigResolution:
     def test_pam_exact_forces_series(self):
         config = ProfilerConfig(slice_size=100, pam_exact=True).resolve(0)
         assert config.keep_series
+
+
+class TestConfigCodec:
+    def test_to_dict_is_the_resolved_json_projection(self):
+        encoded = ProfilerConfig(slice_size=1500, pam_exact=True).to_dict()
+        assert encoded == {
+            "slice_size": 1500, "exec_threshold": 4, "mean_th": None,
+            "std_th": 0.04, "pam_th": 0.05, "use_fir": True,
+            "fir_cold_start": False, "pam_exact": True, "keep_series": True,
+        }
+        assert json.loads(json.dumps(encoded)) == encoded
+
+    def test_to_dict_needs_slice_size(self):
+        with pytest.raises(ExperimentError, match="slice_size"):
+            ProfilerConfig().to_dict()
+
+    def test_from_dict_defaults_ignores_extras_accepts_numpy(self):
+        assert ProfilerConfig.from_dict({"op": "open", "session": "s"}) == ProfilerConfig()
+        decoded = ProfilerConfig.from_dict({
+            "slice_size": np.int64(700), "std_th": np.float64(0.1),
+            "pam_th": 0, "use_fir": np.bool_(False), "N": np.zeros(3),
+        })
+        assert decoded == ProfilerConfig(
+            slice_size=700, thresholds=TestThresholds(std_th=0.1, pam_th=0.0),
+            use_fir=False)
+        assert type(decoded.slice_size) is int and type(decoded.use_fir) is bool
+
+    @pytest.mark.parametrize("key, value", [
+        ("slice_size", True), ("slice_size", 2.5), ("slice_size", 0),
+        ("exec_threshold", -1), ("exec_threshold", np.bool_(True)),
+        ("mean_th", [1]), ("std_th", "abc"), ("std_th", False),
+        ("pam_th", None), ("use_fir", "no"), ("use_fir", 1),
+        ("keep_series", None),
+    ])
+    def test_from_dict_rejects_bad_fields(self, key, value):
+        with pytest.raises(ExperimentError, match=key):
+            ProfilerConfig.from_dict({key: value})
 
 
 class TestDetection:

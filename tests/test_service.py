@@ -14,6 +14,7 @@ Three layers:
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import struct
 import time
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler, profile_trace
+from repro.core.stats import TestThresholds
 from repro.errors import ProtocolError, ServiceError
 from repro.predictors import make_predictor, simulate
 from repro.service import checkpoint as ckpt
@@ -307,6 +309,18 @@ class TestEndToEnd:
                 assert outcome.completed
                 assert client.query("run")["report"] == offline
                 assert client.stats()["frames_rejected"] >= 1
+                # Open frames whose config fields have the wrong type are
+                # refused with a reply, not a dropped connection.
+                base = {"op": "open", "session": "bad",
+                        "num_sites": trace.num_sites, **config.to_dict()}
+                bad_fields = [("std_th", "abc"), ("mean_th", [1]), ("pam_th", None),
+                              ("use_fir", "no"), ("slice_size", True)]
+                for key, value in bad_fields:
+                    rejected = client.stats()["frames_rejected"]
+                    reply = client._request(protocol.encode_control({**base, key: value}))
+                    assert reply["ok"] is False and key in reply["error"]
+                    assert client.stats()["frames_rejected"] == rejected + 1
+                    assert client.ping()["ok"]
         finally:
             server.drain()
 
@@ -405,6 +419,80 @@ class TestEndToEnd:
                 reply = client.open_session("run", trace.num_sites, config)
                 assert reply["resumed"] == "memory" and reply["events"] == 3000
                 client.send_events("run", trace.sites[3000:], sim.correct[3000:])
+                assert client.query("run")["report"] == offline
+        finally:
+            server.drain()
+
+    def test_reattach_with_other_config_rejected(self, tmp_path, stream_data):
+        trace, sim, config, offline = stream_data
+        server = _start_server(tmp_path)
+        try:
+            with StreamingClient("127.0.0.1", server.port) as client:
+                client.open_session("run", trace.num_sites, config)
+                client.send_events("run", trace.sites[:3000], sim.correct[:3000])
+            with StreamingClient("127.0.0.1", server.port) as client:
+                other = dataclasses.replace(
+                    config, thresholds=TestThresholds(std_th=0.08))
+                with pytest.raises(ServiceError, match="std_th"):
+                    client.open_session("run", trace.num_sites, other)
+                # The live session is untouched and still reattaches.
+                reply = client.open_session("run", trace.num_sites, config)
+                assert reply["resumed"] == "memory" and reply["events"] == 3000
+                client.send_events("run", trace.sites[3000:], sim.correct[3000:])
+                assert client.query("run")["report"] == offline
+        finally:
+            server.drain()
+
+    def test_resume_with_other_config_rejected(self, tmp_path, stream_data):
+        trace, sim, config, offline = stream_data
+        server = _start_server(tmp_path)
+        with StreamingClient("127.0.0.1", server.port) as client:
+            client.open_session("run", trace.num_sites, config)
+            client.send_events("run", trace.sites[:5000], sim.correct[:5000])
+        server.drain()
+
+        server = _start_server(tmp_path)
+        try:
+            with StreamingClient("127.0.0.1", server.port) as client:
+                other = dataclasses.replace(config, pam_exact=True)
+                with pytest.raises(ServiceError, match="pam_exact"):
+                    client.open_session("run", trace.num_sites, other, resume=True)
+                assert client.stats()["active_sessions"] == 0
+                # The checkpoint survives the refusal.
+                reply = client.open_session("run", trace.num_sites, config, resume=True)
+                assert reply["resumed"] == "checkpoint" and reply["events"] == 5000
+                client.send_events("run", trace.sites[5000:], sim.correct[5000:])
+                assert client.query("run")["report"] == offline
+        finally:
+            server.drain()
+
+    @pytest.mark.parametrize("pam_exact", [False, True], ids=["running-mean", "pam-exact"])
+    def test_ablation_config_streams_bit_identical(self, tmp_path, stream_data, pam_exact):
+        """The whole config reaches the server: straight and across a
+        checkpoint, an abort and a resume, the report equals offline."""
+        trace, sim, base, _offline = stream_data
+        config = dataclasses.replace(base, pam_exact=pam_exact)
+        offline = serialize_report(profile_trace(trace, simulation=sim, config=config))
+        server = _start_server(tmp_path)
+        with StreamingClient("127.0.0.1", server.port) as client:
+            stream_simulation(client, "straight", trace.sites, sim.correct, config,
+                              batch_size=997, num_sites=trace.num_sites)
+            assert client.close_session("straight")["report"] == offline
+            outcome = stream_simulation(
+                client, "run", trace.sites, sim.correct, config,
+                batch_size=500, stop_after=4000, num_sites=trace.num_sites,
+            )
+            assert not outcome.completed
+        server.abort()
+
+        server = _start_server(tmp_path)
+        try:
+            with StreamingClient("127.0.0.1", server.port) as client:
+                outcome = stream_simulation(
+                    client, "run", trace.sites, sim.correct, config,
+                    batch_size=800, resume=True, num_sites=trace.num_sites,
+                )
+                assert outcome.resumed_from == 4000
                 assert client.query("run")["report"] == offline
         finally:
             server.drain()

@@ -11,6 +11,7 @@ segment files) is asserted directly on the returned arrays.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -110,16 +111,38 @@ class TestIngest:
             warehouse.ingest(report, workload=WORKLOAD, input_name="train",
                              predictor="gshare")
 
-    def test_ingest_rejects_pam_exact(self, warehouse, runner):
-        """A pam_exact report would be refolded with the running-mean NPAM
-        (and share a plain run's config digest), so ingest refuses it."""
+    def test_pam_exact_run_round_trips(self, warehouse, runner, artifacts):
+        """A stored pam_exact run records the ablation and refolds with it,
+        and gets its own digest instead of deduping into the plain run."""
         report = runner.profile_2d(WORKLOAD, "gshare",
                                    config=ProfilerConfig(pam_exact=True))
-        assert report.series is not None
-        with pytest.raises(StoreError, match="pam_exact"):
-            warehouse.ingest(report, workload=WORKLOAD, input_name="train",
-                             predictor="gshare")
-        assert warehouse.runs() == []
+        run_id = warehouse.ingest(report, workload=WORKLOAD, input_name="train",
+                                  predictor="gshare")
+        stored = warehouse.open_run(run_id)
+        assert stored.record.config["pam_exact"] is True
+        assert serialize_report(stored.report()) == serialize_report(report)
+        plain, _sim = artifacts["train"]
+        assert serialize_report(plain) != serialize_report(report)
+        plain_id = warehouse.ingest(plain, workload=WORKLOAD, input_name="train",
+                                    predictor="gshare")
+        assert plain_id != run_id
+        assert warehouse.open_run(plain_id).record.config["pam_exact"] is False
+
+    def test_seven_key_record_refolds_identically(self, stocked, artifacts):
+        """Records written before the config stored pam_exact/keep_series
+        open and refold exactly as before (both decode as False)."""
+        warehouse, ids = stocked
+        report, _sim = artifacts["train"]
+        data = json.loads(warehouse.manifest_path.read_text())
+        config = data["runs"][ids["train"]]["config"]
+        del config["pam_exact"], config["keep_series"]
+        assert sorted(config) == ["exec_threshold", "fir_cold_start", "mean_th",
+                                  "pam_th", "slice_size", "std_th", "use_fir"]
+        warehouse.manifest_path.write_text(json.dumps(data))
+        refolded = warehouse.open_run(ids["train"]).report()
+        assert serialize_report(refolded) == serialize_report(report)
+        assert refolded.config == report.config
+        np.testing.assert_array_equal(refolded.series, report.series)
 
     def test_find_honors_key_and_scale(self, stocked):
         warehouse, ids = stocked
