@@ -10,9 +10,11 @@ predictions, per-site counts — and the per-kind speedups land in
 snapshots track replay throughput, not just wall time.
 
 The summary bench asserts the acceptance floor: at least three kinds at
->= 2x over the reference loop.  TAGE is allowed to be modest — its
-allocation walk is still sequential; only index/tag/folded-history
-precompute is vectorized.
+>= 2x over the reference loop, and the per-kind floors in
+:data:`KIND_FLOORS` (the perceptron's speculate-and-verify kernel must
+stay >= 3x).  TAGE is allowed to be modest — its allocation walk
+is still sequential; only index/tag/folded-history precompute is
+vectorized.
 
 ``REPRO_BENCH_REPLAY_EVENTS`` sizes the trace (default 200k dynamic
 branches).
@@ -48,6 +50,9 @@ KINDS = [
     ("perceptron", lambda: Perceptron()),
     ("tage", lambda: Tage()),
 ]
+
+#: Minimum speedup over the reference loop for individual kinds.
+KIND_FLOORS = {"perceptron": 3.0}
 
 _EVENTS = int(os.environ.get("REPRO_BENCH_REPLAY_EVENTS", "200000"))
 _NUM_SITES = 256
@@ -134,11 +139,15 @@ def bench_replay_speedup_summary(archive, bench_extras):
                      f"{events / vec_s:13.0f}")
     archive("vectorized_replay", "\n".join(lines))
 
-    fast = [kind for kind, _, _, _, speedup in _ROWS if speedup >= 2.0]
+    speedups = {kind: round(s, 2) for kind, _, _, _, s in _ROWS}
+    fast = [kind for kind, speedup in speedups.items() if speedup >= 2.0]
     bench_extras.update({
         "kinds_at_2x": sorted(fast),
-        "speedups": {kind: round(s, 2) for kind, _, _, _, s in _ROWS},
+        "speedups": speedups,
     })
     assert len(fast) >= 3, (
         f"acceptance floor: >= 3 kinds at >= 2x, got {fast}"
     )
+    slow = {kind: speedups[kind] for kind, floor in KIND_FLOORS.items()
+            if speedups[kind] < floor}
+    assert not slow, f"per-kind floors {KIND_FLOORS} missed: {slow}"

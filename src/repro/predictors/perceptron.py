@@ -22,8 +22,11 @@ class Perceptron(Predictor):
             raise ValueError("num_entries must be >= 1")
         if history_bits < 1:
             raise ValueError("history_bits must be >= 1")
+        if weight_bits < 2:
+            raise ValueError("weight_bits must be >= 2")
         self.num_entries = num_entries
         self.history_bits = history_bits
+        self.weight_bits = weight_bits
         self.theta = int(1.93 * history_bits + 14)
         self.weight_max = (1 << (weight_bits - 1)) - 1
         self.weight_min = -(1 << (weight_bits - 1))
@@ -56,8 +59,8 @@ class Perceptron(Predictor):
         return {"weights": self.weights.copy(), "history": self.history.copy()}
 
     def describe(self) -> str:
-        bytes_ = self.num_entries * (self.history_bits + 1)
+        bytes_ = self.num_entries * (self.history_bits + 1) * self.weight_bits // 8
         return (
             f"perceptron, {self.num_entries} entries x {self.history_bits}-bit history "
-            f"({bytes_ // 1024} KB of 8-bit weights), theta={self.theta}"
+            f"({bytes_ // 1024} KB of {self.weight_bits}-bit weights), theta={self.theta}"
         )

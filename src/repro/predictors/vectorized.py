@@ -36,12 +36,25 @@ it.  That covers most of the zoo:
   all entries at once.
 * **perceptron** — predictions do feed back into *when* weights train,
   but only within one table entry, and the ±1 history matrix is pure
-  trace data (a sliding window over the outcome signs).  Per entry the
-  replay runs a blocked integer matmul: compute ``y`` for a whole block
-  of that entry's branches with the current weight vector, find the first
-  branch that trains (misprediction or ``|y| <= theta``), apply that one
-  integer-exact update, and resume after it.  All arithmetic is int64 —
-  no rounding anywhere — so the weight stream is bit-identical.
+  trace data (a sliding window over the outcome signs).  In signed-row
+  form ``r_k = s_k * [1, h_k]`` (``s_k`` the ±1 outcome sign) the margin
+  ``m_k = r_k . w`` trains event *k* iff ``m_k <= theta`` (exactly
+  "mispredicted or ``|y| <= theta``"), a training step is
+  ``w <- clip(w + r_k)``, and the prediction is ``s_k * m_k >= 0``.  Per
+  entry, growing clean blocks (64 doubling to 1024 events) cost one
+  matvec each.  At the first training event a speculative block of up
+  to 64 events opens: with ``G = strict_lower(R R^T)``, the unclipped
+  margins for a train mask ``u`` are ``base + G u``, and the kernel
+  iterates ``u <- (base + G u <= theta)`` until it stops changing.
+  Event *k* depends only on the bits before it, so each pass fixes at
+  least one more prefix event, and the only fixed point is the true
+  mask.  A cumulative sum of ``u * R`` then finds the first event whose
+  update leaves the weight range: it ends the block, and its update is
+  ``np.clip`` of its unclipped row (every event before it never
+  clipped, so it was exact).  A block that clips within its first 16
+  events marks a saturation-dense stretch, stepped exactly for the next
+  64 events.  All values are small integers, so float64 BLAS rounds
+  nothing and the weight stream is bit-identical.
 * **tage** — the tagged-table *contents* evolve with allocation decisions
   that depend on predictions, so the table walk stays a sequential loop;
   but the expensive per-branch folded-history maintenance is pure trace
@@ -469,6 +482,12 @@ def _replay_loop(predictor: LoopPredictor, sites: np.ndarray, outcomes: np.ndarr
     return predictions
 
 
+#: Longest speculative perceptron block, and its strictly-lower mask:
+#: event k's margin sees the updates of events j < k only.
+_PERCEPTRON_BLOCK = 64
+_STRICT_LOWER = np.tri(_PERCEPTRON_BLOCK, k=-1)
+
+
 def _replay_perceptron(predictor: Perceptron, sites: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     n = int(sites.size)
     h = predictor.history_bits
@@ -480,68 +499,103 @@ def _replay_perceptron(predictor: Perceptron, sites: np.ndarray, outcomes: np.nd
     keys = sites.astype(np.int64) % predictor.num_entries
     order = np.argsort(keys, kind="stable")
     key_sorted = keys[order]
-    taken = outcomes.astype(bool)
     theta = predictor.theta
     weight_min, weight_max = predictor.weight_min, predictor.weight_max
+    upper = np.full(h + 1, float(weight_max))
+    lower = np.full(h + 1, float(weight_min))
     predictions = np.zeros(n, dtype=np.uint8)
     starts, stops = _segments(key_sorted)
     for begin, end in zip(starts.tolist(), stops.tolist()):
         entry = int(key_sorted[begin])
         rows = order[begin:end]
         m = end - begin
-        weights = predictor.weights[entry].astype(np.int64)
-        bias, taps = weights[0], weights[1:]
-        entry_taken = taken[rows]
-        # One gather + widening per entry; the loops below slice
-        # contiguous views out of it instead of re-converting.
-        entry_matrix = matrix[rows].astype(np.int64)
-        taken_list = entry_taken.tolist()
-        out = np.empty(m, dtype=np.uint8)
-        bias = int(bias)
+        # Signed rows r_k = s_k * [1, h_k]: the margin r_k . w is the
+        # outcome-signed output, and a training step is w <- clip(w + r_k).
+        entry_signs = signs[rows].astype(np.float64)
+        signed = np.empty((m, h + 1))
+        signed[:, 0] = 1.0
+        signed[:, 1:] = matrix[rows]
+        signed *= entry_signs[:, None]
+        weights = predictor.weights[entry].astype(np.float64)
+        margins = np.empty(m)
         pos = 0
-        block = 16
-        streak = 8  # Clean events since the last training event.
+        block = 64
+        step_until = 0
         while pos < m:
-            if streak < 8:
-                # Training-dense regime: a blocked matmul would advance
-                # one event per ~8 numpy calls here, slower than the
-                # plain loop.  Step scalar until the entry quiets down.
-                row = entry_matrix[pos]
-                y = bias + int(row @ taps)
-                predicted = y >= 0
-                out[pos] = predicted
-                if predicted != taken_list[pos] or abs(y) <= theta:
-                    sign = 1 if taken_list[pos] else -1
-                    bias = min(weight_max, max(weight_min, bias + sign))
-                    np.clip(taps + sign * row, weight_min, weight_max, out=taps)
-                    streak = 0
-                else:
-                    streak += 1
+            if pos < step_until:
+                row = signed[pos]
+                margin = row.dot(weights)
+                margins[pos] = margin
+                if margin <= theta:
+                    # In-place minimum/maximum: about half np.clip's
+                    # per-call cost on a vector this short.
+                    weights += row
+                    np.minimum(weights, upper, out=weights)
+                    np.maximum(weights, lower, out=weights)
                 pos += 1
                 continue
             take = min(block, m - pos)
-            y = bias + entry_matrix[pos:pos + take] @ taps
-            predicted = y >= 0
-            trains = (predicted != entry_taken[pos:pos + take]) | (np.abs(y) <= theta)
-            hit = int(np.argmax(trains)) if trains.any() else -1
-            if hit < 0:
+            scan = signed[pos:pos + take].dot(weights)
+            trains = scan <= theta
+            hit = int(trains.argmax())
+            if not trains[hit]:
                 # A clean block means the weights are stable; grow the
-                # window so long quiet stretches cost one matmul each.
-                out[pos:pos + take] = predicted
+                # window so long quiet stretches cost one matvec each.
+                margins[pos:pos + take] = scan
                 pos += take
                 block = min(block * 2, 1024)
                 continue
-            out[pos:pos + hit + 1] = predicted[:hit + 1]
-            sign = 1 if taken_list[pos + hit] else -1
-            bias = min(weight_max, max(weight_min, bias + sign))
-            np.clip(taps + sign * entry_matrix[pos + hit],
-                    weight_min, weight_max, out=taps)
-            pos += hit + 1
-            block = 16
-            streak = hit
-        predictions[rows] = out
-        weights[0] = bias
-        predictor.weights[entry] = weights
+            margins[pos:pos + hit] = scan[:hit]
+            pos += hit
+            block = 64
+
+            # Speculative block from the first training event: iterate the
+            # train mask u <- (base + G u <= theta) to its fixed point.
+            take = min(_PERCEPTRON_BLOCK, m - pos)
+            rows_b = signed[pos:pos + take]
+            base = scan[hit:hit + take]
+            if base.size < take:
+                base = np.concatenate([base, signed[pos + base.size:pos + take].dot(weights)])
+            # ndarray.dot skips matmul's dispatch overhead on these tiny
+            # operands, and the contiguous copy keeps BLAS off its slower
+            # A·Aᵀ path.
+            gram = rows_b.dot(rows_b.T.copy())
+            gram *= _STRICT_LOWER[:take, :take]
+            limit = theta - base
+            train = limit >= 0
+            while True:
+                shift = gram.dot(train)
+                again = shift <= limit
+                if again.tobytes() == train.tobytes():  # cheapest exact compare
+                    break
+                train = again
+            trained = int(np.count_nonzero(train))
+            if weights.max() + trained <= weight_max and weights.min() - trained >= weight_min:
+                # No column can move far enough to clip.
+                margins[pos:pos + take] = base + shift
+                weights = weights + train.dot(rows_b)
+                pos += take
+                continue
+            # The first event whose unclipped update leaves the weight
+            # range ends the block; everything up to it was exact.
+            path = np.cumsum(rows_b * train[:, None], axis=0)
+            path += weights
+            clipped = ((path > weight_max) | (path < weight_min)).any(axis=1)
+            k = int(clipped.argmax())
+            if clipped[k]:
+                margins[pos:pos + k + 1] = base[:k + 1] + shift[:k + 1]
+                weights = np.clip(path[k], weight_min, weight_max)
+                if k < 16:
+                    # Saturation-dense: a block here settles fewer events
+                    # than it costs, so step the next 64 exactly.
+                    step_until = pos + k + 1 + 64
+                pos += k + 1
+            else:
+                margins[pos:pos + take] = base + shift
+                weights = path[-1].copy()
+                pos += take
+        predictions[rows] = entry_signs * margins >= 0
+        predictor.weights[entry] = weights.astype(np.int32)
     predictor.history = extended[n:n + h].astype(np.int32).copy()
     return predictions
 
@@ -777,8 +831,8 @@ def try_simulate_vectorized(predictor, trace: BranchTrace, reset: bool = True):
                        "wall time of one vectorized replay").labels(
                            kind=kind).observe(elapsed)
     registry.gauge("replay_events_per_second",
-                   "throughput of the most recent vectorized replay").set(
-                       round(events_per_sec, 1))
+                   "throughput of the most recent vectorized replay").labels(
+                       kind=kind).set(round(events_per_sec, 1))
 
     exec_counts = np.bincount(trace.sites, minlength=trace.num_sites).astype(np.int64)
     correct_counts = np.bincount(

@@ -41,7 +41,8 @@ from repro.core.profiler2d import (
 from repro.core.stats import PAM_EPSILON, BranchSliceStats, TestThresholds
 from repro.errors import VMError
 from repro.lang import compile_source
-from repro.obs import get_registry
+from repro.obs import get_registry, set_registry
+from repro.obs.metrics import Registry
 from repro.predictors import (
     AlwaysNotTaken,
     AlwaysTaken,
@@ -200,6 +201,7 @@ PREDICTOR_CONFIGS = [
     ("loop", lambda: LoopPredictor(num_entries=64, confidence_threshold=3)),
     ("perceptron-tiny", lambda: Perceptron(num_entries=16, history_bits=8)),
     ("perceptron-paper", lambda: Perceptron()),
+    ("perceptron-saturating", lambda: Perceptron(num_entries=8, history_bits=12, weight_bits=4)),
     ("tage-tiny", lambda: Tage(num_tables=3, table_bits=4, tag_bits=5,
                                min_history=2, max_history=12)),
     ("tage", lambda: Tage()),
@@ -398,6 +400,21 @@ def test_stock_kinds_never_fall_back():
         for name, factory in PREDICTOR_CONFIGS:
             simulate(factory(), trace)
             assert _fallbacks().total() == before, f"{name} fell back on {family}"
+
+
+def test_replay_throughput_gauge_is_per_kind():
+    """gshare and perceptron replays alternate in a report; each kind keeps
+    its own throughput gauge instead of overwriting one shared value."""
+    trace = random_trace(11)
+    previous = set_registry(Registry())
+    try:
+        simulate(Gshare(history_bits=6), trace)
+        simulate(Perceptron(num_entries=16, history_bits=8), trace)
+        gauge = get_registry().snapshot()["replay_events_per_second"]
+    finally:
+        set_registry(previous)
+    assert set(gauge["labels"]) == {'kind="Gshare"', 'kind="Perceptron"'}
+    assert all(child["value"] > 0 for child in gauge["labels"].values())
 
 
 # ----------------------------------------------------------------------

@@ -196,6 +196,18 @@ class TestPerceptron:
         assert predictor.weights.max() <= 7
         assert predictor.weights.min() >= -8
 
+    @pytest.mark.parametrize("kwargs", [
+        {"num_entries": 0}, {"history_bits": 0}, {"weight_bits": 1}, {"weight_bits": 0},
+    ])
+    def test_rejects_bad_geometry(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            Perceptron(**kwargs)
+
+    def test_describe_reports_weight_width(self):
+        assert "(16 KB of 8-bit weights)" in paper_perceptron().describe()
+        assert "(8 KB of 4-bit weights)" in Perceptron(weight_bits=4).describe()
+
     def test_reset(self):
         predictor = Perceptron(num_entries=8, history_bits=4)
         predictor.predict_and_update(0, 1)

@@ -295,3 +295,43 @@ def test_perceptron_integer_weight_replay(data):
     np.testing.assert_array_equal(ref.correct, vec.correct)
     np.testing.assert_array_equal(ref_pred.weights, vec_pred.weights)
     np.testing.assert_array_equal(ref_pred.history, vec_pred.history)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weight_bits=st.integers(3, 8),
+    num_entries=st.integers(1, 4),
+    history_bits=st.integers(2, 40),
+    main_events=st.integers(200, 400),
+    other_events=st.integers(0, 200),
+    taken_rate=st.sampled_from([0.5, 0.9, 0.99, 1.0]),
+    cut_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_perceptron_saturating_chained_replay(weight_bits, num_entries, history_bits,
+                                              main_events, other_events, taken_rate,
+                                              cut_fraction, seed):
+    """Narrow weights saturate: blocks that end at a clip, and the exact
+    stepping after them, match the reference loop across a reset=False cut.
+    One entry sees >= 200 events, so its stream crosses the 64-event block."""
+    rng = np.random.default_rng(seed)
+    sites = np.concatenate([
+        np.zeros(main_events, dtype=np.int32),
+        rng.integers(1, 8, size=other_events).astype(np.int32),
+    ])
+    sites = sites[rng.permutation(sites.size)]
+    outcomes = (rng.random(sites.size) < taken_rate).astype(np.uint8)
+    trace = BranchTrace(program="p", input_name="i", num_sites=int(sites.max()) + 1,
+                        sites=sites, outcomes=outcomes)
+    cut = int(cut_fraction * len(trace))
+
+    ref_pred = Perceptron(num_entries, history_bits, weight_bits)
+    vec_pred = Perceptron(num_entries, history_bits, weight_bits)
+    for start, stop, reset in [(0, cut, True), (cut, len(trace), False)]:
+        fragment = trace.slice_view(start, stop)
+        ref = simulate_reference(ref_pred, fragment, reset=reset)
+        vec = try_simulate_vectorized(vec_pred, fragment, reset=reset)
+        assert vec is not None
+        np.testing.assert_array_equal(ref.correct, vec.correct)
+        np.testing.assert_array_equal(ref_pred.weights, vec_pred.weights)
+        np.testing.assert_array_equal(ref_pred.history, vec_pred.history)
