@@ -17,7 +17,7 @@ from pathlib import Path
 from conftest import once
 
 from repro.core.profiler2d import ProfilerConfig
-from repro.store import ProfileWarehouse, diff_runs, reclassify
+from repro.store import IngestRun, ProfileWarehouse, diff_runs, reclassify
 from repro.workloads import deep_workloads
 
 _KEEP = ProfilerConfig(keep_series=True)
@@ -34,9 +34,8 @@ def _stocked(runner) -> ProfileWarehouse:
             report = runner.profile_2d(workload.name, "gshare",
                                        input_name=input_name, config=_KEEP)
             sim = runner.simulation(workload.name, input_name, "gshare")
-            warehouse.ingest(report, workload=workload.name,
-                             input_name=input_name, predictor="gshare",
-                             scale=runner.config.scale, sim=sim)
+            warehouse.ingest([IngestRun(report, workload.name, input_name, "gshare",
+                                        scale=runner.config.scale, sim=sim)])
     return warehouse
 
 

@@ -637,24 +637,26 @@ def _open_store(args: argparse.Namespace, create: bool = False):
 def _cmd_db_ingest(args: argparse.Namespace) -> int:
     import dataclasses
 
+    from repro.store import IngestRun
+
     warehouse = _open_store(args, create=True)
     runner = _make_runner(args)
     config = dataclasses.replace(runner.config.profiler, keep_series=True)
     _prefetch(runner, [(args.workload, name, args.predictor) for name in args.inputs])
-    for input_name in args.inputs:
-        report = runner.profile_2d(args.workload, args.predictor,
-                                   input_name=input_name, config=config)
-        sim = runner.simulation(args.workload, input_name, args.predictor)
-        run_id = warehouse.ingest(
-            report,
-            workload=args.workload,
-            input_name=input_name,
-            predictor=args.predictor,
-            scale=args.scale,
-            sim=sim,
+    batch = [
+        IngestRun(
+            runner.profile_2d(args.workload, args.predictor,
+                              input_name=input_name, config=config),
+            args.workload, input_name, args.predictor, scale=args.scale,
+            sim=runner.simulation(args.workload, input_name, args.predictor),
             source="cli",
         )
-        record = warehouse.manifest().runs[run_id]
+        for input_name in args.inputs
+    ]
+    run_ids = warehouse.ingest(batch)
+    records = warehouse.manifest().runs
+    for input_name, run_id in zip(args.inputs, run_ids):
+        record = records[run_id]
         print(f"{run_id}: {args.workload}/{input_name} {args.predictor} "
               f"scale={args.scale:g} slices={record.n_slices} rows={record.entry_count}")
     return 0
@@ -775,7 +777,8 @@ def _cmd_db_bisect(args: argparse.Namespace) -> int:
         from repro.sweep import population_report_from_store
 
         population = population_report_from_store(
-            warehouse, args.population, std_th=args.std_th, pam_th=args.pam_th)
+            warehouse, args.population, std_th=args.std_th, pam_th=args.pam_th,
+            predictor=args.predictor)
         conforming, deviant = population.extremes()
         good, bad = conforming.run_id, deviant.run_id
         print(f"population {args.population}: seeding bisection from its extremes\n"
@@ -840,7 +843,8 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
 
     warehouse = _open_store(args)
     report = population_report_from_store(
-        warehouse, args.population, std_th=args.std_th, pam_th=args.pam_th)
+        warehouse, args.population, std_th=args.std_th, pam_th=args.pam_th,
+        predictor=args.predictor)
     if args.out:
         path = report.write(args.out)
         print(f"wrote {path}", file=sys.stderr)
@@ -1099,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = db.add_parser("ingest", help="profile a workload and store the run(s)")
     p.add_argument("workload")
     p.add_argument("--inputs", nargs="+", default=["train"],
-                   help="input names to profile and store (default: train)")
+                   help="input names to profile and store as one batch (default: train)")
     p.add_argument("--predictor", default="gshare")
     add_store(p)
     add_thresholds(p)
@@ -1172,6 +1176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", default=None, metavar="TAG",
                    help="seed GOOD/BAD from a stored sweep population's "
                         "most/least consensus-conforming lanes")
+    p.add_argument("--predictor", default=None,
+                   help="with --population: the predictor whose lanes to read "
+                        "(default: the population's only one)")
     p.add_argument("--state", default=None, metavar="FILE",
                    help="resumable bisection state "
                         "(default <store>/triage/bisect_<good>_<bad>.json)")
@@ -1218,6 +1225,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="verdict stability of a stored population across its lanes")
     p.add_argument("population", metavar="TAG",
                    help="population tag printed by `sweep run`")
+    p.add_argument("--predictor", default=None,
+                   help="the predictor whose lanes to read "
+                        "(default: the population's only one)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="also write the machine-readable population report")
     p.add_argument("--json", action="store_true",

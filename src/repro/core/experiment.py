@@ -296,15 +296,12 @@ class ExperimentRunner:
             config = dataclasses.replace(config, keep_series=True)
         report = profile_trace(trace, simulation=sim, config=config)
         if self.config.warehouse_dir is not None:
-            self.warehouse.ingest(
-                report,
-                workload=workload,
-                input_name=input_name,
-                predictor=predictor,
-                scale=self.config.scale,
-                sim=sim,
-                source="experiment",
-            )
+            from repro.store import IngestRun
+
+            self.warehouse.ingest([IngestRun(
+                report, workload, input_name, predictor,
+                scale=self.config.scale, sim=sim, source="experiment",
+            )])
         return report
 
     def ground_truth(

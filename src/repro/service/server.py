@@ -492,16 +492,18 @@ class ProfilingServer:
             log.info("session %r closed without keep_series; not ingested",
                      session.name)
             return None
+        from repro.store import IngestRun
+
         meta = session.meta
         try:
-            run_id = self.warehouse.ingest(
+            [run_id] = self.warehouse.ingest([IngestRun(
                 report,
                 workload=str(meta.get("workload", session.name)),
                 input_name=str(meta.get("input", "live")),
                 predictor=str(meta.get("predictor", "stream")),
                 scale=float(meta.get("scale", 1.0)),
                 source="service",
-            )
+            )])
         except Exception as exc:
             from repro.errors import StoreError
 

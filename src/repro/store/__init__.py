@@ -2,11 +2,13 @@
 
 Public surface::
 
-    from repro.store import ProfileWarehouse, diff_runs, join_runs, reclassify
+    from repro.store import IngestRun, ProfileWarehouse, diff_runs, reclassify
 
     wh = ProfileWarehouse("~/.cache/repro-2dprof/warehouse")
-    run_id = wh.ingest(report, workload="gzipish", input_name="train",
-                       predictor="gshare", sim=sim)
+    run_id, other = wh.ingest([          # one batch: one segment, one commit
+        IngestRun(report, "gzipish", "train", "gshare", sim=sim),
+        IngestRun(ref_report, "gzipish", "ref", "gshare", sim=ref_sim),
+    ])
     run = wh.open_run(run_id)
     slices, acc = run.site_series(17)          # memmap slab, zero copy
     truth = diff_runs(run, [wh.open_run(other)])
@@ -22,6 +24,7 @@ See ``docs/warehouse.md``.
 
 from repro.store.layout import (
     STORE_VERSION,
+    IngestRun,
     RunRecord,
     SegmentRecord,
     config_digest,
@@ -40,6 +43,7 @@ from repro.store.warehouse import CompactStats, GcStats, ProfileWarehouse
 
 __all__ = [
     "STORE_VERSION",
+    "IngestRun",
     "RunRecord",
     "SegmentRecord",
     "config_digest",

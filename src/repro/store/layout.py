@@ -19,9 +19,10 @@ predictor / profiler-config digest) is stored **columnar by branch**: the
 qualifying per-slice accuracies of one branch are a contiguous slab of
 ``acc.npy`` (CSR layout, ``indptr`` delimiting sites), so retrieving one
 branch's time-series from a memmap touches only that slab — never the
-whole segment.  A segment holds one run when freshly ingested; compaction
-rewrites many runs into one segment, concatenating the arrays and
-re-pointing each run's offsets.
+whole segment.  A segment holds one ingest batch (one run for a single
+ingest, a whole population for a sweep); compaction rewrites every run
+into one segment, concatenating the arrays and re-pointing each run's
+offsets.
 
 Only the manifest makes data visible: a segment directory not referenced
 by ``manifest.json`` is garbage by definition (a crashed ingest), which is
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +67,24 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class IngestRun:
+    """One run handed to :meth:`~repro.store.ProfileWarehouse.ingest`.
+
+    ``report`` is a :class:`~repro.core.profiler2d.TwoDReport` profiled
+    with ``keep_series=True``; ``sim`` optionally supplies the per-site
+    exec/correct counts (anything with ``exec_counts``/``correct_counts``).
+    """
+
+    report: object
+    workload: str
+    input_name: str
+    predictor: str
+    scale: float = 1.0
+    sim: object = None
+    source: str = "experiment"
+
+
 @dataclass
 class RunRecord:
     """One committed run: identity, provenance, and segment offsets."""
@@ -97,7 +116,9 @@ class RunRecord:
         return config_digest(self.config)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        data = dict(vars(self))
+        data["config"] = dict(self.config)
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":
@@ -116,7 +137,7 @@ class SegmentRecord:
     files: dict[str, int] = field(default_factory=dict)  # name -> byte size
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"uid": self.uid, "entries": self.entries, "files": dict(self.files)}
 
     @classmethod
     def from_json(cls, data: dict) -> "SegmentRecord":

@@ -9,10 +9,10 @@ with zero trace replay — see :mod:`repro.store.queries`.
 Durability contract (mirrors the experiment cache's, tested in
 ``tests/test_store_durability.py``):
 
-* **Commit protocol** — segment arrays are fully written and fsynced
-  *before* the manifest commit; the manifest is published atomically
-  under a flock.  kill -9 at any instant leaves the store openable, with
-  the interrupted run simply absent.
+* **Commit protocol** — an ingest batch's segment arrays are fully
+  written and fsynced *before* its one manifest commit; the manifest is
+  published atomically under a flock.  kill -9 at any instant leaves the
+  store openable, with every run of the interrupted batch absent.
 * **Garbage, not corruption** — segment directories the manifest does not
   reference are leftovers of crashed ingests; :meth:`gc` sweeps them
   (and ``*.tmp`` litter).  They are never opened by queries.
@@ -28,6 +28,7 @@ import shutil
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from repro.obs import get_registry, get_tracer
 from repro.store.layout import (
     MANIFEST_NAME,
     SEGMENTS_DIRNAME,
+    IngestRun,
     RunRecord,
     SegmentRecord,
     config_digest,
@@ -84,100 +86,126 @@ class ProfileWarehouse:
     # Ingest
     # ------------------------------------------------------------------
 
-    def ingest(
-        self,
-        report,
-        *,
-        workload: str,
-        input_name: str,
-        predictor: str,
-        scale: float = 1.0,
-        sim=None,
-        source: str = "experiment",
-        dedupe: bool = True,
-    ) -> str:
-        """Append one profiling run; returns its run id.
+    def ingest(self, runs: Iterable[IngestRun], *, dedupe: bool = True) -> list[str]:
+        """Append a batch of profiling runs; returns one run id per input.
 
-        ``report`` is a :class:`~repro.core.profiler2d.TwoDReport` produced
-        with ``keep_series=True`` (the raw slice matrix is the stored
-        payload); its ``config.to_dict()`` is stored with the run and
-        digested into the dedupe key.  ``sim`` optionally supplies the run's per-site
-        exec/correct counts (a :class:`~repro.predictors.simulate.SimulationResult`
-        or anything with ``exec_counts``/``correct_counts``); without it
-        the run cannot participate in ground-truth ``diff`` queries.
+        Each :class:`~repro.store.layout.IngestRun` carries a report
+        profiled with ``keep_series=True`` (the raw slice matrix is the
+        stored payload); its ``config.to_dict()`` is stored with the run
+        and digested into the dedupe key.  A run without ``sim`` counts
+        cannot participate in ground-truth ``diff`` queries.
 
-        With ``dedupe`` (default), a run already stored under the same
-        (workload, input, predictor, config-digest, scale) key is returned
-        as-is instead of being appended again.
+        The batch is all-or-nothing: every item is validated before any
+        file is written, the new runs go into one segment, and one
+        manifest commit makes them visible, with run ids allocated in
+        input order.  With ``dedupe`` (default), a run already stored
+        under the same (workload, input, predictor, config-digest, scale)
+        key returns the stored id, and a repeat inside the batch returns
+        the id of its first occurrence.  A batch with nothing new writes
+        nothing.
         """
+        items = list(runs)
+        with get_tracer().span("store.ingest", cat="store", runs=len(items)) as sp:
+            prepared = [self._prepare(item) for item in items]
+            keys = [key for key, _config, _arrays in prepared]
+            stored = self._dedupe_index(keys) if dedupe else {}
+            run_ids = [stored.get(key) for key in keys]
+            fresh: list[int] = []         # indices of items that get a new run
+            first: dict[tuple, int] = {}  # key -> its first fresh index
+            for index, key in enumerate(keys):
+                if run_ids[index] is None and (not dedupe or key not in first):
+                    first.setdefault(key, index)
+                    fresh.append(index)
+            sp.set("dedupe_hits", len(items) - len(fresh))
+            if fresh:
+                new_ids = self._commit([items[i] for i in fresh],
+                                       [prepared[i] for i in fresh])
+                for index, run_id in zip(fresh, new_ids):
+                    run_ids[index] = run_id
+            return [run_id or run_ids[first[key]] for run_id, key in zip(run_ids, keys)]
+
+    @staticmethod
+    def _prepare(item: IngestRun) -> tuple[tuple, dict, tuple]:
+        """Validate one batch item; returns (dedupe key, config, arrays)."""
+        report = item.report
         if report.series is None:
             raise StoreError(
                 "ingest needs the raw slice matrix; profile with keep_series=True"
             )
         config = report.config.to_dict()
-        digest = config_digest(config)
-        tracer = get_tracer()
-        with tracer.span("store.ingest", cat="store", workload=workload,
-                         input=input_name, predictor=predictor) as sp:
-            if dedupe:
-                existing = self.find(workload, input_name, predictor,
-                                     digest=digest, scale=scale)
-                if existing is not None:
-                    sp.set("dedupe", "hit")
-                    return existing.run_id
+        num_sites = report.num_sites
+        n_slices = int(report.series.shape[0])
+        if item.sim is not None:
+            exec_counts = np.asarray(item.sim.exec_counts, dtype=np.int64)
+            correct_counts = np.asarray(item.sim.correct_counts, dtype=np.int64)
+            if exec_counts.size != num_sites:
+                raise StoreError("sim counts do not match the report's num_sites")
+        else:
+            exec_counts = np.zeros(num_sites, dtype=np.int64)
+            correct_counts = np.zeros(num_sites, dtype=np.int64)
+        overall = (
+            np.asarray(report.slice_overall, dtype=np.float64)
+            if report.slice_overall is not None
+            else np.zeros(n_slices, dtype=np.float64)
+        )
+        acc, slice_idx, indptr = csr_from_series(report.series)
+        key = (item.workload, item.input_name, item.predictor,
+               config_digest(config), float(item.scale))
+        return key, config, (acc, slice_idx, indptr, exec_counts, correct_counts, overall)
 
-            acc, slice_idx, indptr = csr_from_series(report.series)
-            num_sites = report.num_sites
-            n_slices = int(report.series.shape[0])
-            has_counts = sim is not None
-            if has_counts:
-                exec_counts = np.asarray(sim.exec_counts, dtype=np.int64)
-                correct_counts = np.asarray(sim.correct_counts, dtype=np.int64)
-                if exec_counts.size != num_sites:
-                    raise StoreError("sim counts do not match the report's num_sites")
-            else:
-                exec_counts = np.zeros(num_sites, dtype=np.int64)
-                correct_counts = np.zeros(num_sites, dtype=np.int64)
-            overall = (
-                np.asarray(report.slice_overall, dtype=np.float64)
-                if report.slice_overall is not None
-                else np.zeros(n_slices, dtype=np.float64)
-            )
+    def _dedupe_index(self, keys: list[tuple]) -> dict[tuple, str]:
+        """Latest *valid* stored run id per dedupe key, from one manifest read.
 
-            builder = SegmentBuilder()
-            offsets = builder.add_run(acc, slice_idx, indptr,
-                                      exec_counts, correct_counts, overall)
-            uid = f"seg-{uuid.uuid4().hex[:12]}"
-            sizes = builder.write(self.segments_root / uid)
+        Candidates are validated exactly as :meth:`find` does: a corrupt
+        run is a miss and bumps ``store_corrupt_total``.
+        """
+        manifest = self.manifest()
+        wanted = {key[:3] for key in keys}
+        candidates: dict[tuple, list[RunRecord]] = {}
+        for rec in manifest.runs.values():
+            if rec.key in wanted:
+                candidates.setdefault(rec.key + (rec.digest, rec.scale), []).append(rec)
+        index = {}
+        for key in set(keys):
+            rec = self._latest_valid(manifest, candidates.get(key, []))
+            if rec is not None:
+                index[key] = rec.run_id
+        return index
 
-            with manifest_commit(self.manifest_path) as manifest:
-                run_id = manifest.allocate_run_id()
-                manifest.add_segment(
-                    SegmentRecord(uid=uid, entries=builder.entries, files=sizes))
+    def _commit(self, items: list[IngestRun], prepared: list[tuple]) -> list[str]:
+        """Write ``items`` as one segment, commit them at once; returns their ids."""
+        builder = SegmentBuilder()
+        offsets = [builder.add_run(*arrays) for _key, _config, arrays in prepared]
+        uid = f"seg-{uuid.uuid4().hex[:12]}"
+        sizes = builder.write(self.segments_root / uid)
+        run_ids = []
+        with manifest_commit(self.manifest_path) as manifest:
+            manifest.add_segment(
+                SegmentRecord(uid=uid, entries=builder.entries, files=sizes))
+            for item, (_key, config, _arrays), run_offsets in zip(items, prepared, offsets):
+                run_ids.append(manifest.allocate_run_id())
                 manifest.add_run(RunRecord(
-                    run_id=run_id,
-                    workload=workload,
-                    input=input_name,
-                    predictor=predictor,
-                    scale=float(scale),
-                    source=source,
+                    run_id=run_ids[-1],
+                    workload=item.workload,
+                    input=item.input_name,
+                    predictor=item.predictor,
+                    scale=float(item.scale),
+                    source=item.source,
                     config=config,
-                    num_sites=num_sites,
-                    n_slices=n_slices,
-                    overall_accuracy=float(report.overall_accuracy),
-                    has_counts=has_counts,
+                    num_sites=item.report.num_sites,
+                    n_slices=int(item.report.series.shape[0]),
+                    overall_accuracy=float(item.report.overall_accuracy),
+                    has_counts=item.sim is not None,
                     segment=uid,
-                    **offsets,
+                    **run_offsets,
                 ))
-            self._count_ingest(builder.entries, sizes)
-            sp.set("run_id", run_id)
-            sp.set("rows", builder.entries)
-            return run_id
+        self._count_ingest(len(items), builder.entries, sizes)
+        return run_ids
 
     @staticmethod
-    def _count_ingest(rows: int, sizes: dict[str, int]) -> None:
+    def _count_ingest(runs: int, rows: int, sizes: dict[str, int]) -> None:
         registry = get_registry()
-        registry.counter("store_runs_total", "runs committed to the warehouse").inc()
+        registry.counter("store_runs_total", "runs committed to the warehouse").inc(runs)
         registry.counter("store_segments_total", "segments written").inc()
         registry.counter("store_rows_total", "columnar entries committed").inc(rows)
         registry.counter("store_bytes_total", "segment bytes written").inc(sum(sizes.values()))
@@ -215,12 +243,14 @@ class ProfileWarehouse:
     ) -> RunRecord | None:
         """Latest *valid* run under a key; corrupt candidates are misses."""
         manifest = self.manifest()
-        candidates = [
+        return self._latest_valid(manifest, [
             rec for rec in manifest.runs.values()
             if rec.key == (workload, input_name, predictor)
             and (digest is None or rec.digest == digest)
             and (scale is None or rec.scale == scale)
-        ]
+        ])
+
+    def _latest_valid(self, manifest, candidates: list[RunRecord]) -> RunRecord | None:
         for rec in sorted(candidates, key=lambda rec: rec.run_id, reverse=True):
             try:
                 self._reader(manifest, rec).validate()
@@ -241,16 +271,32 @@ class ProfileWarehouse:
 
     def open_run(self, run: str | RunRecord) -> StoredRun:
         """A query handle over one committed run (validated, memmapped)."""
-        manifest = self.manifest()
-        if isinstance(run, str):
-            record = manifest.runs.get(run)
-            if record is None:
-                raise StoreError(f"unknown run {run!r}")
-        else:
-            record = run
-        reader = self._reader(manifest, record)
-        reader.validate()
-        return StoredRun(record, reader)
+        return self.open_runs([run])[0]
+
+    def open_runs(self, runs: Iterable[str | RunRecord]) -> list[StoredRun]:
+        """Query handles over many runs, from one manifest image.
+
+        Runs in one segment share one validated :class:`SegmentReader`,
+        so each segment file is memory-mapped once.
+        """
+        return self._open(self.manifest(), runs)
+
+    def _open(self, manifest, runs: Iterable[str | RunRecord]) -> list[StoredRun]:
+        readers: dict[str, SegmentReader] = {}
+        opened = []
+        for run in runs:
+            if isinstance(run, str):
+                record = manifest.runs.get(run)
+                if record is None:
+                    raise StoreError(f"unknown run {run!r}")
+            else:
+                record = run
+            reader = readers.get(record.segment)
+            if reader is None:
+                reader = readers[record.segment] = self._reader(manifest, record)
+                reader.validate()
+            opened.append(StoredRun(record, reader))
+        return opened
 
     def check(self) -> list[str]:
         """Run ids whose segment data fails validation (corrupt/missing)."""
@@ -356,8 +402,8 @@ class ProfileWarehouse:
                 return stats
             builder = SegmentBuilder()
             offsets_by_run: dict[str, dict[str, int]] = {}
-            for record in records:
-                run = StoredRun(record, self._reader(manifest, record))
+            for run in self._open(manifest, records):
+                record = run.record
                 slice_idx, acc = run.reader.run_entries(record)
                 indptr = run.reader.run_indptr(record)
                 exec_counts, correct_counts = run.reader.run_counts(record)

@@ -265,13 +265,22 @@ def population_report(result) -> PopulationReport:
         )
 
 
-def population_runs(warehouse, tag: str) -> list:
-    """The population's stored runs, in lane order (lane index from name)."""
+def population_runs(warehouse, tag: str, predictor: str | None = None) -> list:
+    """The population's stored runs, in lane order (lane index from name).
+
+    ``predictor`` picks which predictor's runs to read; ``None`` means the
+    only predictor stored under ``tag`` (several raise, naming them).
+    """
     spec = PopulationSpec.from_tag(tag)
-    by_name = {}
-    for rec in warehouse.runs(workload=spec.workload):
-        if rec.source == tag:
-            by_name[rec.input] = rec  # latest run per lane wins
+    records = [rec for rec in warehouse.runs(workload=spec.workload, predictor=predictor)
+               if rec.source == tag]
+    predictors = sorted({rec.predictor for rec in records})
+    if len(predictors) > 1:
+        raise ExperimentError(
+            f"population {tag!r} holds runs of several predictors "
+            f"({', '.join(predictors)}); choose one with --predictor"
+        )
+    by_name = {rec.input: rec for rec in records}  # latest run per lane wins
     missing = [name for name in spec.lane_names if name not in by_name]
     if missing:
         raise ExperimentError(
@@ -288,24 +297,25 @@ def population_report_from_store(
     mean_th=...,
     std_th: float | None = None,
     pam_th: float | None = None,
+    predictor: str | None = None,
 ) -> PopulationReport:
     """Build the stability report from warehouse runs under ``tag``.
 
     Default thresholds reproduce each run's stored classification;
     overrides re-run Figure 9c across the whole population with no
     replay (same contract as :func:`repro.store.queries.reclassify`).
+    ``predictor`` is as in :func:`population_runs`.  Every lane is
+    opened from one manifest image, one segment reader per segment.
     """
     spec = PopulationSpec.from_tag(tag)
-    records = population_runs(warehouse, tag)
+    records = population_runs(warehouse, tag, predictor)
     with get_tracer().span(
         "sweep.report", cat="sweep", population=tag, lanes=len(records)
     ):
         lane_rows = []
-        for lane, record in enumerate(records):
-            report = warehouse.open_run(record).report(
-                mean_th=mean_th, std_th=std_th, pam_th=pam_th
-            )
+        for lane, run in enumerate(warehouse.open_runs(records)):
+            report = run.report(mean_th=mean_th, std_th=std_th, pam_th=pam_th)
             lane_rows.append(
-                (lane, record.input, record.run_id, _lane_verdicts(report))
+                (lane, run.record.input, run.record.run_id, _lane_verdicts(report))
             )
         return _build_report(tag, spec.workload, records[0].predictor, lane_rows)

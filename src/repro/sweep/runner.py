@@ -9,10 +9,12 @@ One :func:`run_sweep` call prices an entire input population:
    compiled VM (bit-identical to the interpreter);
 3. replay every lane's trace through the (vectorized) predictor and the
    2D profiler;
-4. ingest each lane's report into the profile warehouse under the
-   population's source tag and the lane's ``base~seed.i`` input name, so
-   `sweep report` and ``db bisect --population`` can find the family
-   later.
+4. ingest the whole population into the profile warehouse as one
+   batch (one segment, one manifest commit, run ids in lane order) under
+   the population's source tag and each lane's ``base~seed.i`` input
+   name, so `sweep report` and ``db bisect --population`` can find the
+   family later.  The batch is all-or-nothing: a failed or killed sweep
+   commits no lane.
 """
 
 from __future__ import annotations
@@ -73,19 +75,23 @@ def run_sweep(
 ) -> SweepResult:
     """Profile one input population end to end.
 
-    With ``warehouse`` (a :class:`~repro.store.ProfileWarehouse`), every
-    lane's report is ingested under the population tag; identical
-    re-runs dedupe against the stored copies.  Without it the reports
-    are only returned in memory.
+    With ``warehouse`` (a :class:`~repro.store.ProfileWarehouse`), the
+    lanes' reports are ingested as one batch under the population tag;
+    identical re-runs dedupe against the stored copies.  Without it the
+    reports are only returned in memory.
     """
     started = time.perf_counter()
     workload = get_workload(spec.workload)
     program = workload.program()
     config = profiler_config or ProfilerConfig()
-    if warehouse is not None and not config.keep_series:
+    batch = None
+    if warehouse is not None:
         import dataclasses
 
+        from repro.store.layout import IngestRun
+
         config = dataclasses.replace(config, keep_series=True)
+        batch = []
 
     with get_tracer().span(
         "sweep.run", cat="sweep", workload=spec.workload,
@@ -104,17 +110,15 @@ def run_sweep(
                 events=len(trace),
                 instructions=trace.instructions,
             )
-            if warehouse is not None:
-                entry.run_id = warehouse.ingest(
-                    report,
-                    workload=spec.workload,
-                    input_name=input_set.name,
-                    predictor=predictor,
-                    scale=spec.scale,
-                    sim=sim,
-                    source=spec.tag,
-                )
+            if batch is not None:
+                batch.append(IngestRun(
+                    report, spec.workload, input_set.name, predictor,
+                    scale=spec.scale, sim=sim, source=spec.tag,
+                ))
             result.lanes.append(entry)
+        if batch is not None:
+            for entry, run_id in zip(result.lanes, warehouse.ingest(batch)):
+                entry.run_id = run_id
 
     result.elapsed_seconds = time.perf_counter() - started
     registry = get_registry()

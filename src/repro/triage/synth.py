@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.profiler2d import ProfilerConfig, TwoDReport, report_from_series
 from repro.core.stats import TestThresholds
 from repro.predictors.simulate import SimulationResult
+from repro.store.layout import IngestRun
 
 #: Executions per slice for ordinary sites; the anchor gets 50x this.
 _EXEC_PER_SLICE = 2000
@@ -104,10 +105,10 @@ def seeded_run_pair(
     good_report, good_sim, bad_report, bad_sim = synth_pair(
         num_sites=num_sites, n_slices=n_slices, regressed=regressed,
         seed=seed, predictor=predictor)
-    good_id = warehouse.ingest(
-        good_report, workload=workload, input_name="base",
-        predictor=predictor, sim=good_sim, source="synthetic")
-    bad_id = warehouse.ingest(
-        bad_report, workload=workload, input_name="regressed",
-        predictor=predictor, sim=bad_sim, source="synthetic")
+    good_id, bad_id = warehouse.ingest([
+        IngestRun(good_report, workload, "base", predictor,
+                  sim=good_sim, source="synthetic"),
+        IngestRun(bad_report, workload, "regressed", predictor,
+                  sim=bad_sim, source="synthetic"),
+    ])
     return good_id, bad_id

@@ -254,7 +254,13 @@ class TestDbCommands:
         assert all(len(line.split()) == 2 for line in out.splitlines() if line)
 
     def test_compact_and_gc(self, capsys, store):
-        self._ingest(capsys, store)
+        self._ingest(capsys, store)  # one batch: one segment
+        code, out = run_cli(capsys, "db", "query", "--store", store)
+        assert "2 run(s), 1 segment(s)" in out
+        code, _out = run_cli(capsys, "--scale", "0.03", "db", "ingest", "vortexish",
+                             "--inputs", "train", "--predictor", "bimodal",
+                             "--store", store)
+        assert code == 0
         code, out = run_cli(capsys, "db", "compact", "--store", store)
         assert code == 0
         assert "2 -> 1 segment(s)" in out
@@ -263,7 +269,7 @@ class TestDbCommands:
         assert "gc:" in out
         code, out = run_cli(capsys, "db", "query", "--store", store)
         assert code == 0
-        assert "2 run(s), 1 segment(s)" in out
+        assert "3 run(s), 1 segment(s)" in out
 
     def test_gc_dry_run_previews_without_deleting(self, capsys, store):
         from pathlib import Path

@@ -11,6 +11,7 @@ segment files) is asserted directly on the returned arrays.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -23,9 +24,21 @@ from hypothesis import strategies as st
 from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.core.profiler2d import ProfilerConfig, profile_trace
 from repro.core.stats import TestThresholds
+import repro.store.manifest as manifest_mod
 from repro.errors import StoreError
+from repro.obs import get_registry
 from repro.service.protocol import serialize_report
-from repro.store import ProfileWarehouse, diff_runs, join_runs, reclassify
+from repro.store import (
+    IngestRun,
+    ProfileWarehouse,
+    RunRecord,
+    SegmentBuilder,
+    SegmentRecord,
+    csr_from_series,
+    diff_runs,
+    join_runs,
+    reclassify,
+)
 
 SCALE = 0.05
 WORKLOAD = "gzipish"
@@ -55,11 +68,18 @@ def warehouse(tmp_path):
     return ProfileWarehouse(tmp_path / "wh")
 
 
-def _ingest(warehouse, artifacts, input_name, **kwargs):
+def _item(artifacts, input_name, **kwargs):
     report, sim = artifacts[input_name]
     kwargs.setdefault("sim", sim)
-    return warehouse.ingest(report, workload=WORKLOAD, input_name=input_name,
-                            predictor="gshare", scale=SCALE, **kwargs)
+    kwargs.setdefault("scale", SCALE)
+    return IngestRun(report, workload=WORKLOAD, input_name=input_name,
+                     predictor="gshare", **kwargs)
+
+
+def _ingest(warehouse, artifacts, input_name, dedupe=True, **kwargs):
+    [run_id] = warehouse.ingest([_item(artifacts, input_name, **kwargs)],
+                                dedupe=dedupe)
+    return run_id
 
 
 @pytest.fixture()
@@ -108,23 +128,23 @@ class TestIngest:
     def test_ingest_requires_series(self, warehouse, runner):
         report = runner.profile_2d(WORKLOAD, "gshare")  # keep_series off
         with pytest.raises(StoreError, match="keep_series"):
-            warehouse.ingest(report, workload=WORKLOAD, input_name="train",
-                             predictor="gshare")
+            warehouse.ingest([IngestRun(report, workload=WORKLOAD,
+                                        input_name="train", predictor="gshare")])
 
     def test_pam_exact_run_round_trips(self, warehouse, runner, artifacts):
         """A stored pam_exact run records the ablation and refolds with it,
         and gets its own digest instead of deduping into the plain run."""
         report = runner.profile_2d(WORKLOAD, "gshare",
                                    config=ProfilerConfig(pam_exact=True))
-        run_id = warehouse.ingest(report, workload=WORKLOAD, input_name="train",
-                                  predictor="gshare")
+        [run_id] = warehouse.ingest([IngestRun(report, workload=WORKLOAD,
+                                               input_name="train", predictor="gshare")])
         stored = warehouse.open_run(run_id)
         assert stored.record.config["pam_exact"] is True
         assert serialize_report(stored.report()) == serialize_report(report)
         plain, _sim = artifacts["train"]
         assert serialize_report(plain) != serialize_report(report)
-        plain_id = warehouse.ingest(plain, workload=WORKLOAD, input_name="train",
-                                    predictor="gshare")
+        [plain_id] = warehouse.ingest([IngestRun(plain, workload=WORKLOAD,
+                                                 input_name="train", predictor="gshare")])
         assert plain_id != run_id
         assert warehouse.open_run(plain_id).record.config["pam_exact"] is False
 
@@ -154,6 +174,149 @@ class TestIngest:
     def test_open_unknown_run(self, warehouse):
         with pytest.raises(StoreError, match="unknown run"):
             warehouse.open_run("r999999")
+
+
+def _segment_dirs(warehouse) -> set[str]:
+    return {p.name for p in warehouse.segments_root.iterdir() if p.is_dir()}
+
+
+def _counter(name: str) -> float:
+    return get_registry().counter(name).value
+
+
+@pytest.fixture()
+def commits(monkeypatch):
+    """Counts manifest publications (``save_manifest`` calls)."""
+    calls = []
+    real = manifest_mod.save_manifest
+
+    def counting(path, manifest):
+        calls.append(path)
+        real(path, manifest)
+
+    monkeypatch.setattr(manifest_mod, "save_manifest", counting)
+    return calls
+
+
+class TestBatchIngest:
+    def test_ids_follow_input_order(self, tmp_path, artifacts):
+        for order in (("train", "ref"), ("ref", "train")):
+            warehouse = ProfileWarehouse(tmp_path / "-".join(order))
+            ids = warehouse.ingest([_item(artifacts, name) for name in order])
+            assert ids == ["r000001", "r000002"]
+            assert [warehouse.manifest().runs[i].input for i in ids] == list(order)
+
+    def test_one_segment_and_one_commit(self, warehouse, artifacts, commits):
+        segments = _counter("store_segments_total")
+        runs = _counter("store_runs_total")
+        ids = warehouse.ingest([_item(artifacts, "train"), _item(artifacts, "ref")])
+        assert len(commits) == 1
+        assert len(_segment_dirs(warehouse)) == 1
+        assert _counter("store_segments_total") - segments == 1
+        assert _counter("store_runs_total") - runs == 2
+        records = [warehouse.manifest().runs[i] for i in ids]
+        assert records[0].segment == records[1].segment
+        for name, run in zip(("train", "ref"), warehouse.open_runs(ids)):
+            report, _sim = artifacts[name]
+            assert serialize_report(run.report()) == serialize_report(report)
+
+    def test_dedupe_against_store_and_within_batch(self, stocked, artifacts, commits):
+        warehouse, ids = stocked
+        before = _segment_dirs(warehouse)
+        runs = _counter("store_runs_total")
+        again = warehouse.ingest([
+            _item(artifacts, "train"),
+            _item(artifacts, "ref", scale=0.5),
+            _item(artifacts, "train"),
+            _item(artifacts, "ref", scale=0.5),
+        ])
+        assert again[0] == again[2] == ids["train"]
+        assert again[1] == again[3] not in ids.values()
+        assert len(commits) == 1
+        assert len(_segment_dirs(warehouse) - before) == 1
+        assert _counter("store_runs_total") - runs == 1
+        assert len(warehouse.runs()) == 3
+
+    def test_dedupe_off_appends_every_item(self, warehouse, artifacts):
+        ids = warehouse.ingest([_item(artifacts, "train")] * 2, dedupe=False)
+        assert ids == ["r000001", "r000002"]
+
+    def test_nothing_new_writes_nothing(self, stocked, artifacts, commits):
+        warehouse, ids = stocked
+        manifest = warehouse.manifest_path.read_bytes()
+        before = _segment_dirs(warehouse)
+        segments = _counter("store_segments_total")
+        assert warehouse.ingest([]) == []
+        again = warehouse.ingest([_item(artifacts, "ref"), _item(artifacts, "train")])
+        assert again == [ids["ref"], ids["train"]]
+        assert commits == []
+        assert _segment_dirs(warehouse) == before
+        assert warehouse.manifest_path.read_bytes() == manifest
+        assert _counter("store_segments_total") == segments
+
+    def test_batch_of_one_matches_a_single_run_segment(self, warehouse, artifacts,
+                                                       tmp_path):
+        [run_id] = warehouse.ingest([_item(artifacts, "train")])
+        record = warehouse.manifest().runs[run_id]
+        report, sim = artifacts["train"]
+        acc, slice_idx, indptr = csr_from_series(report.series)
+        builder = SegmentBuilder()
+        offsets = builder.add_run(
+            acc, slice_idx, indptr, np.asarray(sim.exec_counts, np.int64),
+            np.asarray(sim.correct_counts, np.int64),
+            np.asarray(report.slice_overall, np.float64))
+        builder.write(tmp_path / "expected")
+        segment = warehouse.segments_root / record.segment
+        assert sorted(p.name for p in segment.iterdir()) == sorted(
+            p.name for p in (tmp_path / "expected").iterdir())
+        for path in (tmp_path / "expected").iterdir():
+            assert (segment / path.name).read_bytes() == path.read_bytes()
+        assert {k: getattr(record, k) for k in offsets} == offsets
+        assert (record.workload, record.input, record.predictor, record.scale,
+                record.source, record.has_counts) == (
+            WORKLOAD, "train", "gshare", SCALE, "experiment", True)
+        assert record.config == report.config.to_dict()
+
+    def test_bad_item_fails_the_whole_batch(self, warehouse, artifacts, runner, commits):
+        no_series = runner.profile_2d(WORKLOAD, "gshare")  # keep_series off
+        wrong_counts = IngestRun(artifacts["ref"][0], WORKLOAD, "ref", "gshare",
+                                 sim=type("Sim", (), {"exec_counts": [1, 2],
+                                                      "correct_counts": [1, 2]})())
+        for bad, match in ((IngestRun(no_series, WORKLOAD, "x", "gshare"), "keep_series"),
+                           (wrong_counts, "num_sites")):
+            with pytest.raises(StoreError, match=match):
+                warehouse.ingest([_item(artifacts, "train"), bad])
+        assert commits == []
+        assert _segment_dirs(warehouse) == set()
+        assert not warehouse.manifest_path.exists()
+
+    def test_open_runs_shares_one_reader_per_segment(self, warehouse, artifacts):
+        ids = warehouse.ingest([_item(artifacts, "train"), _item(artifacts, "ref")])
+        first, second = warehouse.open_runs(ids)
+        assert first.reader is second.reader
+        assert warehouse.open_run(ids[1]).record == second.record
+        with pytest.raises(StoreError, match="unknown run"):
+            warehouse.open_runs([ids[0], "r999999"])
+
+
+class TestRecordEncoding:
+    def test_to_json_matches_asdict(self):
+        config = {"slice_size": 64, "nested": {"a": [1, 2]}, "mean_th": 0.5}
+        run = RunRecord(
+            run_id="r000001", workload="w", input="i", predictor="gshare",
+            scale=1.0, source="test", config=config, num_sites=3, n_slices=4,
+            overall_accuracy=0.9, has_counts=True, segment="seg-x",
+            entry_start=0, entry_count=5, indptr_start=0, counts_start=0,
+            overall_start=0)
+        segment = SegmentRecord(uid="seg-x", entries=5, files={"acc.npy": 128})
+        for record in (run, segment):
+            encoded = record.to_json()
+            assert encoded == dataclasses.asdict(record)
+            assert json.dumps(encoded, sort_keys=True) == json.dumps(
+                dataclasses.asdict(record), sort_keys=True)
+        # The encoding does not alias the record's own mutable fields.
+        assert run.to_json()["config"] is not run.config
+        assert segment.to_json()["files"] is not segment.files
 
 
 # ----------------------------------------------------------------------
@@ -310,9 +473,7 @@ class TestWindowCounts:
 def module_store(tmp_path_factory, artifacts):
     """A module-lifetime store for the Hypothesis property (one ingest)."""
     warehouse = ProfileWarehouse(tmp_path_factory.mktemp("wh-prop"))
-    report, sim = artifacts["train"]
-    run_id = warehouse.ingest(report, workload=WORKLOAD, input_name="train",
-                              predictor="gshare", scale=SCALE, sim=sim)
+    [run_id] = warehouse.ingest([_item(artifacts, "train")])
     return warehouse, run_id
 
 
@@ -452,9 +613,10 @@ def _run_db_cli(capsys, store, *argv) -> str:
 def _ingest_run(warehouse, runner, workload, input_name, predictor) -> str:
     report = runner.profile_2d(workload, predictor, input_name=input_name,
                                config=KEEP)
-    return warehouse.ingest(
+    [run_id] = warehouse.ingest([IngestRun(
         report, workload=workload, input_name=input_name, predictor=predictor,
-        scale=SCALE, sim=runner.simulation(workload, input_name, predictor))
+        scale=SCALE, sim=runner.simulation(workload, input_name, predictor))])
+    return run_id
 
 
 def _check_golden(name: str, actual: str) -> None:

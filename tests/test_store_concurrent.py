@@ -27,7 +27,7 @@ import pytest
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
 from repro.service.client import StreamingClient, stream_simulation
 from repro.service.server import ProfilingServer, ServerThread
-from repro.store import ProfileWarehouse
+from repro.store import IngestRun, ProfileWarehouse
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,7 +35,7 @@ _INGEST_SCRIPT = """
 import sys
 import numpy as np
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
-from repro.store import ProfileWarehouse
+from repro.store import IngestRun, ProfileWarehouse
 
 root, worker, runs = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 warehouse = ProfileWarehouse(root)
@@ -44,9 +44,8 @@ for i in range(runs):
     rng = np.random.default_rng(1000 * worker + i)
     profiler = TwoDProfiler(12, config)
     profiler.record_batch(rng.integers(0, 12, 4000), rng.integers(0, 2, 4000))
-    warehouse.ingest(profiler.finish(), workload=f"w{worker}",
-                     input_name=f"i{i}", predictor="synthetic", scale=1.0,
-                     source="test")
+    warehouse.ingest([IngestRun(profiler.finish(), f"w{worker}", f"i{i}",
+                                "synthetic", source="test")])
 print("done", worker)
 """
 
@@ -92,10 +91,9 @@ class TestConcurrentIngest:
             try:
                 warehouse = ProfileWarehouse(root)
                 for i in range(4):
-                    warehouse.ingest(
+                    warehouse.ingest([IngestRun(
                         _keep_series_report(100 * worker + i),
-                        workload=f"w{worker}", input_name=f"i{i}",
-                        predictor="synthetic", scale=1.0, source="test")
+                        f"w{worker}", f"i{i}", "synthetic", source="test")])
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 

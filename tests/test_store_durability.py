@@ -8,11 +8,13 @@ commit (segment files first, manifest second).  Covered here:
   :class:`~repro.errors.StoreError` on open and as a miss in ``find``,
   never as wrong data;
 * a real ``SIGKILL`` landing exactly between segment publication and the
-  manifest commit leaves the store openable with the interrupted run
-  absent, its segment unreferenced garbage that ``gc`` sweeps, and a
-  retried ingest succeeding;
+  manifest commit leaves the store openable with every run of the
+  interrupted batch absent, its one segment unreferenced garbage that
+  ``gc`` sweeps, and a retried ingest succeeding;
 * external damage to the manifest itself raises loudly instead of being
-  silently treated as an empty store (which would orphan data).
+  silently treated as an empty store (which would orphan data);
+* compaction moves a stored population's runs without changing its
+  report.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import pytest
 from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.core.profiler2d import ProfilerConfig
 from repro.errors import StoreError
-from repro.store import ProfileWarehouse
+from repro.store import IngestRun, ProfileWarehouse
 
 SCALE = 0.05
 WORKLOAD = "gzipish"
@@ -46,8 +48,8 @@ def stocked(tmp_path, runner):
     warehouse = ProfileWarehouse(tmp_path / "wh")
     report = runner.profile_2d(WORKLOAD, "gshare", config=KEEP)
     sim = runner.simulation(WORKLOAD, "train", "gshare")
-    run_id = warehouse.ingest(report, workload=WORKLOAD, input_name="train",
-                              predictor="gshare", scale=SCALE, sim=sim)
+    [run_id] = warehouse.ingest([IngestRun(report, WORKLOAD, "train", "gshare",
+                                           scale=SCALE, sim=sim)])
     return warehouse, run_id, report, sim
 
 
@@ -97,8 +99,8 @@ class TestSegmentCorruption:
         assert any("unreadable" in rec.message for rec in caplog.records)
         # Re-ingest goes through (dedupe misses the corrupt copy) and the
         # store is healthy again under the same key.
-        fresh = warehouse.ingest(report, workload=WORKLOAD, input_name="train",
-                                 predictor="gshare", scale=SCALE, sim=sim)
+        [fresh] = warehouse.ingest([IngestRun(report, WORKLOAD, "train", "gshare",
+                                              scale=SCALE, sim=sim)])
         assert fresh != run_id
         found = warehouse.find(WORKLOAD, "train", "gshare")
         assert found is not None and found.run_id == fresh
@@ -114,8 +116,8 @@ class TestSegmentCorruption:
 # SIGKILL between segment write and manifest commit
 # ----------------------------------------------------------------------
 
-# The child commits one run normally, then re-runs ingest with the
-# manifest writer replaced by SIGKILL-to-self: the second run's segment is
+# The child commits one run normally, then ingests a 2-run batch with the
+# manifest writer replaced by SIGKILL-to-self: the batch's segment is
 # fully published but its manifest commit never lands — exactly the
 # window the two-phase protocol must make harmless.
 _KILL_SCRIPT = """
@@ -124,28 +126,29 @@ from pathlib import Path
 import repro.store.manifest as manifest_mod
 from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.core.profiler2d import ProfilerConfig
-from repro.store import ProfileWarehouse
+from repro.store import IngestRun, ProfileWarehouse
 
 cache_dir, store_dir, scale = Path(sys.argv[1]), sys.argv[2], float(sys.argv[3])
 runner = ExperimentRunner(SuiteConfig(scale=scale, cache_dir=cache_dir))
 config = ProfilerConfig(keep_series=True)
 warehouse = ProfileWarehouse(store_dir)
 
-report = runner.profile_2d("gzipish", "gshare", config=config)
-sim = runner.simulation("gzipish", "train", "gshare")
-warehouse.ingest(report, workload="gzipish", input_name="train",
-                 predictor="gshare", scale=scale, sim=sim)
+def item(input_name, predictor):
+    report = runner.profile_2d("gzipish", predictor, input_name=input_name,
+                               config=config)
+    sim = runner.simulation("gzipish", input_name, predictor)
+    return IngestRun(report, "gzipish", input_name, predictor, scale=scale, sim=sim)
+
+warehouse.ingest([item("train", "gshare")])
 print("committed", flush=True)
 
-ref = runner.profile_2d("gzipish", "gshare", input_name="ref", config=config)
-ref_sim = runner.simulation("gzipish", "ref", "gshare")
+batch = [item("ref", "gshare"), item("ref", "bimodal")]
 
 def die(path, manifest):
     os.kill(os.getpid(), signal.SIGKILL)
 
 manifest_mod.save_manifest = die
-warehouse.ingest(ref, workload="gzipish", input_name="ref",
-                 predictor="gshare", scale=scale, sim=ref_sim)
+warehouse.ingest(batch)
 raise SystemExit("unreachable: the kill must land before the commit")
 """
 
@@ -164,7 +167,8 @@ def test_sigkill_between_segment_write_and_commit(tmp_path, runner):
     assert proc.stdout.readline().strip() == b"committed"
     assert proc.wait(timeout=120) == -signal.SIGKILL
 
-    # The store opens cleanly; only the first run is visible and readable.
+    # The store opens cleanly; only the first run is visible and readable:
+    # no run of the killed batch is.
     warehouse = ProfileWarehouse(store_dir, create=False)
     records = warehouse.runs()
     assert [(rec.workload, rec.input) for rec in records] == [("gzipish", "train")]
@@ -172,8 +176,8 @@ def test_sigkill_between_segment_write_and_commit(tmp_path, runner):
     run = warehouse.open_run(records[0].run_id)
     assert run.profiled_sites()
 
-    # The interrupted run's segment was fully written but never committed:
-    # it is unreferenced garbage, and gc sweeps exactly it.
+    # The interrupted batch's one segment was fully written but never
+    # committed: it is unreferenced garbage, and gc sweeps exactly it.
     live = {rec.segment for rec in records}
     on_disk = {p.name for p in warehouse.segments_root.iterdir() if p.is_dir()}
     assert len(on_disk - live) == 1
@@ -185,7 +189,35 @@ def test_sigkill_between_segment_write_and_commit(tmp_path, runner):
     # Retrying the interrupted ingest succeeds from cached artifacts.
     report = runner.profile_2d(WORKLOAD, "gshare", input_name="ref", config=KEEP)
     sim = runner.simulation(WORKLOAD, "ref", "gshare")
-    run_id = warehouse.ingest(report, workload=WORKLOAD, input_name="ref",
-                              predictor="gshare", scale=SCALE, sim=sim)
+    [run_id] = warehouse.ingest([IngestRun(report, WORKLOAD, "ref", "gshare",
+                                           scale=SCALE, sim=sim)])
     assert {rec.input for rec in warehouse.runs()} == {"train", "ref"}
     assert warehouse.open_run(run_id).counts()
+
+
+# ----------------------------------------------------------------------
+# Compaction under a stored population
+# ----------------------------------------------------------------------
+
+
+def test_population_report_survives_compaction(tmp_path):
+    """A sweep population (one segment) and a run ingested after it (a
+    second segment) compact into one; the stored population report
+    renders byte-identically before and after."""
+    from repro.sweep import PopulationSpec, population_report_from_store, run_sweep
+
+    spec = PopulationSpec(workload="gapish", base_input="ref",
+                          size=4, seed=2, scale=SCALE)
+    warehouse = ProfileWarehouse(tmp_path / "wh")
+    run_sweep(spec, warehouse=warehouse)
+    run_sweep(spec, predictor="bimodal", warehouse=warehouse)
+    before = {predictor: population_report_from_store(
+        warehouse, spec.tag, predictor=predictor).render()
+        for predictor in ("gshare", "bimodal")}
+    assert warehouse.stats()["segments"] == 2
+
+    stats = warehouse.compact()
+    assert (stats.runs_rewritten, stats.segments_after) == (2 * spec.size, 1)
+    for predictor, rendered in before.items():
+        assert population_report_from_store(
+            warehouse, spec.tag, predictor=predictor).render() == rendered

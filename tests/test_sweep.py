@@ -1,6 +1,10 @@
 """Input-population sweep engine: specs, runner, stability reports, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,12 +187,74 @@ class TestPopulationReport:
         # (almost) every dependent verdict.
         assert len(strict.stable_dependent) <= 1
 
+    def test_report_reads_the_chosen_predictor(self, tmp_path):
+        """Sweeping one population under two predictors keeps both lane
+        sets apart: the stored report reads the predictor it is asked
+        for, and refuses to guess when the tag holds several."""
+        spec = PopulationSpec(workload="gapish", base_input="ref",
+                              size=3, seed=5, scale=0.05)
+        warehouse = ProfileWarehouse(tmp_path / "wh")
+        gshare = run_sweep(spec, predictor="gshare", warehouse=warehouse)
+        assert gshare.run_ids == ["r000001", "r000002", "r000003"]
+        only = population_report_from_store(warehouse, spec.tag)
+        perceptron = run_sweep(spec, predictor="perceptron", warehouse=warehouse)
+        assert perceptron.run_ids == ["r000004", "r000005", "r000006"]
+        assert run_sweep(spec, predictor="gshare",
+                         warehouse=warehouse).run_ids == gshare.run_ids
+
+        report = population_report_from_store(warehouse, spec.tag,
+                                              predictor="gshare")
+        assert report.predictor == "gshare"
+        assert [ln.run_id for ln in report.lanes] == gshare.run_ids
+        assert report.render() == only.render()
+        other = population_report_from_store(warehouse, spec.tag,
+                                             predictor="perceptron")
+        assert "predictor=perceptron" in other.render()
+        assert [ln.run_id for ln in other.lanes] == perceptron.run_ids
+        with pytest.raises(ExperimentError, match="gshare, perceptron"):
+            population_report_from_store(warehouse, spec.tag)
+
+    def test_failed_lane_commits_no_lane(self, tmp_path, monkeypatch):
+        """The population is one batch: a lane that fails before the
+        commit leaves the store empty, and a rerun ingests every lane."""
+        import repro.sweep.runner as runner_mod
+
+        spec = PopulationSpec(workload="gapish", base_input="ref",
+                              size=3, seed=5, scale=0.05)
+        warehouse = ProfileWarehouse(tmp_path / "wh")
+        real, calls = runner_mod.profile_trace, []
+
+        def fail_last(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == spec.size:
+                raise RuntimeError("lane failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "profile_trace", fail_last)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            run_sweep(spec, warehouse=warehouse)
+        assert warehouse.runs() == []
+        monkeypatch.setattr(runner_mod, "profile_trace", real)
+        assert run_sweep(spec, warehouse=warehouse).run_ids == [
+            "r000001", "r000002", "r000003"]
+
     def test_missing_population_errors(self, sweep_store):
         warehouse, _, _ = sweep_store
         ghost = PopulationSpec(workload="gapish", base_input="ref",
                                size=4, seed=99, scale=0.05)
         with pytest.raises(ExperimentError, match="incomplete"):
             population_report_from_store(warehouse, ghost.tag)
+
+
+def test_import_keeps_the_store_out():
+    """`sweep` stays below `store`: importing it loads no store module."""
+    code = ("import sys, repro.sweep; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.store')))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestSweepCli:
@@ -215,6 +281,19 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "suspiciousness" in out
+
+        # A second predictor's lanes under the same tag: both commands
+        # then need --predictor.
+        assert main(["--scale", "0.05", "sweep", "run", "gapish", "--size", "4",
+                     "--seed", "9", "--predictor", "bimodal", "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "report", spec.tag, "--store", store]) == 1
+        assert "--predictor" in capsys.readouterr().err
+        assert main(["sweep", "report", spec.tag, "--predictor", "bimodal",
+                     "--store", store]) == 0
+        assert "predictor=bimodal" in capsys.readouterr().out
+        assert main(["db", "bisect", "--population", spec.tag, "--predictor",
+                     "gshare", "--store", store]) == 0
 
     def test_run_no_store_prints_summary(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_2DPROF_CACHE", str(tmp_path / "cache"))

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TriageError
-from repro.store import ProfileWarehouse, reclassify
+from repro.store import IngestRun, ProfileWarehouse, reclassify
 from repro.triage import (
     BisectionEngine,
     TriageReport,
@@ -130,10 +130,10 @@ class TestBisection:
 
     def test_decoupled_fallback_without_counts(self, warehouse):
         good_report, _gs, bad_report, _bs = synth_pair(regressed=REGRESSED)
-        good_id = warehouse.ingest(good_report, workload="w", input_name="a",
-                                   predictor="gshare")
-        bad_id = warehouse.ingest(bad_report, workload="w", input_name="b",
-                                  predictor="gshare")
+        good_id, bad_id = warehouse.ingest([
+            IngestRun(good_report, "w", "a", "gshare"),
+            IngestRun(bad_report, "w", "b", "gshare"),
+        ])
         engine = BisectionEngine(warehouse.open_run(good_id),
                                  warehouse.open_run(bad_id))
         assert engine._mode == "decoupled"
