@@ -26,8 +26,9 @@ server contract; the loadgen and handoff tests drive that path hard.
 
 Fleet-only control ops (rejected by plain shards):
 
-* ``stats`` — scrapes every live shard's ``metrics`` op, returns summed
-  legacy stats plus a per-shard breakdown;
+* ``stats`` — scrapes every live shard's ``metrics`` op and returns
+  :func:`~repro.service.metrics.stats_view` twice over: of the merged
+  snapshot (fleet totals) and of each shard's (per-shard breakdown);
 * ``metrics`` — one merged registry snapshot: fleet-wide additive totals
   plus every series relabelled ``shard="<name>"``;
 * ``fleet_status`` — shard table (address, liveness, pid) and the
@@ -51,7 +52,7 @@ from repro.fleet.shardmap import ShardMap, ShardSpec
 from repro.obs import Registry, get_tracer, labeled_snapshot, merge_additive_snapshot
 from repro.service import protocol
 from repro.service.checkpoint import validate_session_name
-from repro.service.metrics import latency_summary
+from repro.service.metrics import stats_view
 
 log = logging.getLogger(__name__)
 
@@ -410,47 +411,43 @@ class FleetRouter:
                 replies[spec.name] = reply
         return replies
 
-    async def _op_stats(self, state: _ConnState) -> dict:
-        replies = await self._scrape(state)
-        merged = Registry()
-        shard_stats: dict[str, dict] = {}
-        for name, reply in replies.items():
-            shard_stats[name] = reply["stats"]
-            merge_additive_snapshot(merged, reply["snapshot"])
-        return {"ok": True, "op": "stats",
-                "stats": self._fleet_stats(shard_stats, merged),
-                "shards": shard_stats}
+    async def _scrape_merged(self, state: _ConnState) -> tuple[dict[str, dict], Registry]:
+        """Scrape every live shard and merge the snapshots into one registry.
 
-    def _fleet_stats(self, shard_stats: dict[str, dict], merged: Registry) -> dict:
-        """Summed legacy stats payload across shards.
-
-        Counters sum; ``uptime_seconds`` is the oldest shard's; the fleet
-        latency percentiles come from the bucket-wise merged histogram
-        (per-shard percentiles cannot be averaged).
+        The registry holds fleet-wide additive totals (counters add,
+        histograms add bucket-wise) plus every series relabelled
+        ``shard="<name>"``.  Of the gauges an additive merge drops, the
+        fleet ``stats`` view needs two: ``service_uptime_seconds`` is the
+        oldest shard's and ``service_connections_open`` the sum.
         """
-        fleet: dict = {"shards": len(shard_stats)}
-        sessions: dict[str, int] = {}
-        for payload in shard_stats.values():
-            for key, value in payload.items():
-                if key == "uptime_seconds":
-                    fleet[key] = max(fleet.get(key, 0.0), value)
-                elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                    fleet[key] = fleet.get(key, 0) + value
-            sessions.update(payload.get("sessions", {}))
-        fleet["sessions"] = sessions
-        fleet["active_sessions"] = len(sessions)
-        fleet["frame_latency"] = latency_summary(
-            merged.histogram("service_frame_latency_seconds"))
-        return fleet
-
-    async def _op_metrics(self, state: _ConnState) -> dict:
-        """One merged registry: fleet totals + per-shard labeled series."""
         replies = await self._scrape(state)
         merged = Registry()
+        uptime, connections = 0.0, 0
         for name, reply in replies.items():
             snapshot = reply["snapshot"]
             merge_additive_snapshot(merged, snapshot)
             merged.merge_snapshot(labeled_snapshot(snapshot, {"shard": name}))
+            uptime = max(uptime, snapshot["service_uptime_seconds"]["value"])
+            connections += snapshot["service_connections_open"]["value"]
+        merged.gauge("service_uptime_seconds").set(uptime)
+        merged.gauge("service_connections_open").set(connections)
+        return replies, merged
+
+    async def _op_stats(self, state: _ConnState) -> dict:
+        """Fleet totals and per-shard blocks, each a :func:`stats_view`."""
+        replies, merged = await self._scrape_merged(state)
+        shard_stats: dict[str, dict] = {}
+        sessions: dict[str, int] = {}
+        for name, reply in replies.items():
+            shard_stats[name] = {**stats_view(reply["snapshot"], reply["sessions"]),
+                                 "shard": name}
+            sessions.update(reply["sessions"])
+        fleet = {**stats_view(merged.snapshot(), sessions), "shards": len(replies)}
+        return {"ok": True, "op": "stats", "stats": fleet, "shards": shard_stats}
+
+    async def _op_metrics(self, state: _ConnState) -> dict:
+        """One merged registry: fleet totals + per-shard labeled series."""
+        replies, merged = await self._scrape_merged(state)
         merged.merge_snapshot(self.metrics.snapshot())
         return {"ok": True, "op": "metrics", "shard": None,
                 "snapshot": merged.snapshot(),

@@ -40,6 +40,41 @@ COUNT_BUCKETS = (
 )
 
 
+def bucket_percentile(bounds, counts, q: float, floor: float = 0.0,
+                      ceiling: float | None = None) -> float:
+    """Estimated ``q``-quantile of one bucketed distribution; NaN when empty.
+
+    ``counts[i]`` holds the observations in ``(bounds[i-1], bounds[i]]``
+    and the last count is the ``+Inf`` bucket.  The estimate interpolates
+    linearly inside the containing bucket, clamped to ``[floor,
+    ceiling]``: a live :class:`Histogram` passes its observed min/max; a
+    TSDB window delta has neither and clamps to 0 and the last finite
+    bound (the default).
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile {q} outside [0, 1]")
+    if ceiling is None:
+        if not bounds:
+            return math.nan
+        ceiling = bounds[-1]
+    total = sum(counts)
+    if total == 0:
+        return math.nan
+    target = q * total
+    cumulative = 0
+    for i, count in enumerate(counts):
+        if count == 0:
+            continue
+        if cumulative + count >= target:
+            lo = max(bounds[i - 1] if i > 0 else floor, floor)
+            hi = min(bounds[i] if i < len(bounds) else ceiling, ceiling)
+            if hi <= lo:
+                return lo
+            return lo + (target - cumulative) / count * (hi - lo)
+        cumulative += count
+    return ceiling  # pragma: no cover - cumulative always reaches total
+
+
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted(labels.items()))
 
@@ -186,27 +221,9 @@ class Histogram(_Metric):
 
     def percentile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1]); NaN when empty."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
         with self._lock:
-            if self.count == 0:
-                return math.nan
-            target = q * self.count
-            cumulative = 0
-            for i, bucket_count in enumerate(self._counts):
-                if bucket_count == 0:
-                    continue
-                if cumulative + bucket_count >= target:
-                    lo = self.buckets[i - 1] if i > 0 else self.min
-                    hi = self.buckets[i] if i < len(self.buckets) else self.max
-                    lo = max(lo, self.min)
-                    hi = min(hi, self.max)
-                    if hi <= lo:
-                        return lo
-                    fraction = (target - cumulative) / bucket_count
-                    return lo + fraction * (hi - lo)
-                cumulative += bucket_count
-            return self.max  # pragma: no cover - cumulative always reaches count
+            return bucket_percentile(self.buckets, self._counts, q,
+                                     floor=self.min, ceiling=self.max)
 
     def bucket_counts(self) -> dict[str, int]:
         """Cumulative counts keyed by ``le`` bound (Prometheus semantics)."""

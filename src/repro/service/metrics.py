@@ -1,15 +1,14 @@
-"""Service metrics, backed by the unified observability registry.
+"""Service metrics and the ``stats`` frame built from them.
 
-:class:`ServiceMetrics` used to be a bag of plain-int counters; it is now
-a thin facade over a :class:`repro.obs.metrics.Registry` — the registry
-is the source of truth (and what ``--metrics-json`` dumps / Prometheus
-exposition renders), while :meth:`snapshot` keeps emitting the exact key
-names the ``stats`` control frame has always carried, so existing
-``stream --verify`` clients and dashboards keep working unchanged.
-
-Each server instance gets its **own** registry by default so concurrent
+:class:`ServiceMetrics` registers a server's counters, gauges and
+histograms in its own :class:`repro.obs.metrics.Registry`, so concurrent
 servers in one process (tests, embedding) don't bleed counts into each
-other; pass a registry explicitly to aggregate into a shared one.
+other.  The registry is the source of truth: ``--metrics-json`` dumps it,
+Prometheus exposition renders it, the ``metrics`` op ships its snapshot.
+
+:func:`stats_view` is the only builder of a ``stats`` payload: it reads
+one registry snapshot — a shard's own, or the fleet router's bucket-wise
+merge of every shard's — so the shard and fleet views cannot drift.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import time
 
 from repro.obs.metrics import Registry
 
-#: Monotonic counters exposed 1:1 in the stats frame, in snapshot order.
+#: Monotonic counters exposed 1:1 in the stats frame, in payload order.
 _COUNTERS = (
     ("connections_accepted", "TCP connections accepted"),
     ("sessions_opened", "sessions opened fresh"),
@@ -30,6 +29,7 @@ _COUNTERS = (
     ("frames_rejected", "frames rejected (malformed or over limits)"),
     ("checkpoints_written", "session checkpoints written"),
     ("runs_ingested", "closed sessions finalized into the profile warehouse"),
+    ("warehouse_failures", "closed sessions whose warehouse ingest failed"),
     ("queries_served", "query ops answered"),
     ("bytes_in", "request bytes received (headers + payloads)"),
     ("bytes_out", "reply bytes sent"),
@@ -43,26 +43,17 @@ _LATENCY_BUCKETS = (
 )
 
 
-def latency_summary(histogram) -> dict:
-    """The stats frame's ``frame_latency`` block of one histogram."""
-    count = histogram.count
-    return {
-        "count": count,
-        "sum_seconds": histogram.sum,
-        "p50": histogram.percentile(0.50) if count else None,
-        "p90": histogram.percentile(0.90) if count else None,
-        "p99": histogram.percentile(0.99) if count else None,
-    }
+def _registry_name(name: str) -> str:
+    return f"service_{name}" + ("" if name.endswith("_total") else "_total")
 
 
 class ServiceMetrics:
-    """Registry-backed counters plus derived rates for the stats frame."""
+    """One server's metrics, registered in a private registry."""
 
-    def __init__(self, registry: Registry | None = None):
-        self.registry = registry if registry is not None else Registry()
+    def __init__(self):
+        self.registry = Registry()
         for name, help_text in _COUNTERS:
-            suffix = "" if name.endswith("_total") else "_total"
-            setattr(self, name, self.registry.counter(f"service_{name}{suffix}", help_text))
+            setattr(self, name, self.registry.counter(_registry_name(name), help_text))
         self.connections_open = self.registry.gauge(
             "service_connections_open", "currently open TCP connections")
         self.sessions_active = self.registry.gauge(
@@ -83,33 +74,40 @@ class ServiceMetrics:
     def uptime(self) -> float:
         return time.monotonic() - self.started_at
 
-    def snapshot(self, active_sessions: int = 0) -> dict:
-        """The stats-frame payload.
 
-        Backward compatibility contract: every key the pre-registry
-        implementation emitted keeps its name and meaning
-        (``uptime_seconds``, ``active_sessions``, the ``_COUNTERS`` names,
-        ``connections_open``, ``events_per_second``); new telemetry only
-        *adds* keys (``bytes_in``, ``bytes_out``, ``frame_latency``).
-        """
-        uptime = self.uptime()
-        # Keep the registry gauges current: snapshot() runs on every
-        # stats/metrics op, which includes every telemetry scrape, so
-        # the TSDB sees live values without a separate update path.
-        self.sessions_active.set(active_sessions)
-        self.uptime_seconds.set(round(uptime, 3))
-        events_total = self.events_total.value
-        payload = {
-            "uptime_seconds": uptime,
-            "active_sessions": active_sessions,
-            "connections_open": self.connections_open.value,
-            "events_per_second": events_total / uptime if uptime > 0 else 0.0,
-        }
-        for name, _help in _COUNTERS:
-            payload[name] = getattr(self, name).value
-        payload["frame_latency"] = latency_summary(self.frame_latency)
-        payload["drain"] = {
-            "count": self.drain_seconds.count,
-            "sum_seconds": self.drain_seconds.sum,
-        }
-        return payload
+def stats_view(snapshot: dict, sessions: dict[str, int]) -> dict:
+    """The ``stats`` frame payload of one :meth:`Registry.snapshot`.
+
+    ``sessions`` maps each live session to the events it has received.
+    Metrics missing from ``snapshot`` (a fleet with no live shard) read
+    as zero.  Key names and meanings are the frame's long-standing
+    contract: new keys may be added, none renamed or removed.
+    """
+    def value(name: str) -> int | float:
+        return snapshot.get(name, {}).get("value", 0)
+
+    uptime = value("service_uptime_seconds")
+    latency = snapshot.get("service_frame_latency_seconds", {})
+    drain = snapshot.get("service_drain_seconds", {})
+    payload = {
+        "uptime_seconds": uptime,
+        "active_sessions": len(sessions),
+        "connections_open": value("service_connections_open"),
+        "events_per_second": (value("service_events_total") / uptime
+                              if uptime > 0 else 0.0),
+    }
+    for name, _help in _COUNTERS:
+        payload[name] = value(_registry_name(name))
+    payload["frame_latency"] = {
+        "count": latency.get("count", 0),
+        "sum_seconds": latency.get("sum", 0.0),
+        "p50": latency.get("p50"),
+        "p90": latency.get("p90"),
+        "p99": latency.get("p99"),
+    }
+    payload["drain"] = {
+        "count": drain.get("count", 0),
+        "sum_seconds": drain.get("sum", 0.0),
+    }
+    payload["sessions"] = sessions
+    return payload

@@ -48,7 +48,7 @@ from repro.obs import get_tracer
 from repro.obs.logs import log_event
 from repro.service import checkpoint as ckpt
 from repro.service import protocol
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import ServiceMetrics, stats_view
 
 log = logging.getLogger(__name__)
 
@@ -512,42 +512,43 @@ class ProfilingServer:
             log_event(log, "warehouse_ingest_failed", level=logging.WARNING,
                       shard=self.shard_name, session=session.name,
                       error=str(exc))
-            self.metrics.frames_rejected.inc()
+            self.metrics.warehouse_failures.inc()
             return None
         self.metrics.runs_ingested.inc()
         log.info("session %r finalized into warehouse as %s", session.name, run_id)
         return run_id
 
-    def _op_stats(self, message: dict) -> dict:
-        return {"ok": True, "op": "stats", "stats": self._stats_payload()}
+    def _snapshot(self) -> dict:
+        """The registry snapshot, with the live-session and uptime gauges
+        refreshed first (every telemetry scrape comes through here)."""
+        self.metrics.sessions_active.set(len(self._sessions))
+        self.metrics.uptime_seconds.set(round(self.metrics.uptime(), 3))
+        return self.metrics.registry.snapshot()
 
-    def _stats_payload(self) -> dict:
-        payload = self.metrics.snapshot(active_sessions=len(self._sessions))
+    def _session_events(self) -> dict[str, int]:
+        return {session.name: session.events_received
+                for session in self._sessions.values()}
+
+    def _op_stats(self, message: dict) -> dict:
+        stats = stats_view(self._snapshot(), self._session_events())
         if self.shard_name is not None:
-            payload["shard"] = self.shard_name
-        payload["sessions"] = {
-            session.name: session.events_received
-            for session in self._sessions.values()
-        }
-        return payload
+            stats["shard"] = self.shard_name
+        return {"ok": True, "op": "stats", "stats": stats}
 
     def _op_metrics(self, message: dict) -> dict:
-        """Full registry snapshot plus the legacy stats payload.
+        """Full registry snapshot plus the live sessions.
 
-        This is the fleet router's scrape endpoint: the snapshot merges
-        into a fleet-wide registry (with a ``shard`` label per origin, see
-        :func:`repro.obs.metrics.labeled_snapshot`), while ``stats`` keeps
-        the summed legacy view cheap to build.
+        This is the fleet router's scrape endpoint: the router merges the
+        snapshots (with a ``shard`` label per origin, see
+        :func:`repro.obs.metrics.labeled_snapshot`) and builds both its
+        per-shard and fleet ``stats`` from them.
         """
-        # _stats_payload() refreshes the sessions_active/uptime gauges, so
-        # it must run before the snapshot is taken or scrapes lag a round.
-        stats = self._stats_payload()
         return {
             "ok": True,
             "op": "metrics",
             "shard": self.shard_name,
-            "snapshot": self.metrics.registry.snapshot(),
-            "stats": stats,
+            "snapshot": self._snapshot(),
+            "sessions": self._session_events(),
         }
 
 

@@ -288,6 +288,40 @@ class TestRouterEndToEnd:
         for name, stats in per_shard.items():
             assert stats["shard"] == name
 
+    def test_fleet_stats_carry_every_shard_key(self, fleet, stream_data, monkeypatch):
+        trace, sim, config, _offline = stream_data
+        router = fleet.router.server
+        # Every scrape is itself a frame on each shard, so two ops never
+        # see the same latency histograms.  Pin the first scrape and
+        # replay it, so `stats` and `metrics` merge the same snapshots.
+        scrape, pinned = router._scrape, []
+
+        async def pinned_scrape(state):
+            if not pinned:
+                pinned.append(await scrape(state))
+            return pinned[0]
+
+        monkeypatch.setattr(router, "_scrape", pinned_scrape)
+        with StreamingClient("127.0.0.1", fleet.router.port) as client:
+            for i in range(8):
+                stream_simulation(client, f"kv-{i}", trace.sites[:2000],
+                                  sim.correct[:2000], config,
+                                  num_sites=trace.num_sites)
+            reply = client.control({"op": "stats"})
+            merged = client.metrics()["snapshot"]
+        fleet_stats, per_shard = reply["stats"], reply["shards"]
+        assert sorted(per_shard) == ["s0", "s1"]
+        for stats in per_shard.values():
+            assert set(fleet_stats) == set(stats) - {"shard"} | {"shards"}
+        for key in ("drain", "frame_latency"):
+            assert fleet_stats[key]["count"] == sum(
+                s[key]["count"] for s in per_shard.values())
+        assert fleet_stats["frame_latency"]["p99"] is not None
+        assert fleet_stats["frame_latency"]["p99"] == (
+            merged["service_frame_latency_seconds"]["p99"])
+        assert fleet_stats["uptime_seconds"] == max(
+            s["uptime_seconds"] for s in per_shard.values())
+
     def test_merged_metrics_carry_shard_labels(self, fleet, stream_data):
         trace, sim, config, _offline = stream_data
         with StreamingClient("127.0.0.1", fleet.router.port) as client:

@@ -3,7 +3,7 @@
 Covers the tentpole contracts: span nesting and attributes, the disabled
 no-op fast path, histogram percentile math, Prometheus exposition,
 snapshot merging, the ProcessPool spool round-trip (worker spans land in
-the parent trace), the ServiceMetrics backward-compat shim, and the CLI
+the parent trace), the service stats view, and the CLI
 ``--trace`` / ``--metrics-json`` / ``stats`` surfaces.
 """
 
@@ -411,7 +411,7 @@ def test_corrupt_cache_counter(tmp_path):
 
 
 class TestServiceMetricsCompat:
-    #: Every key the pre-registry ServiceMetrics.snapshot() emitted.
+    #: Every key the pre-registry stats frame carried.
     LEGACY_KEYS = {
         "uptime_seconds", "active_sessions", "connections_accepted",
         "connections_open", "sessions_opened", "sessions_resumed",
@@ -421,26 +421,41 @@ class TestServiceMetricsCompat:
     }
 
     def test_snapshot_keeps_legacy_keys(self):
-        from repro.service.metrics import ServiceMetrics
+        from repro.service.metrics import ServiceMetrics, stats_view
 
-        snapshot = ServiceMetrics().snapshot(active_sessions=3)
-        assert self.LEGACY_KEYS <= set(snapshot)
-        assert snapshot["active_sessions"] == 3
+        snapshot = ServiceMetrics().registry.snapshot()
+        stats = stats_view(snapshot, {"a": 1, "b": 2, "c": 3})
+        assert self.LEGACY_KEYS <= set(stats)
+        assert stats["active_sessions"] == 3
+        assert stats["sessions"] == {"a": 1, "b": 2, "c": 3}
         # New telemetry only adds keys.
-        assert {"bytes_in", "bytes_out", "frame_latency"} <= set(snapshot)
+        assert {"bytes_in", "bytes_out", "frame_latency", "drain",
+                "warehouse_failures"} <= set(stats)
+        # A fresh registry reads as all zeros, with no rate to divide out.
+        assert stats["events_per_second"] == 0.0
+        assert stats["frame_latency"] == {
+            "count": 0, "sum_seconds": 0.0, "p50": None, "p90": None, "p99": None}
+        assert stats["drain"] == {"count": 0, "sum_seconds": 0.0}
+        # An empty snapshot (a fleet with no live shard) is all zeros too.
+        assert stats_view({}, {}) == {**stats, "active_sessions": 0, "sessions": {}}
 
     def test_counters_flow_into_snapshot_and_registry(self):
-        from repro.service.metrics import ServiceMetrics
+        from repro.service.metrics import ServiceMetrics, stats_view
 
         metrics = ServiceMetrics()
         metrics.frames_total.inc(5)
         metrics.bytes_in.inc(100)
+        metrics.events_total.inc(30)
+        metrics.uptime_seconds.set(2.0)
         metrics.frame_latency.observe(0.001)
-        snapshot = metrics.snapshot()
-        assert snapshot["frames_total"] == 5
-        assert snapshot["bytes_in"] == 100
-        assert snapshot["frame_latency"]["count"] == 1
-        assert snapshot["frame_latency"]["p50"] is not None
+        stats = stats_view(metrics.registry.snapshot(), {})
+        assert stats["frames_total"] == 5
+        assert stats["bytes_in"] == 100
+        assert stats["uptime_seconds"] == 2.0
+        assert stats["events_per_second"] == 15.0
+        assert stats["frame_latency"]["count"] == 1
+        assert stats["frame_latency"]["sum_seconds"] == 0.001
+        assert stats["frame_latency"]["p50"] == metrics.frame_latency.percentile(0.5)
         # The registry is the source of truth.
         assert metrics.registry.counter("service_frames_total").value == 5
         assert "service_frames_total 5" in metrics.registry.render_prometheus()

@@ -592,6 +592,31 @@ class TestWarehouseFinalize:
         finally:
             server.drain()
 
+    def test_failed_ingest_counts_as_warehouse_failure(self, tmp_path, stream_data,
+                                                       monkeypatch):
+        trace, sim, config, _offline = stream_data
+        server = _start_server(tmp_path, warehouse_dir=tmp_path / "wh")
+
+        def full_disk(runs, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(server.server.warehouse, "ingest", full_disk)
+        try:
+            with StreamingClient("127.0.0.1", server.port) as client:
+                stream_simulation(client, "run", trace.sites, sim.correct,
+                                  self._keep_series(config),
+                                  num_sites=trace.num_sites)
+                rejected = client.stats()["frames_rejected"]
+                reply = client.close_session("run")
+                assert reply["ok"] and reply["warehouse_run"] is None
+                stats = client.stats()
+            # The close frame was accepted: it is not a rejected frame.
+            assert stats["frames_rejected"] == rejected
+            assert stats["warehouse_failures"] == 1
+            assert stats["runs_ingested"] == 0
+        finally:
+            server.drain()
+
     def test_bad_meta_rejected_at_open(self, tmp_path, stream_data):
         trace, _sim, config, _offline = stream_data
         server = _start_server(tmp_path)
@@ -668,7 +693,7 @@ class TestLifecycleObservability:
                                   config, num_sites=trace.num_sites)
                 reply = client.metrics()
             assert reply["shard"] == "s3"
-            assert reply["stats"]["shard"] == "s3"
+            assert reply["sessions"] == {"run": len(trace)}
             snapshot = reply["snapshot"]
             assert snapshot["service_events_total"]["value"] == len(trace)
             assert snapshot["service_frame_latency_seconds"]["count"] > 0
