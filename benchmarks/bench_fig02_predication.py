@@ -3,14 +3,15 @@ misprediction rate sweeps, with the paper's parameters (penalty 30,
 exec_T = exec_N = 3, exec_pred = 5).  The crossover must sit near 7%.
 """
 
-from repro.analysis.tables import fig2_rows, render_rows
+from repro.analysis.tables import FIGURES, render_rows
 from repro.core.predication import PredicationCosts, crossover_misprediction_rate
 
 
-def bench_fig02_predication_cost(benchmark, archive):
-    rows = benchmark(lambda: fig2_rows(points=21))
+def bench_fig02_predication_cost(benchmark, runner, archive):
+    figure = FIGURES["2"]
+    rows = benchmark(lambda: figure.rows(runner))
     crossover = crossover_misprediction_rate(PredicationCosts())
-    text = render_rows(rows, "Figure 2: predication cost sweep")
+    text = render_rows(rows, figure.title)
     text += f"\ncrossover misprediction rate: {crossover:.4f} (paper: ~0.07)"
     archive("fig02_predication", text)
     assert 0.06 < crossover < 0.08

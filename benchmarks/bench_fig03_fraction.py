@@ -7,14 +7,13 @@ none; several benchmarks exceed 10% static fraction.
 
 from conftest import once
 
-from repro.analysis.tables import fig3_rows, render_rows
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_fig03_dependent_fraction(benchmark, runner, archive):
-    rows = once(benchmark, lambda: fig3_rows(runner))
-    archive("fig03_fraction", render_rows(
-        rows, "Figure 3: fraction of input-dependent branches (gshare, train vs ref)",
-        percent_keys=("dynamic", "static")))
+    figure = FIGURES["3"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig03_fraction", render_rows(rows, figure.title, figure.percent_keys))
 
     by_name = {r["workload"]: r for r in rows}
     # Shape check: the compressor-style workloads dominate the stable ones.

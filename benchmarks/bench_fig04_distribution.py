@@ -8,16 +8,13 @@ hard-to-predict.
 
 from conftest import once
 
-from repro.analysis.tables import ACCURACY_BINS, fig4_rows, render_rows
-
-_BIN_KEYS = tuple(label for _, _, label in ACCURACY_BINS)
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_fig04_accuracy_distribution(benchmark, runner, archive):
-    rows = once(benchmark, lambda: fig4_rows(runner))
-    archive("fig04_distribution", render_rows(
-        rows, "Figure 4: input-dependent branches by ref-accuracy bin",
-        percent_keys=_BIN_KEYS))
+    figure = FIGURES["4"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig04_distribution", render_rows(rows, figure.title, figure.percent_keys))
 
     # Shape: summed over workloads, some input-dependent branches live in
     # the easy (>=95%) bins.
@@ -26,4 +23,4 @@ def bench_fig04_accuracy_distribution(benchmark, runner, archive):
     # And each row's distribution sums to ~1 when it has any branches.
     for row in rows:
         if row["total"]:
-            assert abs(sum(row[k] for k in _BIN_KEYS) - 1.0) < 1e-9
+            assert abs(sum(row[k] for k in figure.percent_keys) - 1.0) < 1e-9

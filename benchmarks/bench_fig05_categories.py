@@ -10,16 +10,13 @@ import math
 
 from conftest import once
 
-from repro.analysis.tables import ACCURACY_BINS, fig5_rows, render_rows
-
-_BIN_KEYS = tuple(label for _, _, label in ACCURACY_BINS)
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_fig05_fraction_per_bin(benchmark, runner, archive):
-    rows = once(benchmark, lambda: fig5_rows(runner))
-    archive("fig05_categories", render_rows(
-        rows, "Figure 5: input-dependent fraction within each accuracy bin",
-        percent_keys=_BIN_KEYS))
+    figure = FIGURES["5"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig05_categories", render_rows(rows, figure.title, figure.percent_keys))
 
     # Aggregate trend: low-accuracy bins have a larger dependent fraction
     # than the easiest bin.

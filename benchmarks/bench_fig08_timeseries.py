@@ -13,7 +13,7 @@ from repro.analysis.timeseries import figure8_series, render_ascii_series
 
 def bench_fig08_time_series(benchmark, runner, archive):
     varying, flat, overall = once(
-        benchmark, lambda: figure8_series(runner, "gapish", slices=50)
+        benchmark, lambda: figure8_series(runner, "gapish")
     )
     text = "\n\n".join([
         "Figure 8: per-slice prediction accuracy over time (gapish, train)",

@@ -11,14 +11,14 @@ import math
 
 from conftest import once
 
-from repro.analysis.tables import fig10_rows, render_rows
+from repro.analysis.tables import FIGURES, render_rows
 from repro.core.experiment import ExperimentRunner
 
 
 def bench_fig10_cov_acc_two_inputs(benchmark, runner: ExperimentRunner, archive):
-    rows = once(benchmark, lambda: fig10_rows(runner))
-    archive("fig10_cov_acc", render_rows(
-        rows, "Figure 10: 2D-profiling COV/ACC (two input sets, gshare)"))
+    figure = FIGURES["10"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig10_cov_acc", render_rows(rows, figure.title, figure.percent_keys))
 
     indep_accs = [r["ACC-indep"] for r in rows if not math.isnan(r["ACC-indep"])]
     indep_covs = [r["COV-indep"] for r in rows if not math.isnan(r["COV-indep"])]

@@ -7,23 +7,19 @@ sets (gcc: 14% at base -> 33% at base-ext1-6).
 
 from conftest import once
 
-from repro.analysis.tables import fig11_rows, render_rows
-
-_STEP_KEYS = ("base", "base-ext1-1", "base-ext1-2", "base-ext1-3",
-              "base-ext1-4", "base-ext1-5", "base-ext1-6")
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_fig11_fraction_growth(benchmark, runner, archive):
-    rows = once(benchmark, lambda: fig11_rows(runner))
-    archive("fig11_more_inputs", render_rows(
-        rows, "Figure 11: input-dependent fraction vs #input sets (gshare)",
-        percent_keys=_STEP_KEYS))
+    figure = FIGURES["11"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig11_more_inputs", render_rows(rows, figure.title, figure.percent_keys))
 
     for row in rows:
-        steps = [row[k] for k in _STEP_KEYS if k in row]
+        steps = [row[k] for k in figure.percent_keys if k in row]
         # Union definition: monotone non-decreasing.
         assert all(b >= a - 1e-12 for a, b in zip(steps, steps[1:])), row["workload"]
     # And at least some workloads actually grow.
     grew = sum(1 for row in rows
-               if row[[k for k in _STEP_KEYS if k in row][-1]] > row["base"] + 1e-9)
+               if row[[k for k in figure.percent_keys if k in row][-1]] > row["base"] + 1e-9)
     assert grew >= 3

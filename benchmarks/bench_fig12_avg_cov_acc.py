@@ -10,13 +10,13 @@ import math
 
 from conftest import once
 
-from repro.analysis.tables import fig12_rows, render_rows
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_fig12_average_cov_acc(benchmark, runner, archive):
-    rows = once(benchmark, lambda: fig12_rows(runner))
-    archive("fig12_avg_cov_acc", render_rows(
-        rows, "Figure 12: average COV/ACC vs #input sets (deep workloads)"))
+    figure = FIGURES["12"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig12_avg_cov_acc", render_rows(rows, figure.title, figure.percent_keys))
 
     first, last = rows[0], rows[-1]
     # The paper's headline: ACC-dep rises as more inputs define the truth.

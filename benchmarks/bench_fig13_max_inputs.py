@@ -9,13 +9,13 @@ import math
 
 from conftest import once
 
-from repro.analysis.tables import fig13_rows, render_rows
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_fig13_max_inputs(benchmark, runner, archive):
-    rows = once(benchmark, lambda: fig13_rows(runner))
-    archive("fig13_max_inputs", render_rows(
-        rows, "Figure 13: COV/ACC at maximum #input sets (gshare)"))
+    figure = FIGURES["13"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig13_max_inputs", render_rows(rows, figure.title, figure.percent_keys))
 
     accs = [r["ACC-dep"] for r in rows if not math.isnan(r["ACC-dep"])]
     assert accs, "ACC-dep undefined everywhere"

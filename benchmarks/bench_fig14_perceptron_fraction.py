@@ -7,18 +7,14 @@ input dependence is predictor-relative but the growth with inputs is not.
 
 from conftest import once
 
-from repro.analysis.tables import fig14_rows, render_rows
-
-_STEP_KEYS = ("base", "base-ext1-1", "base-ext1-2", "base-ext1-3",
-              "base-ext1-4", "base-ext1-5", "base-ext1-6")
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_fig14_perceptron_fraction(benchmark, runner, archive):
-    rows = once(benchmark, lambda: fig14_rows(runner))
-    archive("fig14_perceptron_fraction", render_rows(
-        rows, "Figure 14: input-dependent fraction vs #inputs (perceptron target)",
-        percent_keys=_STEP_KEYS))
+    figure = FIGURES["14"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig14_perceptron_fraction", render_rows(rows, figure.title, figure.percent_keys))
 
     for row in rows:
-        steps = [row[k] for k in _STEP_KEYS if k in row]
+        steps = [row[k] for k in figure.percent_keys if k in row]
         assert all(b >= a - 1e-12 for a, b in zip(steps, steps[1:])), row["workload"]

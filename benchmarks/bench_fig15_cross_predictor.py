@@ -11,17 +11,13 @@ import math
 
 from conftest import once
 
-from repro.analysis.tables import fig13_rows, render_rows
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_fig15_cross_predictor(benchmark, runner, archive):
-    rows = once(
-        benchmark,
-        lambda: fig13_rows(runner, profiler_predictor="gshare",
-                           target_predictor="perceptron"),
-    )
-    archive("fig15_cross_predictor", render_rows(
-        rows, "Figure 15: gshare profiler vs perceptron target (max inputs)"))
+    figure = FIGURES["15"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("fig15_cross_predictor", render_rows(rows, figure.title, figure.percent_keys))
 
     indep = [r["ACC-indep"] for r in rows if not math.isnan(r["ACC-indep"])]
     assert indep and sum(indep) / len(indep) > 0.5

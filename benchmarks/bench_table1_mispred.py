@@ -7,14 +7,13 @@ overall despite many input-dependent branches.
 
 from conftest import once
 
-from repro.analysis.tables import render_rows, table1_rows
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_table1_misprediction_rates(benchmark, runner, archive):
-    rows = once(benchmark, lambda: table1_rows(runner))
-    archive("table1_mispred", render_rows(
-        rows, "Table 1: overall gshare misprediction rate",
-        percent_keys=("train", "ref")))
+    figure = FIGURES["t1"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("table1_mispred", render_rows(rows, figure.title, figure.percent_keys))
 
     for row in rows:
         assert 0.0 <= row["train"] <= 0.5

@@ -5,13 +5,13 @@ input-dependent branches (train vs ref).
 
 from conftest import once
 
-from repro.analysis.tables import render_rows, table2_rows
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_table2_characteristics(benchmark, runner, archive):
-    rows = once(benchmark, lambda: table2_rows(runner))
-    archive("table2_characteristics", render_rows(
-        rows, "Table 2: workload and input characteristics"))
+    figure = FIGURES["t2"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("table2_characteristics", render_rows(rows, figure.title, figure.percent_keys))
 
     assert len(rows) == 12
     for row in rows:

@@ -9,14 +9,13 @@ input sets differ in how much dependence they expose.
 
 from conftest import once
 
-from repro.analysis.tables import render_rows, table4_rows
+from repro.analysis.tables import FIGURES, render_rows
 
 
 def bench_table4_extended_inputs(benchmark, runner, archive):
-    rows = once(benchmark, lambda: table4_rows(runner))
-    archive("table4_ext_inputs", render_rows(
-        rows, "Table 4: extended input sets",
-        percent_keys=("gshare_mispred", "perceptron_mispred")))
+    figure = FIGURES["t4"]
+    rows = once(benchmark, lambda: figure.rows(runner))
+    archive("table4_ext_inputs", render_rows(rows, figure.title, figure.percent_keys))
 
     assert rows
     for row in rows:

@@ -138,10 +138,9 @@ def runner() -> ExperimentRunner:
     jobs = jobs_from_env()
     runner = ExperimentRunner(SuiteConfig(scale=scale_from_env(), jobs=jobs))
     if jobs != 1:
-        from repro.analysis.tables import suite_requirements
+        from repro.analysis.tables import FIGURES
 
-        sims, traces = suite_requirements()
-        stats = runner.prefetch(sims, traces)
+        stats = runner.prefetch([sim for figure in FIGURES.values() for sim in figure.needs()])
         print(
             f"\n[warm-up] {stats.artifacts} artifacts "
             f"({stats.traces} traces, {stats.sims} simulations, {stats.jobs} jobs)"

@@ -2,8 +2,9 @@
 
 ``generate_report(runner)`` runs the whole evaluation (reusing cached
 artifacts) and renders a single markdown document with every table and
-figure — the programmatic equivalent of re-running the benchmark suite,
-for users who want a document rather than pytest output.
+figure of :data:`repro.analysis.tables.FIGURES`, plus Figure 8 and the
+what-if extension — the programmatic equivalent of re-running the
+benchmark suite, for users who want a document rather than pytest output.
 
 CLI: ``repro-2dprof report [--out FILE]``.
 """
@@ -16,10 +17,6 @@ from repro.core.experiment import ExperimentRunner
 from repro.analysis import tables
 from repro.analysis.timeseries import figure8_series, render_ascii_series
 from repro.analysis.whatif import whatif_rows
-
-_BIN_KEYS = tuple(label for _, _, label in tables.ACCURACY_BINS)
-_STEP_KEYS = ("base", "base-ext1-1", "base-ext1-2", "base-ext1-3",
-              "base-ext1-4", "base-ext1-5", "base-ext1-6")
 
 
 def _section(title: str, body: str) -> str:
@@ -40,56 +37,13 @@ def generate_report(
         "",
     ]
 
-    parts.append(_section(
-        "Figure 2 — predication cost model",
-        tables.render_rows(tables.fig2_rows(points=11), "")))
-    parts.append(_section(
-        "Figure 3 — fraction of input-dependent branches",
-        tables.render_rows(tables.fig3_rows(runner), "",
-                           percent_keys=("dynamic", "static"))))
-    parts.append(_section(
-        "Figure 4 — dependent branches by ref-accuracy bin",
-        tables.render_rows(tables.fig4_rows(runner), "", percent_keys=_BIN_KEYS)))
-    parts.append(_section(
-        "Figure 5 — dependent fraction within accuracy bins",
-        tables.render_rows(tables.fig5_rows(runner), "", percent_keys=_BIN_KEYS)))
-    parts.append(_section(
-        "Table 1 — overall misprediction rates",
-        tables.render_rows(tables.table1_rows(runner), "",
-                           percent_keys=("train", "ref"))))
-    parts.append(_section(
-        "Table 2 — workload characteristics",
-        tables.render_rows(tables.table2_rows(runner), "")))
-
-    varying, flat, _overall = figure8_series(runner, "gapish", slices=50)
-    parts.append(_section(
-        "Figure 8 — per-slice accuracy over time (gapish)",
-        render_ascii_series(varying) + "\n\n" + render_ascii_series(flat)))
-
-    parts.append(_section(
-        "Figure 10 — COV/ACC, two input sets",
-        tables.render_rows(tables.fig10_rows(runner), "")))
-    parts.append(_section(
-        "Figure 11 — dependent fraction vs #input sets",
-        tables.render_rows(tables.fig11_rows(runner), "", percent_keys=_STEP_KEYS)))
-    parts.append(_section(
-        "Figure 12 — average COV/ACC vs #input sets",
-        tables.render_rows(tables.fig12_rows(runner), "")))
-    parts.append(_section(
-        "Figure 13 — COV/ACC at max input sets",
-        tables.render_rows(tables.fig13_rows(runner), "")))
-    parts.append(_section(
-        "Figure 14 — dependent fraction vs #inputs (perceptron target)",
-        tables.render_rows(tables.fig14_rows(runner), "", percent_keys=_STEP_KEYS)))
-    parts.append(_section(
-        "Figure 15 — gshare profiler vs perceptron target",
-        tables.render_rows(
-            tables.fig13_rows(runner, profiler_predictor="gshare",
-                              target_predictor="perceptron"), "")))
-    parts.append(_section(
-        "Table 4 — extended input sets",
-        tables.render_rows(tables.table4_rows(runner), "",
-                           percent_keys=("gshare_mispred", "perceptron_mispred"))))
+    for key, figure in tables.FIGURES.items():
+        parts.append(_section(figure.title, tables.render_figure(key, runner)))
+        if key == "t2":  # Figure 8 is printed by `series`, not `fig`
+            varying, flat, _overall = figure8_series(runner, "gapish")
+            parts.append(_section(
+                "Figure 8 — per-slice accuracy over time (gapish)",
+                render_ascii_series(varying) + "\n\n" + render_ascii_series(flat)))
 
     if include_whatif:
         parts.append(_section(

@@ -1,14 +1,18 @@
-"""Row builders and plain-text rendering for every table and figure.
+"""Row builders, plain-text rendering and the catalogue of every table and figure.
 
 Each ``figNN_rows`` / ``tableN_rows`` function returns a list of dicts (one
-per printed row) so tests can assert on values and the benches can print
-the same rows the paper reports.  Rendering is plain text (the harness is
-terminal-first); EXPERIMENTS.md captures paper-vs-measured.
+per printed row) so tests can assert on values.  :data:`FIGURES` declares
+each figure once (title, builder, percent columns, simulations needed);
+``fig``, ``warm``, the report, the golden tests and the benches all read
+it.  Rendering is plain text (the harness is terminal-first);
+EXPERIMENTS.md captures paper-vs-measured.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.experiment import ExperimentRunner
 from repro.core.metrics import average_metrics
@@ -281,55 +285,6 @@ def table4_rows(runner: ExperimentRunner) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Artifact grids (consumed by the parallel experiment engine)
-# ----------------------------------------------------------------------
-
-
-def figure_requirements(key: str) -> tuple[list[tuple[str, str, str]], list[tuple[str, str]]]:
-    """The artifact grid one figure/table needs: (sim specs, extra traces).
-
-    Sim specs are (workload, input, predictor) triples; each implies its
-    trace.  ``ParallelRunner`` warms this grid before the row builders
-    run, so the serial builders only ever hit a hot cache.
-    """
-    wide = [(wl.name, inp, "gshare") for wl in all_workloads() for inp in ("train", "ref")]
-    deep_inputs = [(wl, inp) for wl in deep_workloads() for inp in wl.input_names]
-    deep_gshare = [(wl.name, inp, "gshare") for wl, inp in deep_inputs]
-    deep_perceptron = [(wl.name, inp, "perceptron") for wl, inp in deep_inputs]
-    if key == "2":
-        return [], []
-    if key in ("3", "4", "5", "10", "t1", "t2"):
-        return wide, []
-    if key in ("11", "12", "13"):
-        return deep_gshare, []
-    if key == "14":
-        return deep_perceptron, []
-    if key == "15":
-        train_gshare = [(wl.name, "train", "gshare") for wl in deep_workloads()]
-        return train_gshare + deep_perceptron, []
-    if key == "t4":
-        ext = [
-            (wl.name, inp, pred)
-            for wl in deep_workloads()
-            for inp in ["train"] + wl.ext_names
-            for pred in ("gshare", "perceptron")
-        ]
-        return ext, []
-    return [], []
-
-
-def suite_requirements() -> tuple[list[tuple[str, str, str]], list[tuple[str, str]]]:
-    """The union grid of every figure/table — one shared warm-up pass."""
-    sims: dict[tuple[str, str, str], None] = {}
-    traces: dict[tuple[str, str], None] = {}
-    for key in ("3", "11", "14", "15", "t4"):
-        fig_sims, fig_traces = figure_requirements(key)
-        sims.update(dict.fromkeys(fig_sims))
-        traces.update(dict.fromkeys(fig_traces))
-    return list(sims), list(traces)
-
-
-# ----------------------------------------------------------------------
 # Renderers
 # ----------------------------------------------------------------------
 
@@ -353,3 +308,87 @@ def render_rows(rows: list[dict], title: str = "", percent_keys: tuple = ()) -> 
                 cells.append(str(value))
         body.append(cells)
     return format_table(headers, body, title)
+
+
+# ----------------------------------------------------------------------
+# The figure catalogue
+# ----------------------------------------------------------------------
+
+
+def _wide_sims() -> list[tuple[str, str, str]]:
+    return [(wl.name, inp, "gshare") for wl in all_workloads() for inp in ("train", "ref")]
+
+
+def _deep_sims(predictor: str) -> list[tuple[str, str, str]]:
+    return [(wl.name, inp, predictor) for wl in deep_workloads() for inp in wl.input_names]
+
+
+def _fig15_sims() -> list[tuple[str, str, str]]:
+    train = [(wl.name, "train", "gshare") for wl in deep_workloads()]
+    return train + _deep_sims("perceptron")
+
+
+def _table4_sims() -> list[tuple[str, str, str]]:
+    return [
+        (wl.name, inp, predictor)
+        for wl in deep_workloads()
+        for inp in ["train"] + wl.ext_names
+        for predictor in ("gshare", "perceptron")
+    ]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One paper figure or table, as the report, ``fig`` and the benches show it.
+
+    ``needs`` returns the (workload, input, predictor) simulations ``rows``
+    reads; each implies its trace.  It reads the workload registry when
+    called, so a registry trimmed at run time trims the grid too.
+    ``ParallelRunner`` warms this grid before ``rows`` runs, so the serial
+    builders only ever hit a hot cache.
+    """
+
+    title: str
+    rows: Callable[[ExperimentRunner], list[dict]]
+    needs: Callable[[], list[tuple[str, str, str]]]
+    percent_keys: tuple[str, ...] = ()
+
+
+_BIN_KEYS = tuple(label for _, _, label in ACCURACY_BINS)
+_STEP_KEYS = ("base",) + tuple(f"base-ext1-{k}" for k in range(1, 7))
+
+#: Every figure and table ``fig`` accepts, keyed as on its command line and
+#: in the report's order.
+FIGURES: dict[str, Figure] = {
+    "2": Figure("Figure 2 — predication cost model",
+                lambda runner: fig2_rows(points=11), lambda: []),
+    "3": Figure("Figure 3 — fraction of input-dependent branches",
+                fig3_rows, _wide_sims, ("dynamic", "static")),
+    "4": Figure("Figure 4 — dependent branches by ref-accuracy bin",
+                fig4_rows, _wide_sims, _BIN_KEYS),
+    "5": Figure("Figure 5 — dependent fraction within accuracy bins",
+                fig5_rows, _wide_sims, _BIN_KEYS),
+    "t1": Figure("Table 1 — overall misprediction rates",
+                 table1_rows, _wide_sims, ("train", "ref")),
+    "t2": Figure("Table 2 — workload characteristics", table2_rows, _wide_sims),
+    "10": Figure("Figure 10 — COV/ACC, two input sets", fig10_rows, _wide_sims),
+    "11": Figure("Figure 11 — dependent fraction vs #input sets",
+                 fig11_rows, lambda: _deep_sims("gshare"), _STEP_KEYS),
+    "12": Figure("Figure 12 — average COV/ACC vs #input sets",
+                 fig12_rows, lambda: _deep_sims("gshare")),
+    "13": Figure("Figure 13 — COV/ACC at max input sets",
+                 fig13_rows, lambda: _deep_sims("gshare")),
+    "14": Figure("Figure 14 — dependent fraction vs #inputs (perceptron target)",
+                 fig14_rows, lambda: _deep_sims("perceptron"), _STEP_KEYS),
+    "15": Figure("Figure 15 — gshare profiler vs perceptron target",
+                 lambda runner: fig13_rows(runner, target_predictor="perceptron"),
+                 _fig15_sims),
+    "t4": Figure("Table 4 — extended input sets",
+                 table4_rows, _table4_sims, ("gshare_mispred", "perceptron_mispred")),
+}
+
+
+def render_figure(key: str, runner: ExperimentRunner) -> str:
+    """The report's body for one figure: its rows as an untitled text table."""
+    figure = FIGURES[key]
+    return render_rows(figure.rows(runner), percent_keys=figure.percent_keys)

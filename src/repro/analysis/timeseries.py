@@ -81,7 +81,7 @@ def figure8_series(
     runner: ExperimentRunner,
     workload: str = "gapish",
     predictor: str = "gshare",
-    slices: int = 60,
+    slices: int = 50,
 ) -> tuple[BranchSeries, BranchSeries, list[float]]:
     """(input-dependent-looking, input-independent-looking, overall) curves."""
     trace = runner.trace(workload, "train")

@@ -54,37 +54,6 @@ def _dist_version() -> str:
 
         return repro.__version__
 
-_FIG_BUILDERS = {
-    "2": lambda runner: tables.render_rows(tables.fig2_rows(), "Figure 2: predication cost"),
-    "3": lambda runner: tables.render_rows(
-        tables.fig3_rows(runner), "Figure 3: input-dependent fraction",
-        percent_keys=("dynamic", "static")),
-    "4": lambda runner: tables.render_rows(
-        tables.fig4_rows(runner), "Figure 4: accuracy distribution of input-dependent branches",
-        percent_keys=tuple(label for _, _, label in tables.ACCURACY_BINS)),
-    "5": lambda runner: tables.render_rows(
-        tables.fig5_rows(runner), "Figure 5: input-dependent fraction per accuracy bin",
-        percent_keys=tuple(label for _, _, label in tables.ACCURACY_BINS)),
-    "10": lambda runner: tables.render_rows(tables.fig10_rows(runner), "Figure 10: COV/ACC, two input sets"),
-    "11": lambda runner: tables.render_rows(
-        tables.fig11_rows(runner), "Figure 11: dependent fraction vs #inputs",
-        percent_keys=("base", "base-ext1-1", "base-ext1-2", "base-ext1-3",
-                      "base-ext1-4", "base-ext1-5", "base-ext1-6")),
-    "12": lambda runner: tables.render_rows(tables.fig12_rows(runner), "Figure 12: average COV/ACC vs #inputs"),
-    "13": lambda runner: tables.render_rows(tables.fig13_rows(runner), "Figure 13: COV/ACC, max inputs"),
-    "14": lambda runner: tables.render_rows(
-        tables.fig14_rows(runner), "Figure 14: dependent fraction vs #inputs (perceptron)",
-        percent_keys=("base", "base-ext1-1", "base-ext1-2", "base-ext1-3",
-                      "base-ext1-4", "base-ext1-5", "base-ext1-6")),
-    "15": lambda runner: tables.render_rows(
-        tables.fig13_rows(runner, profiler_predictor="gshare", target_predictor="perceptron"),
-        "Figure 15: COV/ACC, gshare profiler vs perceptron target"),
-    "t1": lambda runner: tables.render_rows(
-        tables.table1_rows(runner), "Table 1: misprediction rates", percent_keys=("train", "ref")),
-    "t2": lambda runner: tables.render_rows(tables.table2_rows(runner), "Table 2: characteristics"),
-    "t4": lambda runner: tables.render_rows(tables.table4_rows(runner), "Table 4: extended inputs"),
-}
-
 
 def _profiler_config(args: argparse.Namespace) -> ProfilerConfig:
     """The profiler config implied by --std-th/--pam-th (defaults otherwise)."""
@@ -198,22 +167,23 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_fig(args: argparse.Namespace) -> int:
     key = args.figure.lower().removeprefix("fig").removeprefix("ure")
-    builder = _FIG_BUILDERS.get(key)
-    if builder is None:
-        print(f"unknown figure {args.figure!r}; known: {', '.join(sorted(_FIG_BUILDERS))}",
+    figure = tables.FIGURES.get(key)
+    if figure is None:
+        print(f"unknown figure {args.figure!r}; known: {', '.join(tables.FIGURES)}",
               file=sys.stderr)
         return 2
     runner = _make_runner(args)
-    sims, traces = tables.figure_requirements(key)
-    _prefetch(runner, sims, traces)
-    print(builder(runner))
+    _prefetch(runner, figure.needs())
+    print(figure.title)
+    print(tables.render_figure(key, runner))
     return 0
 
 
 def _cmd_warm(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
-    sims, traces = tables.suite_requirements()
-    stats = runner.prefetch(sims, traces)
+    stats = runner.prefetch(
+        [sim for figure in tables.FIGURES.values() for sim in figure.needs()]
+    )
     print(
         f"cache warm: {stats.artifacts} artifacts "
         f"({stats.traces} traces, {stats.sims} simulations) with {stats.jobs} jobs"
@@ -902,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs(p)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("fig", help="print a paper figure/table (2,3,4,5,10..15,t1,t2,t4)")
+    p = sub.add_parser("fig", help=f"print a paper figure/table ({','.join(tables.FIGURES)})")
     p.add_argument("figure")
     add_thresholds(p)
     add_jobs(p)

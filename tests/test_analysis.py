@@ -135,7 +135,8 @@ class TestOverhead:
             run_mode(machine, wl.make_input("train", 0.02), "turbo")
 
     def test_measure_overheads_normalized(self):
-        rows = measure_overheads("mcfish", scale=0.02)
+        # Best of 3: a cold first `binary` run would inflate the baseline.
+        rows = measure_overheads("mcfish", scale=0.02, repeats=3)
         by_mode = {r.mode: r for r in rows}
         assert by_mode["binary"].normalized == pytest.approx(1.0)
         # Instrumented modes cannot be faster than the bare binary by much

@@ -26,16 +26,11 @@ from repro.analysis import tables
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: JSON has no NaN; the paper's 0/0 cells round-trip as null.
-FIGURES = {
-    "fig3": tables.fig3_rows,
-    "fig4": tables.fig4_rows,
-    "fig5": tables.fig5_rows,
-    "fig10": tables.fig10_rows,
-}
+FIGURES = {f"fig{key}": tables.FIGURES[key].rows for key in ("3", "4", "5", "10")}
 
 
 def _canonical(rows: list[dict]) -> list[dict]:
+    # JSON has no NaN; the paper's 0/0 cells round-trip as null.
     out = []
     for row in rows:
         canon = {}

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.analysis import tables
 from repro.analysis.reportgen import generate_report, write_report
+from repro.cli import main
+from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.errors import (
     ExperimentError,
     FuelExhausted,
@@ -18,16 +21,51 @@ from repro.errors import (
 from repro.vm.inputs import InputSet
 
 
+class _RecordingRunner(ExperimentRunner):
+    """Records every simulation and trace a row builder asks for."""
+
+    def __init__(self, config: SuiteConfig):
+        super().__init__(config)
+        self.sims: set = set()
+        self.traces: set = set()
+
+    def simulation(self, workload, input_name, predictor="gshare"):
+        self.sims.add((workload, input_name, predictor))
+        return super().simulation(workload, input_name, predictor)
+
+    def trace(self, workload, input_name):
+        self.traces.add((workload, input_name))
+        return super().trace(workload, input_name)
+
+
 class TestReportGenerator:
     @pytest.fixture(scope="class")
-    def report_text(self, tmp_path_factory):
-        from repro.core.experiment import ExperimentRunner, SuiteConfig
+    def report_cache(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("rg")
 
-        runner = ExperimentRunner(
-            SuiteConfig(scale=0.03, cache_dir=tmp_path_factory.mktemp("rg"))
-        )
+    @pytest.fixture(scope="class")
+    def report_text(self, report_cache):
+        runner = ExperimentRunner(SuiteConfig(scale=0.03, cache_dir=report_cache))
         return generate_report(runner, include_whatif=True,
                                whatif_workloads=("vortexish",))
+
+    @pytest.mark.parametrize("key", list(tables.FIGURES))
+    def test_needs_are_what_the_builder_reads(self, key, report_text, report_cache):
+        """`fig --jobs`, `warm` and the bench warm-up prefetch exactly these."""
+        runner = _RecordingRunner(SuiteConfig(scale=0.03, cache_dir=report_cache))
+        figure = tables.FIGURES[key]
+        figure.rows(runner)
+        needs = figure.needs()
+        assert runner.sims == set(needs)
+        assert runner.traces <= {(workload, inp) for workload, inp, _ in needs}
+
+    @pytest.mark.parametrize("key", list(tables.FIGURES))
+    def test_fig_prints_the_report_section(self, key, report_text, report_cache,
+                                           monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_2DPROF_CACHE", str(report_cache))
+        assert main(["--scale", "0.03", "fig", key]) == 0
+        title, body = capsys.readouterr().out.split("\n", 1)
+        assert f"## {title}\n\n```\n{body}```\n" in report_text
 
     def test_contains_every_section(self, report_text):
         for heading in ("Figure 2", "Figure 3", "Figure 4", "Figure 5",
@@ -43,8 +81,6 @@ class TestReportGenerator:
             assert name in report_text
 
     def test_write_report(self, tmp_path):
-        from repro.core.experiment import ExperimentRunner, SuiteConfig
-
         runner = ExperimentRunner(
             SuiteConfig(scale=0.03, cache_dir=tmp_path / "cache")
         )
