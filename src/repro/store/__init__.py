@@ -16,9 +16,10 @@ Public surface::
 
 Layers: :mod:`repro.store.layout` (schema + CSR columnarization),
 :mod:`repro.store.segments` (atomic ``.npy`` publication, memmap reads),
-:mod:`repro.store.manifest` (atomic JSON commits on the
-:mod:`repro.cachefs` primitives), :mod:`repro.store.queries` (the query
-engine), :mod:`repro.store.warehouse` (ingest, catalog, gc, compaction).
+:mod:`repro.store.manifest` (a JSON snapshot plus an append-only commit
+log, on the :mod:`repro.cachefs` primitives), :mod:`repro.store.queries`
+(the query engine), :mod:`repro.store.warehouse` (ingest, catalog, gc,
+compaction).
 See ``docs/warehouse.md``.
 """
 
@@ -30,7 +31,7 @@ from repro.store.layout import (
     config_digest,
     csr_from_series,
 )
-from repro.store.manifest import Manifest, load_manifest, save_manifest
+from repro.store.manifest import Manifest, ManifestFile
 from repro.store.queries import (
     StoredRun,
     WindowCounts,
@@ -49,8 +50,7 @@ __all__ = [
     "config_digest",
     "csr_from_series",
     "Manifest",
-    "load_manifest",
-    "save_manifest",
+    "ManifestFile",
     "StoredRun",
     "WindowCounts",
     "diff_runs",

@@ -3,7 +3,8 @@
 A warehouse root directory looks like::
 
     <root>/
-        manifest.json            # the single source of truth (atomic commits)
+        manifest.json            # snapshot: the catalog as of its generation
+        manifest.log             # commit log: one record per commit since then
         manifest.json.lock       # flock sidecar (see repro.cachefs)
         segments/
             <segment-uid>/
@@ -24,9 +25,10 @@ ingest, a whole population for a sweep); compaction rewrites every run
 into one segment, concatenating the arrays and re-pointing each run's
 offsets.
 
-Only the manifest makes data visible: a segment directory not referenced
-by ``manifest.json`` is garbage by definition (a crashed ingest), which is
-what makes the store kill -9 safe — see :mod:`repro.store.warehouse`.
+Only the manifest (the snapshot plus the log records of its generation,
+see :mod:`repro.store.manifest`) makes data visible: a segment directory
+it does not reference is garbage by definition (a crashed ingest), which
+is what makes the store kill -9 safe — see :mod:`repro.store.warehouse`.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ import numpy as np
 from repro.errors import StoreError
 
 #: Bump on any change to the manifest schema or segment file layout.
-STORE_VERSION = 1
+#: Version 2 added the commit log: older code would not see logged runs.
+STORE_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
+LOG_NAME = "manifest.log"
 SEGMENTS_DIRNAME = "segments"
 
 #: Segment file names and their required dtypes, in canonical order.
@@ -85,7 +89,7 @@ class IngestRun:
     source: str = "experiment"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
     """One committed run: identity, provenance, and segment offsets."""
 
@@ -128,7 +132,7 @@ class RunRecord:
             raise StoreError(f"malformed run record: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentRecord:
     """One committed segment: its files' byte sizes (for validation)."""
 

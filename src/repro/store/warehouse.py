@@ -10,9 +10,10 @@ Durability contract (mirrors the experiment cache's, tested in
 ``tests/test_store_durability.py``):
 
 * **Commit protocol** — an ingest batch's segment arrays are fully
-  written and fsynced *before* its one manifest commit; the manifest is
-  published atomically under a flock.  kill -9 at any instant leaves the
-  store openable, with every run of the interrupted batch absent.
+  written and fsynced *before* its one manifest commit, which appends
+  one checksummed record to the manifest log under a flock (see
+  :mod:`repro.store.manifest`).  kill -9 at any instant leaves the store
+  openable, with every run of the interrupted batch absent.
 * **Garbage, not corruption** — segment directories the manifest does not
   reference are leftovers of crashed ingests; :meth:`gc` sweeps them
   (and ``*.tmp`` litter).  They are never opened by queries.
@@ -23,6 +24,7 @@ Durability contract (mirrors the experiment cache's, tested in
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import shutil
 import uuid
@@ -44,7 +46,7 @@ from repro.store.layout import (
     config_digest,
     csr_from_series,
 )
-from repro.store.manifest import load_manifest, manifest_commit
+from repro.store.manifest import Manifest, ManifestFile
 from repro.store.queries import StoredRun
 from repro.store.segments import SegmentBuilder, SegmentReader
 
@@ -76,6 +78,8 @@ class ProfileWarehouse:
     def __init__(self, root: str | Path, create: bool = True):
         self.root = Path(root)
         self.manifest_path = self.root / MANIFEST_NAME
+        self._manifest = ManifestFile(self.manifest_path)
+        self.log_path = self._manifest.log_path
         self.segments_root = self.root / SEGMENTS_DIRNAME
         if create:
             self.segments_root.mkdir(parents=True, exist_ok=True)
@@ -179,7 +183,7 @@ class ProfileWarehouse:
         uid = f"seg-{uuid.uuid4().hex[:12]}"
         sizes = builder.write(self.segments_root / uid)
         run_ids = []
-        with manifest_commit(self.manifest_path) as manifest:
+        with self._manifest.commit() as manifest:
             manifest.add_segment(
                 SegmentRecord(uid=uid, entries=builder.entries, files=sizes))
             for item, (_key, config, _arrays), run_offsets in zip(items, prepared, offsets):
@@ -214,9 +218,14 @@ class ProfileWarehouse:
     # Catalog
     # ------------------------------------------------------------------
 
-    def manifest(self):
-        """A fresh manifest image (the store has no in-memory caching)."""
-        return load_manifest(self.manifest_path)
+    def manifest(self) -> Manifest:
+        """The committed manifest image, shared: callers must not change it.
+
+        The instance caches the parsed image.  A call stats the snapshot
+        and reads only the log bytes appended since the previous call; it
+        re-parses the snapshot only after another writer folded it.
+        """
+        return self._manifest.read()
 
     def runs(
         self,
@@ -349,7 +358,7 @@ class ProfileWarehouse:
                     live = {rec.segment for run_id, rec in manifest.runs.items()
                             if run_id not in corrupt}
                 elif corrupt:
-                    with manifest_commit(self.manifest_path) as manifest:
+                    with self._manifest.commit() as manifest:
                         for run_id in corrupt:
                             if run_id in manifest.runs:
                                 del manifest.runs[run_id]
@@ -380,10 +389,13 @@ class ProfileWarehouse:
         return stats
 
     @staticmethod
-    def _drop_orphan_segments(manifest) -> None:
+    def _drop_orphan_segments(manifest) -> list[str]:
+        """Drop segments no run references; returns their uids."""
         referenced = {rec.segment for rec in manifest.runs.values()}
-        for uid in [uid for uid in manifest.segments if uid not in referenced]:
+        dropped = [uid for uid in manifest.segments if uid not in referenced]
+        for uid in dropped:
             del manifest.segments[uid]
+        return dropped
 
     def compact(self) -> CompactStats:
         """Rewrite every live run into one consolidated segment.
@@ -391,8 +403,10 @@ class ProfileWarehouse:
         The new segment is fully written before the manifest repoints the
         runs at it, so compaction interrupted at any instant leaves either
         the old layout (plus an unreferenced new segment — gc fodder) or
-        the new one.  Superseded segment directories are unlinked after
-        the commit; if that is interrupted, gc finishes the job.
+        the new one.  The segments this commit supersedes are unlinked
+        after it; if that is interrupted, gc finishes the job.  Other
+        unreferenced directories are left alone: one may be a concurrent
+        ingest's segment, written but not yet committed.
         """
         with get_tracer().span("store.compact", cat="store") as sp:
             manifest = self.manifest()
@@ -419,24 +433,21 @@ class ProfileWarehouse:
             sizes = builder.write(self.segments_root / uid)
             stats.bytes_written = sum(sizes.values())
 
-            with manifest_commit(self.manifest_path) as manifest:
+            with self._manifest.commit() as manifest:
                 manifest.add_segment(
                     SegmentRecord(uid=uid, entries=builder.entries, files=sizes))
                 for record in records:
                     live = manifest.runs.get(record.run_id)
                     if live is None or live.segment != record.segment:
                         continue  # changed underneath us; leave it alone
-                    live.segment = uid
-                    for name, value in offsets_by_run[record.run_id].items():
-                        setattr(live, name, value)
+                    manifest.runs[record.run_id] = dataclasses.replace(
+                        live, segment=uid, **offsets_by_run[record.run_id])
                     stats.runs_rewritten += 1
-                self._drop_orphan_segments(manifest)
+                superseded = self._drop_orphan_segments(manifest)
                 stats.segments_after = len(manifest.segments)
             # Best-effort removal of superseded directories; gc can finish.
-            live_uids = set(self.manifest().segments)
-            for path in self.segments_root.iterdir():
-                if path.is_dir() and path.name not in live_uids:
-                    shutil.rmtree(path, ignore_errors=True)
+            for superseded_uid in superseded:
+                shutil.rmtree(self.segments_root / superseded_uid, ignore_errors=True)
             get_registry().counter("store_compactions_total", "compaction passes").inc()
             sp.set("runs", stats.runs_rewritten)
             return stats

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.experiment import ExperimentRunner, SuiteConfig
-from repro.core.profiler2d import ProfilerConfig, profile_trace
+from repro.core.profiler2d import ProfilerConfig, TwoDProfiler, profile_trace
 from repro.core.stats import TestThresholds
 import repro.store.manifest as manifest_mod
 from repro.errors import StoreError
@@ -30,6 +30,8 @@ from repro.obs import get_registry
 from repro.service.protocol import serialize_report
 from repro.store import (
     IngestRun,
+    Manifest,
+    ManifestFile,
     ProfileWarehouse,
     RunRecord,
     SegmentBuilder,
@@ -150,16 +152,18 @@ class TestIngest:
 
     def test_seven_key_record_refolds_identically(self, stocked, artifacts):
         """Records written before the config stored pam_exact/keep_series
-        open and refold exactly as before (both decode as False)."""
+        open and refold exactly as before (both decode as False).  Such
+        records live in a version-1 store: one snapshot, no log."""
         warehouse, ids = stocked
         report, _sim = artifacts["train"]
-        data = json.loads(warehouse.manifest_path.read_text())
+        data = _v1_snapshot(warehouse)
         config = data["runs"][ids["train"]]["config"]
         del config["pam_exact"], config["keep_series"]
         assert sorted(config) == ["exec_threshold", "fir_cold_start", "mean_th",
                                   "pam_th", "slice_size", "std_th", "use_fir"]
         warehouse.manifest_path.write_text(json.dumps(data))
-        refolded = warehouse.open_run(ids["train"]).report()
+        warehouse.log_path.unlink()
+        refolded = ProfileWarehouse(warehouse.root).open_run(ids["train"]).report()
         assert serialize_report(refolded) == serialize_report(report)
         assert refolded.config == report.config
         np.testing.assert_array_equal(refolded.series, report.series)
@@ -180,21 +184,36 @@ def _segment_dirs(warehouse) -> set[str]:
     return {p.name for p in warehouse.segments_root.iterdir() if p.is_dir()}
 
 
+def _v1_snapshot(warehouse) -> dict:
+    """The store's runs as a version-1 manifest: no generation, no log."""
+    data = warehouse.manifest().to_json()
+    data["version"] = 1
+    del data["generation"]
+    return data
+
+
+def _manifest_files(warehouse) -> tuple[bytes | None, bytes | None]:
+    """The snapshot's and the log's bytes (None for a missing file)."""
+    return tuple(path.read_bytes() if path.exists() else None
+                 for path in (warehouse.manifest_path, warehouse.log_path))
+
+
 def _counter(name: str) -> float:
     return get_registry().counter(name).value
 
 
 @pytest.fixture()
 def commits(monkeypatch):
-    """Counts manifest publications (``save_manifest`` calls)."""
+    """Counts manifest writes: log appends and snapshot folds."""
     calls = []
-    real = manifest_mod.save_manifest
+    for name in ("_append", "_fold"):
+        real = getattr(manifest_mod.ManifestFile, name)
 
-    def counting(path, manifest):
-        calls.append(path)
-        real(path, manifest)
+        def counting(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            _real(self, *args)
 
-    monkeypatch.setattr(manifest_mod, "save_manifest", counting)
+        monkeypatch.setattr(manifest_mod.ManifestFile, name, counting)
     return calls
 
 
@@ -243,7 +262,7 @@ class TestBatchIngest:
 
     def test_nothing_new_writes_nothing(self, stocked, artifacts, commits):
         warehouse, ids = stocked
-        manifest = warehouse.manifest_path.read_bytes()
+        manifest = _manifest_files(warehouse)
         before = _segment_dirs(warehouse)
         segments = _counter("store_segments_total")
         assert warehouse.ingest([]) == []
@@ -251,7 +270,7 @@ class TestBatchIngest:
         assert again == [ids["ref"], ids["train"]]
         assert commits == []
         assert _segment_dirs(warehouse) == before
-        assert warehouse.manifest_path.read_bytes() == manifest
+        assert _manifest_files(warehouse) == manifest
         assert _counter("store_segments_total") == segments
 
     def test_batch_of_one_matches_a_single_run_segment(self, warehouse, artifacts,
@@ -288,7 +307,7 @@ class TestBatchIngest:
                 warehouse.ingest([_item(artifacts, "train"), bad])
         assert commits == []
         assert _segment_dirs(warehouse) == set()
-        assert not warehouse.manifest_path.exists()
+        assert _manifest_files(warehouse) == (None, None)
 
     def test_open_runs_shares_one_reader_per_segment(self, warehouse, artifacts):
         ids = warehouse.ingest([_item(artifacts, "train"), _item(artifacts, "ref")])
@@ -577,16 +596,15 @@ class TestMaintenance:
         acc = warehouse.segments_root / record.segment / "acc.npy"
         acc.write_bytes(acc.read_bytes()[:16])
 
-        manifest_path = warehouse.manifest_path
-        before = manifest_path.read_bytes()
+        before = _manifest_files(warehouse)
         stats = warehouse.gc(purge_corrupt=True, dry_run=True)
 
         # orphan dir + the would-be-purged run's segment; one tmp file.
         assert stats.segments_removed == 2
         assert stats.tmp_files_removed == 1
         assert stats.runs_purged == 1
-        assert manifest_path.read_bytes() == before, (
-            "dry run must leave the manifest byte-identical")
+        assert _manifest_files(warehouse) == before, (
+            "dry run must leave the snapshot and the log byte-identical")
         assert orphan.exists() and litter.exists()
         assert set(warehouse.manifest().runs) == set(ids.values())
 
@@ -594,6 +612,133 @@ class TestMaintenance:
         real = warehouse.gc(purge_corrupt=True)
         assert (real.segments_removed, real.tmp_files_removed,
                 real.runs_purged) == (2, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# The manifest log: commit cost and store versions
+# ----------------------------------------------------------------------
+
+
+def _synthetic_run(seed: int, workload: str) -> IngestRun:
+    rng = np.random.default_rng(seed)
+    profiler = TwoDProfiler(12, ProfilerConfig(slice_size=64, keep_series=True))
+    profiler.record_batch(rng.integers(0, 12, 4000), rng.integers(0, 2, 4000))
+    return IngestRun(profiler.finish(), workload, "live", "synthetic", source="test")
+
+
+def _grown_store(root: Path, runs: int) -> ProfileWarehouse:
+    """A store of ``runs`` runs: one real run plus records that copy it."""
+    warehouse = ProfileWarehouse(root)
+    [first] = warehouse.ingest([_synthetic_run(0, "seed")])
+    record = warehouse.manifest().runs[first]
+    with ManifestFile(warehouse.manifest_path).commit() as manifest:
+        for index in range(runs - 1):
+            manifest.add_run(dataclasses.replace(
+                record, run_id=manifest.allocate_run_id(), input=f"copy{index}"))
+    return warehouse
+
+
+class TestCommitCost:
+    """A one-run commit costs the same whatever the store holds.
+
+    Counted in bytes parsed and written, not timed."""
+
+    @staticmethod
+    def _one_run_ingest(warehouse, monkeypatch) -> tuple[str, int, int]:
+        """(run id, snapshot bytes parsed, manifest bytes written) of one
+        one-run ingest through a warm instance."""
+        warehouse.manifest()
+        parsed = []
+        real = manifest_mod._parse_snapshot
+
+        def counting(data, path):
+            parsed.append(len(data))
+            return real(data, path)
+
+        def manifest_bytes():
+            return sum(path.stat().st_size for path in
+                       (warehouse.manifest_path, warehouse.log_path) if path.exists())
+
+        before = manifest_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(manifest_mod, "_parse_snapshot", counting)
+            [run_id] = warehouse.ingest([_synthetic_run(1, "probe")])
+        return run_id, sum(parsed), manifest_bytes() - before
+
+    def test_one_run_ingest_cost_does_not_grow_with_the_store(self, tmp_path,
+                                                               monkeypatch):
+        big = _grown_store(tmp_path / "big", 4000)
+        # The 4000-run commit outgrew max(snapshot, 1 MiB) and was folded.
+        assert big.log_path.stat().st_size == 0
+        assert json.loads(big.manifest_path.read_text())["generation"] == 2
+        small = _grown_store(tmp_path / "small", 5)
+
+        big_id, big_parsed, big_written = self._one_run_ingest(big, monkeypatch)
+        small_id, small_parsed, small_written = self._one_run_ingest(small, monkeypatch)
+        assert (big_id, small_id) == ("r004001", "r000006")
+        assert big_parsed == small_parsed == 0
+        # One log record each; only next_run's digits differ.
+        assert 0 < small_written <= big_written <= small_written + 8
+        assert big.manifest_path.stat().st_size > 1 << 20
+        assert len(ProfileWarehouse(big.root).runs()) == 4001
+
+    def test_small_commits_append_until_the_log_outgrows_the_snapshot(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manifest_mod, "FOLD_MIN_BYTES", 0)
+        warehouse = ProfileWarehouse(tmp_path / "wh")
+        generations = []
+        for seed in range(8):
+            warehouse.ingest([_synthetic_run(seed, f"w{seed}")])
+            snapshot = warehouse.manifest_path.read_bytes()
+            log = warehouse.log_path.read_bytes() if warehouse.log_path.exists() else b""
+            assert len(log) <= len(snapshot)
+            generations.append(json.loads(snapshot)["generation"])
+        # Some commits appended, and some appends triggered a fold.
+        assert generations[0] == 1 and generations[-1] > 1
+        assert len(set(generations)) < len(generations)
+        assert [rec.workload for rec in ProfileWarehouse(warehouse.root).runs()] == [
+            f"w{seed}" for seed in range(8)]
+
+
+class TestStoreVersions:
+    def test_v1_store_answers_unchanged_then_upgrades(self, stocked, artifacts,
+                                                      capsys):
+        warehouse, ids = stocked
+        catalog = _run_db_cli(capsys, warehouse.root, "query")
+        reports = {run_id: serialize_report(warehouse.open_run(run_id).report())
+                   for run_id in ids.values()}
+        # The same runs in the version-1 format: one snapshot, no log.
+        warehouse.manifest_path.write_text(
+            json.dumps(_v1_snapshot(warehouse), indent=1, sort_keys=True) + "\n")
+        warehouse.log_path.unlink()
+        v1 = _manifest_files(warehouse)
+
+        old = ProfileWarehouse(warehouse.root)
+        assert _run_db_cli(capsys, old.root, "query") == catalog
+        assert {run_id: serialize_report(old.open_run(run_id).report())
+                for run_id in ids.values()} == reports
+        assert old.check() == []
+        assert old.ingest([_item(artifacts, "train")]) == [ids["train"]]
+        assert _manifest_files(old) == v1, "reading a v1 store must not write it"
+
+        # Its first commit publishes a version-2 snapshot.
+        [fresh] = old.ingest([_item(artifacts, "train", scale=0.5)])
+        data = json.loads(old.manifest_path.read_text())
+        assert (data["version"], data["generation"]) == (2, 1)
+        assert sorted(data["runs"]) == sorted([*ids.values(), fresh])
+        again = ProfileWarehouse(warehouse.root)
+        assert {run_id: serialize_report(again.open_run(run_id).report())
+                for run_id in ids.values()} == reports
+
+    def test_unknown_version_is_refused(self, stocked):
+        with pytest.raises(StoreError, match="unsupported store version 3"):
+            Manifest.from_json({"version": 3})
+        warehouse, _ids = stocked
+        data = json.loads(warehouse.manifest_path.read_text())
+        data["version"] = 3
+        warehouse.manifest_path.write_text(json.dumps(data))
+        with pytest.raises(StoreError, match="unsupported store version 3"):
+            ProfileWarehouse(warehouse.root).runs()
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ first, manifest committed atomically under an flock) was built for this;
 here it is proven under real concurrency at both layers:
 
 * raw: N subprocesses ingest simultaneously into one root — every run
-  committed, manifest consistent, ``check()`` clean;
+  committed, manifest consistent, ``check()`` clean; threads sharing one
+  instance lose no commit; a compaction racing an uncommitted ingest
+  leaves that ingest's segment alone;
 * service: N in-process shard servers close keep-series sessions in
   parallel threads into one shared warehouse — every close returns a run
   id and every run is readable afterwards.
@@ -27,7 +29,7 @@ import pytest
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
 from repro.service.client import StreamingClient, stream_simulation
 from repro.service.server import ProfilingServer, ServerThread
-from repro.store import IngestRun, ProfileWarehouse
+from repro.store import IngestRun, ProfileWarehouse, SegmentBuilder
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,6 +108,92 @@ class TestConcurrentIngest:
         warehouse = ProfileWarehouse(root)
         assert warehouse.check() == []
         assert warehouse.stats()["runs"] == 16
+
+    def test_shared_instance_threads_lose_no_commit(self, tmp_path):
+        """Threads share instances, as shard servers do: no commit is lost
+        and no reader sees its image change under it.  Readers use both
+        the writers' instance and a second one over the same root, which
+        must apply the writers' log records as they land."""
+        warehouse = ProfileWarehouse(tmp_path / "wh")
+        other = ProfileWarehouse(tmp_path / "wh")
+        reports = [_keep_series_report(seed) for seed in range(4)]
+        errors: list = []
+        done = threading.Event()
+
+        def _writer(worker: int) -> None:
+            try:
+                for i in range(6):
+                    warehouse.ingest([IngestRun(reports[worker], f"w{worker}", f"i{i}",
+                                                "synthetic", source="test")])
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        def _reader(instance: ProfileWarehouse) -> None:
+            try:
+                seen = 0
+                while not done.is_set():
+                    image = instance.manifest()
+                    runs = list(image.runs)
+                    if len(runs) < seen or runs != sorted(runs):
+                        raise AssertionError(f"image went back or out of order: {runs}")
+                    seen = len(runs)
+                    if any(image.segments.get(rec.segment) is None
+                           for rec in image.runs.values()):
+                        raise AssertionError("a run references a missing segment")
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        writers = [threading.Thread(target=_writer, args=(w,)) for w in range(4)]
+        readers = [threading.Thread(target=_reader, args=(instance,))
+                   for instance in (warehouse, other, other)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=120)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers + readers)
+        assert errors == []
+        expected = [f"r{n:06d}" for n in range(1, 25)]
+        assert list(warehouse.manifest().runs) == expected
+        assert list(other.manifest().runs) == expected
+        fresh = ProfileWarehouse(tmp_path / "wh")
+        assert [rec.run_id for rec in fresh.runs()] == expected
+        assert fresh.check() == []
+
+    def test_compaction_keeps_a_concurrent_ingests_segment(self, tmp_path, monkeypatch):
+        """A compaction that commits while another writer's segment is
+        written but not yet committed must leave that segment alone."""
+        root = tmp_path / "wh"
+        ProfileWarehouse(root).ingest([
+            IngestRun(_keep_series_report(seed), f"w{seed}", "live", "synthetic",
+                      source="test") for seed in range(2)])
+        real_write = SegmentBuilder.write
+        compactions = []
+
+        def write_then_compact(builder, directory):
+            sizes = real_write(builder, directory)
+            if not compactions:
+                compactions.append(None)  # compact's own write must not recurse
+                compactions[0] = ProfileWarehouse(root).compact()
+            return sizes
+
+        monkeypatch.setattr(SegmentBuilder, "write", write_then_compact)
+        [run_id] = ProfileWarehouse(root).ingest([IngestRun(
+            _keep_series_report(2), "w2", "live", "synthetic", source="test")])
+        monkeypatch.undo()
+
+        assert run_id == "r000003"
+        assert compactions[0].runs_rewritten == 2
+        warehouse = ProfileWarehouse(root)
+        assert warehouse.check() == []
+        assert warehouse.open_run(run_id).profiled_sites()
 
     def test_shard_servers_finalize_into_shared_warehouse(self, tmp_path):
         """3 shard servers, concurrent keep-series closes, one warehouse."""
