@@ -13,8 +13,6 @@ mechanism is not tied to the predictor it profiles with.
 
 import math
 
-from conftest import once
-
 from repro.analysis.tables import render_rows
 from repro.core.metrics import average_metrics
 from repro.workloads import deep_workloads
@@ -41,8 +39,8 @@ def _rows(runner):
     return rows
 
 
-def bench_ablation_target_predictor(benchmark, runner, archive):
-    rows = once(benchmark, lambda: _rows(runner))
+def bench_ablation_target_predictor(runner, archive):
+    rows = _rows(runner)
     archive("ablation_targets", render_rows(
         rows, "Ablation: target predictor (profiler fixed at gshare)",
         percent_keys=("dep-fraction",)))

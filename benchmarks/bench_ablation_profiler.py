@@ -15,8 +15,6 @@ on the deep workloads with the base (train-vs-ref) ground truth.
 
 import math
 
-from conftest import once
-
 from repro.analysis.tables import render_rows
 from repro.core.metrics import average_metrics, evaluate_detection
 from repro.core.profiler2d import ProfilerConfig
@@ -43,23 +41,23 @@ def _rows_for(runner, variants):
     return rows
 
 
-def bench_ablation_fir_filter(benchmark, runner, archive):
+def bench_ablation_fir_filter(runner, archive):
     variants = [
         ("paper (FIR, warm start)", ProfilerConfig()),
         ("no FIR filter", ProfilerConfig(use_fir=False)),
         ("FIR, cold start (literal Fig. 9)", ProfilerConfig(fir_cold_start=True)),
     ]
-    rows = once(benchmark, lambda: _rows_for(runner, variants))
+    rows = _rows_for(runner, variants)
     archive("ablation_fir", render_rows(rows, "Ablation: FIR filter variants"))
     assert len(rows) == 3
 
 
-def bench_ablation_pam_running_vs_exact(benchmark, runner, archive):
+def bench_ablation_pam_running_vs_exact(runner, archive):
     variants = [
         ("running-mean PAM (paper)", ProfilerConfig()),
         ("exact end-of-run PAM", ProfilerConfig(pam_exact=True)),
     ]
-    rows = once(benchmark, lambda: _rows_for(runner, variants))
+    rows = _rows_for(runner, variants)
     archive("ablation_pam", render_rows(rows, "Ablation: PAM mean approximation"))
     # The approximation must not be catastropically different.
     a, b = rows
@@ -68,7 +66,7 @@ def bench_ablation_pam_running_vs_exact(benchmark, runner, archive):
             assert abs(a[key] - b[key]) < 0.35
 
 
-def bench_ablation_individual_tests(benchmark, runner, archive):
+def bench_ablation_individual_tests(runner, archive):
     never, always = 2.0, -1.0  # Thresholds that disable a test.
     variants = [
         ("all three tests (paper)", ProfilerConfig()),
@@ -79,7 +77,7 @@ def bench_ablation_individual_tests(benchmark, runner, archive):
         ("MEAN|STD, no PAM", ProfilerConfig(
             thresholds=TestThresholds(pam_th=-1.0))),
     ]
-    rows = once(benchmark, lambda: _rows_for(runner, variants))
+    rows = _rows_for(runner, variants)
     archive("ablation_tests", render_rows(rows, "Ablation: test combinations"))
     by_label = {r["variant"]: r for r in rows}
     # Removing the PAM filter can only increase the identified set, so
@@ -90,22 +88,22 @@ def bench_ablation_individual_tests(benchmark, runner, archive):
         assert nopam["COV-dep"] >= full["COV-dep"] - 1e-9
 
 
-def bench_ablation_slice_count(benchmark, runner, archive):
+def bench_ablation_slice_count(runner, archive):
     variants = [
         (f"{target} target slices", ProfilerConfig(target_slices=target))
         for target in (20, 40, 80, 160)
     ]
-    rows = once(benchmark, lambda: _rows_for(runner, variants))
+    rows = _rows_for(runner, variants)
     archive("ablation_slices", render_rows(rows, "Ablation: slice-count sensitivity"))
     assert len(rows) == 4
 
 
-def bench_ablation_std_threshold(benchmark, runner, archive):
+def bench_ablation_std_threshold(runner, archive):
     variants = [
         (f"STD_th={std_th}", ProfilerConfig(thresholds=TestThresholds(std_th=std_th)))
         for std_th in (0.02, 0.04, 0.08, 0.16)
     ]
-    rows = once(benchmark, lambda: _rows_for(runner, variants))
+    rows = _rows_for(runner, variants)
     archive("ablation_std_th", render_rows(rows, "Ablation: STD threshold sensitivity"))
     # Stricter thresholds shrink the identified set -> ACC-dep should not
     # systematically fall as the threshold rises.

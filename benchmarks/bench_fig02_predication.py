@@ -7,9 +7,9 @@ from repro.analysis.tables import FIGURES, render_rows
 from repro.core.predication import PredicationCosts, crossover_misprediction_rate
 
 
-def bench_fig02_predication_cost(benchmark, runner, archive):
+def bench_fig02_predication_cost(runner, archive):
     figure = FIGURES["2"]
-    rows = benchmark(lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     crossover = crossover_misprediction_rate(PredicationCosts())
     text = render_rows(rows, figure.title)
     text += f"\ncrossover misprediction rate: {crossover:.4f} (paper: ~0.07)"

@@ -5,14 +5,12 @@ Paper shape: compressors (bzip2, gzip) lead; mcf/perlbmk/eon have almost
 none; several benchmarks exceed 10% static fraction.
 """
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_fig03_dependent_fraction(benchmark, runner, archive):
+def bench_fig03_dependent_fraction(runner, archive):
     figure = FIGURES["3"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig03_fraction", render_rows(rows, figure.title, figure.percent_keys))
 
     by_name = {r["workload"]: r for r in rows}

@@ -6,14 +6,12 @@ easy-to-predict (>95% accuracy) — not all input-dependent branches are
 hard-to-predict.
 """
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_fig04_accuracy_distribution(benchmark, runner, archive):
+def bench_fig04_accuracy_distribution(runner, archive):
     figure = FIGURES["4"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig04_distribution", render_rows(rows, figure.title, figure.percent_keys))
 
     # Shape: summed over workloads, some input-dependent branches live in

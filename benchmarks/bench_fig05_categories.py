@@ -8,14 +8,12 @@ hard-to-predict does not imply input-dependent.
 
 import math
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_fig05_fraction_per_bin(benchmark, runner, archive):
+def bench_fig05_fraction_per_bin(runner, archive):
     figure = FIGURES["5"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig05_categories", render_rows(rows, figure.title, figure.percent_keys))
 
     # Aggregate trend: low-accuracy bins have a larger dependent fraction

@@ -6,15 +6,11 @@ input-independent exemplar is much flatter even when its absolute accuracy
 is low.
 """
 
-from conftest import once
-
 from repro.analysis.timeseries import figure8_series, render_ascii_series
 
 
-def bench_fig08_time_series(benchmark, runner, archive):
-    varying, flat, overall = once(
-        benchmark, lambda: figure8_series(runner, "gapish")
-    )
+def bench_fig08_time_series(runner, archive):
+    varying, flat, overall = figure8_series(runner, "gapish")
     text = "\n\n".join([
         "Figure 8: per-slice prediction accuracy over time (gapish, train)",
         render_ascii_series(varying),

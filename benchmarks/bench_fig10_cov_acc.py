@@ -9,15 +9,13 @@ benchmarks) and unreliable where the dependent set is tiny (footnote 6).
 
 import math
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 from repro.core.experiment import ExperimentRunner
 
 
-def bench_fig10_cov_acc_two_inputs(benchmark, runner: ExperimentRunner, archive):
+def bench_fig10_cov_acc_two_inputs(runner: ExperimentRunner, archive):
     figure = FIGURES["10"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig10_cov_acc", render_rows(rows, figure.title, figure.percent_keys))
 
     indep_accs = [r["ACC-indep"] for r in rows if not math.isnan(r["ACC-indep"])]

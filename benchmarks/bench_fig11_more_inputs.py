@@ -5,14 +5,12 @@ Paper shape: the fraction grows monotonically with the number of input
 sets (gcc: 14% at base -> 33% at base-ext1-6).
 """
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_fig11_fraction_growth(benchmark, runner, archive):
+def bench_fig11_fraction_growth(runner, archive):
     figure = FIGURES["11"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig11_more_inputs", render_rows(rows, figure.title, figure.percent_keys))
 
     for row in rows:

@@ -8,14 +8,12 @@ high.
 
 import math
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_fig12_average_cov_acc(benchmark, runner, archive):
+def bench_fig12_average_cov_acc(runner, archive):
     figure = FIGURES["12"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig12_avg_cov_acc", render_rows(rows, figure.title, figure.percent_keys))
 
     first, last = rows[0], rows[-1]

@@ -7,14 +7,12 @@ Paper shape: ACC-dep exceeds 70% for every deep benchmark at max inputs —
 
 import math
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_fig13_max_inputs(benchmark, runner, archive):
+def bench_fig13_max_inputs(runner, archive):
     figure = FIGURES["13"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig13_max_inputs", render_rows(rows, figure.title, figure.percent_keys))
 
     accs = [r["ACC-dep"] for r in rows if not math.isnan(r["ACC-dep"])]

@@ -5,14 +5,12 @@ Paper shape: same growth pattern as Figure 11 (gshare) — the definition of
 input dependence is predictor-relative but the growth with inputs is not.
 """
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_fig14_perceptron_fraction(benchmark, runner, archive):
+def bench_fig14_perceptron_fraction(runner, archive):
     figure = FIGURES["14"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig14_perceptron_fraction", render_rows(rows, figure.title, figure.percent_keys))
 
     for row in rows:

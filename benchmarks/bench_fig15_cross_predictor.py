@@ -9,14 +9,12 @@ in most benchmarks.
 
 import math
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_fig15_cross_predictor(benchmark, runner, archive):
+def bench_fig15_cross_predictor(runner, archive):
     figure = FIGURES["15"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("fig15_cross_predictor", render_rows(rows, figure.title, figure.percent_keys))
 
     indep = [r["ACC-indep"] for r in rows if not math.isnan(r["ACC-indep"])]

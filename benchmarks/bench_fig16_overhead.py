@@ -1,59 +1,34 @@
 """Figure 16: run-time overhead of the instrumentation modes —
 Binary, Pin-base (null tool), Edge, Gshare, 2D+Gshare.
 
-Unlike the analysis benches, this one times actual instrumented execution:
-each pytest-benchmark entry is one (workload, mode) run.  The paper's
-shape: overhead grows monotonically with tool weight, and 2D+Gshare costs
-only slightly more than plain Gshare modelling (the 2D machinery adds a
-counter update per branch plus per-slice work).
+Unlike the analysis benches, this one times actual instrumented execution,
+through :func:`repro.analysis.overhead.measure_overheads` (the timer the
+``overhead`` CLI uses): each (workload, mode) cell is the fastest of two
+runs.  The paper's shape: overhead grows monotonically with tool weight,
+and 2D+Gshare costs only slightly more than plain Gshare modelling (the 2D
+machinery adds a counter update per branch plus per-slice work).
 """
 
-import pytest
-
-from repro.analysis.overhead import MODES, run_mode
-from repro.vm.machine import Machine
-from repro.workloads import get_workload
+from repro.analysis.overhead import measure_overheads
 
 from conftest import scale_from_env
 
 # Branch-intensive workloads, like the paper's Figure 16 selection.
 WORKLOADS = ("gzipish", "gapish", "vortexish")
 
-_timings: dict[tuple[str, str], float] = {}
 
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("mode", MODES)
-def bench_fig16_mode(benchmark, workload, mode):
-    wl = get_workload(workload)
-    machine = Machine(wl.program())
-    input_set = wl.make_input("train", min(0.2, scale_from_env()))
-    benchmark.pedantic(
-        lambda: run_mode(machine, input_set, mode), rounds=2, iterations=1
-    )
-    _timings[(workload, mode)] = benchmark.stats.stats.min
-
-
-def bench_fig16_summary(benchmark, archive):
-    """Summarise normalized overheads after the per-mode benches ran."""
-    if not _timings:
-        pytest.skip("per-mode benches did not run")
-    benchmark(lambda: None)  # The timed work happened in the per-mode benches.
+def bench_fig16_overhead(archive):
     lines = ["Figure 16: normalized execution time by instrumentation mode"]
     ordering_violations = 0
     for workload in WORKLOADS:
-        base = _timings.get((workload, "binary"))
-        if base is None:
-            continue
-        normalized = {m: _timings[(workload, m)] / base
-                      for m in MODES if (workload, m) in _timings}
+        rows = measure_overheads(workload, scale=min(0.2, scale_from_env()), repeats=2)
+        normalized = {row.mode: row.normalized for row in rows}
         lines.append(
             f"  {workload:10s} " + "  ".join(f"{m}=x{v:.2f}" for m, v in normalized.items())
         )
         # The paper's ordering: heavier tools cost more.  Allow slack for
         # timing noise; count gross violations only.
-        if normalized.get("2d+gshare", 0) + 0.3 < normalized.get("edge", 0):
+        if normalized["2d+gshare"] + 0.3 < normalized["edge"]:
             ordering_violations += 1
-    text = "\n".join(lines)
-    archive("fig16_overhead", text)
+    archive("fig16_overhead", "\n".join(lines))
     assert ordering_violations == 0

@@ -1,48 +1,36 @@
 """Fleet loadgen: concurrent-stream throughput through the router.
 
-Not a paper exhibit — a perf guard for the sharded deployment (PR 7).
+Not a paper exhibit: a guard for the sharded deployment.
 Spawns a real fleet (shard subprocesses + router) and drives it with the
 same load generator ``repro-2dprof fleet loadgen`` uses: many sessions
 multiplexed over a bounded connection pool, a sample verified
 bit-for-bit against an offline profiler.
 
 Shape assertions: zero failed streams, zero verify failures, and the
-full event volume lands.  The throughput and latency percentiles go into
-``bench_extras`` so they ride along in ``BENCH_<pr>.json``.
-
-Scale knobs (defaults are CI-sized; the committed ``BENCH_7.json`` was
-produced at ``REPRO_BENCH_FLEET_STREAMS=1000`` / ``_SHARDS=4``):
-
-* ``REPRO_BENCH_FLEET_STREAMS`` — concurrent sessions (default 200).
-* ``REPRO_BENCH_FLEET_SHARDS`` — shard processes (default 4).
+full event volume lands.  The throughput and latency percentiles are
+archived with the table.
 """
 
-import os
 import tempfile
-
-from conftest import once
 
 from repro.fleet import FleetHarness
 from repro.fleet.loadgen import run_loadgen
 
+STREAMS = 200
+SHARDS = 4
 
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
 
-
-def bench_fleet_loadgen(benchmark, archive, bench_extras):
-    """N streams x 2000 events through the router into a shard fleet."""
-    streams = _env_int("REPRO_BENCH_FLEET_STREAMS", 200)
-    shards = _env_int("REPRO_BENCH_FLEET_SHARDS", 4)
+def bench_fleet_loadgen(archive):
+    """STREAMS x 2000 events through the router into a shard fleet."""
     with tempfile.TemporaryDirectory(prefix="bench-fleet-") as root, \
-            FleetHarness(root, num_shards=shards) as fleet:
-        result = once(benchmark, lambda: run_loadgen(
-            fleet.host, fleet.port, streams=streams, connections=32,
-            events=2000, batch=500, verify_sample=10, prefix="bench"))
+            FleetHarness(root, num_shards=SHARDS) as fleet:
+        result = run_loadgen(
+            fleet.host, fleet.port, streams=STREAMS, connections=32,
+            events=2000, batch=500, verify_sample=10, prefix="bench")
 
     lat = result.frame_latency
     lines = [
-        f"Fleet loadgen ({streams} streams over {shards} shards, "
+        f"Fleet loadgen ({STREAMS} streams over {SHARDS} shards, "
         f"{result.connections} connections)",
         f"events={result.events_total} wall={result.wall_seconds:.2f}s "
         f"throughput={result.events_per_second:,.0f} events/s",
@@ -53,8 +41,7 @@ def bench_fleet_loadgen(benchmark, archive, bench_extras):
         f"failed={result.failed_streams}",
     ]
     archive("fleet_loadgen", "\n".join(lines))
-    bench_extras.update(result.to_bench())
 
     assert result.failed_streams == 0
     assert result.verify_failures == 0
-    assert result.events_total == streams * 2000
+    assert result.events_total == STREAMS * 2000

@@ -5,14 +5,12 @@ between train and ref while others (twolf, crafty in the paper) barely move
 overall despite many input-dependent branches.
 """
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_table1_misprediction_rates(benchmark, runner, archive):
+def bench_table1_misprediction_rates(runner, archive):
     figure = FIGURES["t1"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("table1_mispred", render_rows(rows, figure.title, figure.percent_keys))
 
     for row in rows:

@@ -3,14 +3,12 @@ conditional branch counts, static branch counts, and the number of
 input-dependent branches (train vs ref).
 """
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_table2_characteristics(benchmark, runner, archive):
+def bench_table2_characteristics(runner, archive):
     figure = FIGURES["t2"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("table2_characteristics", render_rows(rows, figure.title, figure.percent_keys))
 
     assert len(rows) == 12

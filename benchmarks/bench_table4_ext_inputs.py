@@ -7,14 +7,12 @@ same benchmark (gcc: 9 branches for ext-6 vs 821 for ext-5 in the paper) —
 input sets differ in how much dependence they expose.
 """
 
-from conftest import once
-
 from repro.analysis.tables import FIGURES, render_rows
 
 
-def bench_table4_extended_inputs(benchmark, runner, archive):
+def bench_table4_extended_inputs(runner, archive):
     figure = FIGURES["t4"]
-    rows = once(benchmark, lambda: figure.rows(runner))
+    rows = figure.rows(runner)
     archive("table4_ext_inputs", render_rows(rows, figure.title, figure.percent_keys))
 
     assert rows

@@ -1,10 +1,10 @@
 """Telemetry plane overhead: loadgen throughput with the plane on vs off.
 
-Not a paper exhibit — the acceptance guard for the observability PR
-(PR 8).  The telemetry plane (scraper ticking every shard's ``metrics``
-op, the TSDB writer, SLO evaluation, the armed flight recorders, JSON
-logs) must cost **at most 5 %** of loadgen events/s against an
-otherwise identical fleet.
+Not a paper exhibit: the overhead guard for the observability plane.
+The telemetry plane (scraper ticking every shard's ``metrics`` op, the
+TSDB writer, SLO evaluation, the armed flight recorders, JSON logs) must
+cost **at most 5 %** of loadgen events/s against an otherwise identical
+fleet.
 
 Measuring a few percent of wall-clock throughput on a shared (often
 single-core, burstable) box takes a deliberate protocol.  A calibration
@@ -37,18 +37,10 @@ exists to drive the gate statistic under that floor:
   runs one *untimed* verified pass first (doubling as warm-up); timed
   runs then assert zero failed streams only.
 
-Each run streams long sessions (default 4000 events over 8 frames per
-stream) so the number reflects *steady-state* cost, not arrival spikes.
-The report lands in ``BENCH_8.json`` with every per-run sample so a
-failure is inspectable.
-
-Scale knobs (defaults are CI-sized):
-
-* ``REPRO_BENCH_TELEMETRY_STREAMS`` — concurrent sessions (default 200).
-* ``REPRO_BENCH_TELEMETRY_EVENTS`` — events per stream (default 4000).
-* ``REPRO_BENCH_TELEMETRY_SHARDS`` — shard processes (default 2).
-* ``REPRO_BENCH_TELEMETRY_BLOCKS`` — ABBA blocks per attempt (default 6).
-* ``REPRO_BENCH_TELEMETRY_MAX_OVERHEAD`` — failure threshold (default 0.05).
+Each run streams long sessions (4000 events over 8 frames per stream)
+so the number reflects *steady-state* cost, not arrival spikes.  The
+archived table lists every run of the deciding attempt and each
+attempt's overhead, so a failure is inspectable.
 """
 
 import json
@@ -61,18 +53,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import once
-
 _REPO = Path(__file__).resolve().parents[1]
-
-#: Where the CI artifact lands (repo root, next to BENCH_7.json).
-BENCH_OUT = _REPO / "BENCH_8.json"
 
 _LISTENING = re.compile(r"fleet listening on ([\d.]+):(\d+)")
 
-
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
+STREAMS = 200        # concurrent sessions per loadgen run
+EVENTS = 4000        # events per stream
+SHARDS = 2           # shard processes per fleet
+BLOCKS = 6           # ABBA blocks per attempt
+MAX_OVERHEAD = 0.05  # the budget: events/s lost to the plane
 
 
 def _subenv() -> dict:
@@ -120,112 +109,84 @@ class _Fleet:
         self.proc.stdout.close()
 
 
-def _loadgen(fleet: _Fleet, streams: int, events: int, verify: int,
-             seed: int) -> dict:
-    """One loadgen subprocess against ``fleet``; returns the bench JSON.
+def _loadgen(fleet: _Fleet, verify: int, seed: int) -> dict:
+    """One loadgen subprocess against ``fleet``; returns its ``--json`` result.
 
     The load generator is a subprocess too (the ``fleet loadgen`` CLI):
     sharing a GIL with the measuring process would time convoy effects
     of the test topology, not the plane.
     """
-    with tempfile.TemporaryDirectory(prefix="bench-tel-lg-") as tmp:
-        out = Path(tmp) / "loadgen.json"
-        subprocess.run(
-            [sys.executable, "-m", "repro.cli", "fleet", "loadgen",
-             "--host", fleet.host, "--port", str(fleet.port),
-             "--streams", str(streams), "--connections", "32",
-             "--events", str(events), "--batch", "500",
-             "--seed", str(seed), "--verify-sample", str(verify),
-             "--bench-out", str(out)],
-            check=True, env=_subenv(), stdout=subprocess.DEVNULL)
-        result = json.loads(out.read_text())
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "fleet", "loadgen",
+         "--host", fleet.host, "--port", str(fleet.port),
+         "--streams", str(STREAMS), "--connections", "32",
+         "--events", str(EVENTS), "--batch", "500",
+         "--seed", str(seed), "--verify-sample", str(verify), "--json"],
+        check=True, env=_subenv(), stdout=subprocess.PIPE, text=True)
+    result = json.loads(proc.stdout)
     assert result["failed_streams"] == 0
     assert result["verify_failures"] == 0
     return result
 
 
-def bench_telemetry_overhead(benchmark, archive, bench_extras):
+def _protocol() -> tuple[dict, list[dict]]:
+    """The verified pass on the telemetry arm, and one or two timed attempts."""
+    with tempfile.TemporaryDirectory(prefix="bench-tel-") as root:
+        off = _Fleet(Path(root) / "off", telemetry=False, shards=SHARDS)
+        on = _Fleet(Path(root) / "on", telemetry=True, shards=SHARDS)
+        try:
+            # Untimed verified pass per arm: correctness gate + warm-up.
+            _loadgen(off, verify=5, seed=0)
+            verified = _loadgen(on, verify=5, seed=0)
+            attempts = []
+            seed = 1
+            for _ in range(2):
+                base_eps, tel_eps = [], []
+                for _ in range(BLOCKS):
+                    order = [(off, base_eps), (on, tel_eps),
+                             (on, tel_eps), (off, base_eps)]
+                    for fleet, eps in order:
+                        run = _loadgen(fleet, verify=0, seed=seed)
+                        eps.append(run["events_per_second"])
+                        seed += 1
+                attempts.append({
+                    "baseline": base_eps,
+                    "telemetry": tel_eps,
+                    "overhead": 1.0 - sum(tel_eps) / sum(base_eps),
+                })
+                if attempts[-1]["overhead"] <= MAX_OVERHEAD:
+                    break
+            # The plane really ran: scrapes kept landing in the TSDB.
+            ticks = on.status()["telemetry"]["ticks"]
+            assert ticks >= 1
+        finally:
+            off.stop()
+            on.stop()
+    return verified, attempts
+
+
+def bench_telemetry_overhead(archive):
     """ABBA-blocked loadgen, telemetry on vs off; guard the sum ratio."""
-    streams = _env_int("REPRO_BENCH_TELEMETRY_STREAMS", 200)
-    events = _env_int("REPRO_BENCH_TELEMETRY_EVENTS", 4000)
-    shards = _env_int("REPRO_BENCH_TELEMETRY_SHARDS", 2)
-    blocks = _env_int("REPRO_BENCH_TELEMETRY_BLOCKS", 6)
-    max_overhead = float(os.environ.get(
-        "REPRO_BENCH_TELEMETRY_MAX_OVERHEAD", "0.05"))
-
-    def protocol():
-        with tempfile.TemporaryDirectory(prefix="bench-tel-") as root:
-            off = _Fleet(Path(root) / "off", telemetry=False, shards=shards)
-            on = _Fleet(Path(root) / "on", telemetry=True, shards=shards)
-            try:
-                # Untimed verified pass per arm: correctness gate + warm-up.
-                _loadgen(off, streams, events, verify=5, seed=0)
-                verified = _loadgen(on, streams, events, verify=5, seed=0)
-                attempts = []
-                seed = 1
-                for _ in range(2):
-                    base_eps, tel_eps = [], []
-                    for _ in range(blocks):
-                        order = [(off, base_eps), (on, tel_eps),
-                                 (on, tel_eps), (off, base_eps)]
-                        for fleet, eps in order:
-                            run = _loadgen(fleet, streams, events,
-                                           verify=0, seed=seed)
-                            eps.append(run["events_per_second"])
-                            seed += 1
-                    attempts.append({
-                        "baseline_runs_events_per_second": base_eps,
-                        "telemetry_runs_events_per_second": tel_eps,
-                        "overhead_fraction": 1.0 - sum(tel_eps) / sum(base_eps),
-                    })
-                    if attempts[-1]["overhead_fraction"] <= max_overhead:
-                        break
-                # The plane really ran: scrapes kept landing in the TSDB.
-                ticks = on.status()["telemetry"]["ticks"]
-                assert ticks >= 1
-            finally:
-                off.stop()
-                on.stop()
-        return verified, attempts
-
-    verified, attempts = once(benchmark, protocol)
-    best = min(attempts, key=lambda a: a["overhead_fraction"])
-    overhead = best["overhead_fraction"]
-    base_eps = best["baseline_runs_events_per_second"]
-    tel_eps = best["telemetry_runs_events_per_second"]
-
-    report = {
-        "bench": "telemetry_overhead",
-        "pr": 8,
-        "streams": streams,
-        "events_per_stream": events,
-        "shards": shards,
-        "blocks": blocks,
-        "events_total": verified["events_total"],
-        "baseline_events_per_second": statistics.median(base_eps),
-        "telemetry_events_per_second": statistics.median(tel_eps),
-        "attempts": attempts,
-        "overhead_fraction": overhead,
-        "max_overhead_fraction": max_overhead,
-        "telemetry_frame_latency": verified["frame_latency"],
-    }
-    BENCH_OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    verified, attempts = _protocol()
+    best = min(attempts, key=lambda a: a["overhead"])
+    overhead = best["overhead"]
+    base_eps = best["baseline"]
+    tel_eps = best["telemetry"]
 
     lines = [
-        f"Telemetry overhead ({streams} streams x {events} events over "
-        f"{shards} shards, {blocks} ABBA blocks x {len(attempts)} attempt(s))",
+        f"Telemetry overhead ({STREAMS} streams x {EVENTS} events over "
+        f"{SHARDS} shards, {BLOCKS} ABBA blocks x {len(attempts)} attempt(s))",
         f"baseline:  {statistics.median(base_eps):,.0f} events/s  "
         f"(runs: {', '.join(f'{v:,.0f}' for v in base_eps)})",
         f"telemetry: {statistics.median(tel_eps):,.0f} events/s  "
         f"(runs: {', '.join(f'{v:,.0f}' for v in tel_eps)})",
         "attempts:  " + ", ".join(
-            f"{a['overhead_fraction'] * 100:+.2f}%" for a in attempts),
-        f"overhead:  {overhead * 100:+.2f}% (budget {max_overhead * 100:.0f}%)",
+            f"{a['overhead'] * 100:+.2f}%" for a in attempts),
+        f"overhead:  {overhead * 100:+.2f}% (budget {MAX_OVERHEAD * 100:.0f}%)",
     ]
     archive("telemetry_overhead", "\n".join(lines))
-    bench_extras.update(report)
 
-    assert verified["events_total"] == streams * events
-    assert overhead <= max_overhead, (
+    assert verified["events_total"] == STREAMS * EVENTS
+    assert overhead <= MAX_OVERHEAD, (
         f"telemetry plane costs {overhead * 100:.2f}% events/s "
-        f"(budget {max_overhead * 100:.0f}%)")
+        f"(budget {MAX_OVERHEAD * 100:.0f}%)")

@@ -1,17 +1,15 @@
-"""Regression triage: bisection wall time and evaluation-count scaling.
+"""Regression triage: the full report and evaluation-count scaling.
 
-Not a paper exhibit — a perf guard for the triage engine (PR 9).  The
+Not a paper exhibit: a guard for the triage engine.  The
 delta-debugging search should evaluate O(k log n) hybrid subsets for k
 regressed sites among n candidates (each culprit costs one binary
 search), so tripling the site count must not triple the evaluation
 count.  Runs entirely on the seeded synthetic pair: no traces, no
-simulation, no disk cache — the timed work is the bisection itself.
+simulation, no disk cache.
 """
 
 import tempfile
 from pathlib import Path
-
-from conftest import once
 
 from repro.store import ProfileWarehouse
 from repro.triage import BisectionEngine, seeded_run_pair, triage_runs
@@ -31,18 +29,14 @@ def _pair(num_sites: int, tag: str):
             warehouse.open_run(runs[1].run_id))
 
 
-def bench_triage_report(benchmark, archive, bench_extras):
+def bench_triage_report(archive):
     """Full triage pass: bisection + threshold flips + suspiciousness."""
     warehouse, good, bad = _pair(64, "report")
 
-    report = once(benchmark, lambda: triage_runs(
-        warehouse, good, bad, thresholds_search=True))
+    report = triage_runs(warehouse, good, bad, thresholds_search=True)
 
     assert report.bisect["minimal_set"] == sorted(_REGRESSED)
     assert report.bisect["verified"]
-    bench_extras["evals"] = report.bisect["evals"]
-    bench_extras["candidates"] = report.bisect["candidates"]
-    bench_extras["wall_seconds"] = report.meta["wall_seconds"]
     lines = ["Triage report (64 sites, 4 regressed, thresholds search)",
              f"mode={report.bisect['mode']} "
              f"evals={report.bisect['evals']} "
@@ -50,7 +44,7 @@ def bench_triage_report(benchmark, archive, bench_extras):
     archive("triage_report", "\n".join(lines))
 
 
-def bench_triage_bisect_scaling(benchmark, archive, bench_extras):
+def bench_triage_bisect_scaling(archive):
     """Evaluations vs site count: the search must stay logarithmic in n."""
     sizes = (48, 96, 192)
 
@@ -64,12 +58,11 @@ def bench_triage_bisect_scaling(benchmark, archive, bench_extras):
             rows.append((num_sites, engine.evals, len(engine.candidates())))
         return rows
 
-    rows = once(benchmark, sweep)
+    rows = sweep()
     lines = ["Bisection scaling (4 regressed sites, evals vs candidates)",
              "sites  candidates  evals"]
     for num_sites, evals, candidates in rows:
         lines.append(f"{num_sites:<6d} {candidates:<11d} {evals}")
-        bench_extras[f"evals_n{num_sites}"] = evals
     archive("triage_bisect_scaling", "\n".join(lines))
     # 4x the candidates must cost well under 4x the evaluations.
     assert rows[-1][1] < 4 * rows[0][1]

@@ -1,13 +1,12 @@
 """Vectorized replay vs the reference loop, per predictor kind.
 
-Not a paper exhibit — the perf guard for the replay fast path (PR 6).
-Each bench replays the same synthetic trace (mixed stationary biases
-plus loop-shaped sites) through one predictor kind twice: the
-branch-at-a-time reference loop and the vectorized kernel from
-:mod:`repro.predictors.vectorized`.  Results must agree exactly —
-predictions, per-site counts — and the per-kind speedups land in
-``BENCH_summary.json`` via the ``bench_extras`` payload, so the per-PR
-snapshots track replay throughput, not just wall time.
+Not a paper exhibit: the throughput floor for the replay fast path.
+Each bench replays the same synthetic trace (200k dynamic branches of
+mixed stationary biases plus loop-shaped sites) through one predictor
+kind twice: the branch-at-a-time reference loop and the vectorized
+kernel from :mod:`repro.predictors.vectorized`.  Results must agree
+exactly — predictions, per-site counts — and the summary bench archives
+the per-kind speedups.
 
 The summary bench asserts the acceptance floor: at least three kinds at
 >= 2x over the reference loop, and the per-kind floors in
@@ -15,12 +14,8 @@ The summary bench asserts the acceptance floor: at least three kinds at
 stay >= 3x).  TAGE is allowed to be modest — its allocation walk
 is still sequential; only index/tag/folded-history precompute is
 vectorized.
-
-``REPRO_BENCH_REPLAY_EVENTS`` sizes the trace (default 200k dynamic
-branches).
 """
 
-import os
 import time
 
 import numpy as np
@@ -54,7 +49,7 @@ KINDS = [
 #: Minimum speedup over the reference loop for individual kinds.
 KIND_FLOORS = {"perceptron": 3.0}
 
-_EVENTS = int(os.environ.get("REPRO_BENCH_REPLAY_EVENTS", "200000"))
+_EVENTS = 200_000
 _NUM_SITES = 256
 
 #: (kind, events, ref_seconds, vec_seconds, speedup), filled by the
@@ -98,7 +93,7 @@ def replay_trace() -> BranchTrace:
 
 
 @pytest.mark.parametrize("kind,factory", KINDS, ids=[k for k, _ in KINDS])
-def bench_replay_speedup(kind, factory, replay_trace, bench_extras):
+def bench_replay_speedup(kind, factory, replay_trace):
     ref_start = time.perf_counter()
     ref = simulate_reference(factory(), replay_trace)
     ref_seconds = time.perf_counter() - ref_start
@@ -118,17 +113,9 @@ def bench_replay_speedup(kind, factory, replay_trace, bench_extras):
 
     speedup = ref_seconds / vec_seconds if vec_seconds > 0 else float("inf")
     _ROWS.append((kind, len(replay_trace), ref_seconds, vec_seconds, speedup))
-    bench_extras.update({
-        "kind": kind,
-        "events": len(replay_trace),
-        "ref_seconds": round(ref_seconds, 6),
-        "vec_seconds": round(vec_seconds, 6),
-        "speedup": round(speedup, 2),
-        "vec_events_per_second": round(len(replay_trace) / vec_seconds, 1),
-    })
 
 
-def bench_replay_speedup_summary(archive, bench_extras):
+def bench_replay_speedup_summary(archive):
     assert len(_ROWS) == len(KINDS), "run the per-kind benches first"
     lines = [f"Vectorized replay vs reference loop ({_EVENTS} events, "
              f"{_NUM_SITES} sites)",
@@ -141,10 +128,6 @@ def bench_replay_speedup_summary(archive, bench_extras):
 
     speedups = {kind: round(s, 2) for kind, _, _, _, s in _ROWS}
     fast = [kind for kind, speedup in speedups.items() if speedup >= 2.0]
-    bench_extras.update({
-        "kinds_at_2x": sorted(fast),
-        "speedups": speedups,
-    })
     assert len(fast) >= 3, (
         f"acceptance floor: >= 3 kinds at >= 2x, got {fast}"
     )

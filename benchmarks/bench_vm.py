@@ -32,7 +32,7 @@ def _timed(run, input_set, repeats=3):
     return result, best
 
 
-def bench_vm_throughput(archive, bench_extras):
+def bench_vm_throughput(archive):
     rows = []
     for workload in all_workloads():
         program = workload.program()
@@ -67,13 +67,5 @@ def bench_vm_throughput(archive, bench_extras):
     archive("vm_throughput", "\n".join(lines))
 
     speedup = interp_s / compiled_s
-    bench_extras.update({
-        "scale": _SCALE,
-        "events": events,
-        "interpreter_events_per_second": round(events / interp_s, 1),
-        "compiled_events_per_second": round(events / compiled_s, 1),
-        "speedup": round(speedup, 2),
-        "per_workload": {r[0]: round(r[2] / r[3], 2) for r in rows},
-    })
     assert speedup >= 3.0, (
         f"acceptance floor: compiled VM >= 3x the interpreter, got {speedup:.2f}x")

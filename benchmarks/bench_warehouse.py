@@ -1,20 +1,18 @@
-"""Profile warehouse: ingest throughput and query latency.
+"""Profile warehouse: ingest and the three query families.
 
-Not a paper exhibit — a perf guard for the storage subsystem (PR 4).
-Ingests the deep workloads' train/ref profiles into a fresh store, then
-times the three query families against it: per-branch time series
-(memmap slab reads), re-classification under new thresholds (the stored
-matrix re-folded, no replay), and the cross-input ground-truth diff.
+Not a paper exhibit: a guard for the storage subsystem.  Ingests the
+deep workloads' train/ref profiles into a fresh store, then runs the
+three query families against it: per-branch time series (memmap slab
+reads), re-classification under new thresholds (the stored matrix
+re-folded, no replay), and the cross-input ground-truth diff.
 
-Shape assertions: queries answer from the store alone (byte-identical
-diff vs. the live pipeline) and stay orders of magnitude cheaper than
-the profiling they replace.
+Shape assertions: every run lands uncorrupted, and queries answer from
+the store alone (the stored diff equals the live pipeline's ground
+truth).
 """
 
 import tempfile
 from pathlib import Path
-
-from conftest import once
 
 from repro.core.profiler2d import ProfilerConfig
 from repro.store import IngestRun, ProfileWarehouse, diff_runs, reclassify
@@ -39,9 +37,9 @@ def _stocked(runner) -> ProfileWarehouse:
     return warehouse
 
 
-def bench_warehouse_ingest(benchmark, runner, archive):
+def bench_warehouse_ingest(runner, archive):
     """Segment write + two-phase commit, amortized over the deep suite."""
-    warehouse = once(benchmark, lambda: _stocked(runner))
+    warehouse = _stocked(runner)
     stats = warehouse.stats()
     lines = ["Warehouse ingest (deep workloads, train+ref, gshare)",
              f"runs={stats['runs']} segments={stats['segments']} "
@@ -51,7 +49,7 @@ def bench_warehouse_ingest(benchmark, runner, archive):
     assert stats["corrupt_runs"] == 0
 
 
-def bench_warehouse_queries(benchmark, runner, archive):
+def bench_warehouse_queries(runner, archive):
     """Time series + reclassify + diff over every stored train run."""
     warehouse = _stocked(runner)
     pairs = []
@@ -75,7 +73,7 @@ def bench_warehouse_queries(benchmark, runner, archive):
                          len(truth.dependent), len(truth.universe)))
         return rows
 
-    rows = once(benchmark, query_all)
+    rows = query_all()
     lines = ["Warehouse queries (per deep workload, no re-simulation)",
              f"{'workload':12s} {'hot-site':>8s} {'slices':>6s} "
              f"{'strict-dep':>10s} {'truth-dep':>9s} {'universe':>8s}"]

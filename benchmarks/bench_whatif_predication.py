@@ -13,16 +13,14 @@ policy stays close to aggregate-only PGO on the unseen input (averaged
 over workloads), and both at least match never-predicating.
 """
 
-from conftest import once
-
 from repro.analysis.tables import render_rows
 from repro.analysis.whatif import whatif_rows
 
 WORKLOADS = ("bzipish", "gzipish", "gapish", "twolfish", "vortexish", "parserish")
 
 
-def bench_whatif_predication(benchmark, runner, archive):
-    rows = once(benchmark, lambda: whatif_rows(runner, WORKLOADS))
+def bench_whatif_predication(runner, archive):
+    rows = whatif_rows(runner, WORKLOADS)
     archive("whatif_predication", render_rows(
         rows, "What-if: normalized cycles on ref (profile on train; 1.00 = all-branch)"))
 

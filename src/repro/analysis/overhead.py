@@ -4,8 +4,9 @@ The paper compares benchmark execution time under five conditions: the
 bare binary, Pin with no user tool, edge-profiling instrumentation, gshare
 modelling, and full 2D-profiling with gshare.  Our analogues run the same
 program in the VM's three observation modes with progressively heavier
-tools; :func:`measure_overheads` wall-clocks each mode, and the Figure 16
-bench feeds the same run modes through pytest-benchmark.
+tools; :func:`measure_overheads` wall-clocks each mode.  It is the one
+Figure 16 timer: the ``overhead`` CLI and ``bench_fig16_overhead.py`` both
+call it.
 """
 
 from __future__ import annotations

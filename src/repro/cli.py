@@ -504,7 +504,9 @@ def _cmd_fleet_drain(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_loadgen(args: argparse.Namespace) -> int:
-    from repro.fleet import run_loadgen, write_bench
+    from dataclasses import asdict
+
+    from repro.fleet import run_loadgen
 
     result = run_loadgen(
         args.host,
@@ -517,6 +519,10 @@ def _cmd_fleet_loadgen(args: argparse.Namespace) -> int:
         seed=args.seed,
         verify_sample=args.verify_sample,
     )
+    code = 1 if result.failed_streams or result.verify_failures else 0
+    if args.json:
+        print(json.dumps(asdict(result), indent=2, sort_keys=True))
+        return code
     latency = result.frame_latency or {}
     print(f"loadgen: {result.streams} stream(s) over {result.connections} "
           f"connection(s), {result.events_total} events in {result.wall_seconds:.2f}s "
@@ -527,10 +533,7 @@ def _cmd_fleet_loadgen(args: argparse.Namespace) -> int:
               f"max={latency['max'] * 1e3:.2f}ms")
     print(f"  retries={result.retries} failed={result.failed_streams} "
           f"verified={result.verified} verify_failures={result.verify_failures}")
-    if args.bench_out:
-        path = write_bench(result, args.bench_out)
-        print(f"wrote benchmark to {path}")
-    return 1 if result.failed_streams or result.verify_failures else 0
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -989,8 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-sample", type=int, default=10,
                    help="verify this many streams bit-for-bit against an "
                         "offline profiler (0 = none; default 10)")
-    p.add_argument("--bench-out", default=None, metavar="FILE",
-                   help="write the benchmark JSON (BENCH_7.json) to FILE")
+    p.add_argument("--json", action="store_true",
+                   help="print the result as JSON instead of a summary")
     p.set_defaults(func=_cmd_fleet_loadgen)
 
     p = sub.add_parser("stats", help="query and pretty-print a live server's metrics")

@@ -261,7 +261,8 @@ class ExperimentRunner:
     @staticmethod
     def _load_sim(path: Path) -> SimulationResult:
         try:
-            with np.load(path) as data:
+            # np.load leaks the handle it opened when the zip is corrupt.
+            with open(path, "rb") as fh, np.load(fh) as data:
                 return SimulationResult(
                     predictor_name=bytes(data["predictor_name"].item()).decode(),
                     num_sites=int(data["num_sites"]),

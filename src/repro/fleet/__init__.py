@@ -20,7 +20,7 @@ Operator surface: the ``repro-2dprof fleet`` CLI family (``serve``,
 """
 
 from repro.fleet.harness import FleetHarness  # noqa: F401
-from repro.fleet.loadgen import LoadgenResult, run_loadgen, write_bench  # noqa: F401
+from repro.fleet.loadgen import LoadgenResult, run_loadgen  # noqa: F401
 from repro.fleet.registry import SessionRegistry  # noqa: F401
 from repro.fleet.router import FleetRouter  # noqa: F401
 from repro.fleet.shardmap import ShardMap, ShardSpec, rendezvous_score  # noqa: F401
@@ -37,5 +37,4 @@ __all__ = [
     "ShardSpec",
     "rendezvous_score",
     "run_loadgen",
-    "write_bench",
 ]

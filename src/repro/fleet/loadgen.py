@@ -19,16 +19,15 @@ that hit a retriable router error (a shard died) re-open with
 exactly the failover contract the fleet promises producers.
 
 Per-request wall times land in one shared list; the result carries
-p50/p90/p99/max and an events/s figure for ``BENCH_7.json``.
+p50/p90/p99/max and an events/s figure (``fleet loadgen --json`` prints
+it as ``dataclasses.asdict(result)``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import time
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,9 +55,6 @@ class LoadgenResult:
     verified: int = 0
     verify_failures: int = 0
     frame_latency: dict = field(default_factory=dict)
-
-    def to_bench(self, pr: int = 7) -> dict:
-        return {"pr": pr, "bench": "fleet_loadgen", **asdict(self)}
 
 
 class AsyncStreamClient:
@@ -259,11 +255,3 @@ def run_loadgen(
     return asyncio.run(_run_loadgen(
         host, port, streams, connections, events, batch, num_sites, seed,
         verify_sample, prefix))
-
-
-def write_bench(result: LoadgenResult, path: str | Path, pr: int = 7) -> Path:
-    """Write the benchmark JSON the CI job uploads (``BENCH_7.json``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result.to_bench(pr), indent=2, sort_keys=True) + "\n")
-    return path

@@ -77,7 +77,8 @@ def load_checkpoint(directory: str | Path, session_name: str) -> tuple[TwoDProfi
     if not path.exists():
         return None
     try:
-        with np.load(path) as data:
+        # np.load leaks the handle it opened when the zip is corrupt.
+        with open(path, "rb") as fh, np.load(fh) as data:
             state = {key: data[key] for key in data.files}
         version = int(state.pop("checkpoint_version"))
         if version != CHECKPOINT_VERSION:

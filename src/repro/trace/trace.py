@@ -122,7 +122,8 @@ class BranchTrace:
         """Read a trace previously written by :meth:`save`."""
         path = Path(path)
         try:
-            with np.load(path) as data:
+            # np.load leaks the handle it opened when the zip is corrupt.
+            with open(path, "rb") as fh, np.load(fh) as data:
                 version = int(data["version"])
                 if version != _FORMAT_VERSION:
                     raise TraceError(f"unsupported trace format version {version}")

@@ -7,6 +7,10 @@ the full pipeline (compile -> run -> trace -> simulate -> profile).
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import warnings
+
 import pytest
 
 from repro.core.experiment import ExperimentRunner, SuiteConfig
@@ -68,3 +72,19 @@ def run_main(source: str, data=(), args=(), fuel: int = 50_000_000):
 def minic():
     """Helper fixture: run Minic source and return its RunResult."""
     return run_main
+
+
+@contextlib.contextmanager
+def _assert_no_leaked_files():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaked, leaked
+
+
+@pytest.fixture()
+def no_leaked_files():
+    """Context manager: fail if the block leaves a file for the GC to close."""
+    return _assert_no_leaked_files

@@ -29,7 +29,7 @@ from repro.cachefs import (
 )
 from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.trace.trace import BranchTrace
-from repro.errors import TraceError
+from repro.errors import ExperimentError, TraceError
 
 SCALE = 0.05
 
@@ -128,11 +128,13 @@ def _corrupt_by_truncation(path: Path) -> None:
     path.write_bytes(data[: len(data) // 2])
 
 
-def test_truncated_sim_is_recomputed(tmp_path, caplog):
+def test_truncated_sim_is_recomputed(tmp_path, caplog, no_leaked_files):
     first = _runner(tmp_path)
     sim = first.simulation("mcfish", "train", "gshare")
     path = first._sim_path("mcfish", "train", "gshare")
     _corrupt_by_truncation(path)
+    with no_leaked_files(), pytest.raises(ExperimentError):
+        ExperimentRunner._load_sim(path)
 
     fresh = _runner(tmp_path)
     with caplog.at_level("WARNING", logger="repro.core.experiment"):
@@ -145,12 +147,12 @@ def test_truncated_sim_is_recomputed(tmp_path, caplog):
     np.testing.assert_array_equal(reloaded.correct, sim.correct)
 
 
-def test_truncated_trace_is_recomputed(tmp_path):
+def test_truncated_trace_is_recomputed(tmp_path, no_leaked_files):
     first = _runner(tmp_path)
     trace = first.trace("mcfish", "train")
     path = first._trace_path("mcfish", "train")
     _corrupt_by_truncation(path)
-    with pytest.raises(TraceError):
+    with no_leaked_files(), pytest.raises(TraceError):
         BranchTrace.load(path)
 
     fresh = _runner(tmp_path)

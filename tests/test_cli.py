@@ -144,6 +144,25 @@ class TestStreamCommand:
         finally:
             thread.drain()
 
+    def test_fleet_loadgen_json(self, capsys):
+        from repro.service.server import ProfilingServer, ServerThread
+
+        thread = ServerThread(ProfilingServer(port=0)).start()
+        try:
+            code, out = run_cli(
+                capsys, "fleet", "loadgen", "--port", str(thread.port),
+                "--streams", "4", "--events", "600", "--verify-sample", "1",
+                "--json",
+            )
+        finally:
+            thread.drain()
+        assert code == 0
+        result = json.loads(out)
+        assert result["failed_streams"] == result["verify_failures"] == 0
+        assert result["verified"] == 1
+        assert result["events_total"] == 2400
+        assert "pr" not in result
+
 
 class TestExtensionCommands:
     def test_whatif(self, capsys):
