@@ -141,15 +141,15 @@ class ShardProcess:
 
     def terminate(self, timeout: float = 30.0) -> None:
         """SIGTERM (graceful drain: every session checkpointed) and wait."""
-        if not self.alive():
-            return
-        assert self.proc is not None
-        self.proc.send_signal(signal.SIGTERM)
-        try:
-            self.proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            log.warning("shard %s ignored SIGTERM; killing", self.name)
-            self.kill()
+        if self.alive():
+            assert self.proc is not None
+            self.proc.send_signal(signal.SIGTERM)
+            try:
+                self.proc.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                log.warning("shard %s ignored SIGTERM; killing", self.name)
+                self.kill()
+        self.close_pipe()
 
     def kill(self) -> None:
         """SIGKILL — no drain, no checkpoints (chaos path)."""
@@ -160,6 +160,16 @@ class ShardProcess:
         except OSError:
             pass
         self.proc.wait()
+        self.close_pipe()
+
+    def close_pipe(self) -> None:
+        """Close the read end of the child's stdout once it has exited.
+
+        Left open, the pipe is closed by the garbage collector, whenever
+        that runs, with a ``ResourceWarning``.
+        """
+        if self.proc is not None and self.proc.stdout is not None and not self.alive():
+            self.proc.stdout.close()
 
 
 class FleetSupervisor:
@@ -249,6 +259,7 @@ class FleetSupervisor:
         """
         if name not in self.processes:
             raise ServiceError(f"no shard named {name!r}")
+        self.processes[name].close_pipe()
         spec = self._spawn(name)
         self.shard_map.replace(spec)
         self.restarts[name] = self.restarts.get(name, 0) + 1
@@ -295,6 +306,7 @@ class FleetSupervisor:
                     process.proc.wait(timeout=timeout)
                 except subprocess.TimeoutExpired:
                     process.kill()
+                process.close_pipe()
 
     def status(self) -> dict[str, dict]:
         """Per-shard process info for ``fleet_status`` replies."""

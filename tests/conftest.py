@@ -76,6 +76,8 @@ def minic():
 
 @contextlib.contextmanager
 def _assert_no_leaked_files():
+    # Collect first: files an earlier test dropped must not be blamed on this block.
+    gc.collect()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         yield
