@@ -1,8 +1,9 @@
-"""Block-compiled VM vs the interpreter, per workload.
+"""Function-compiled VM vs the interpreter, per workload.
 
 Not a paper exhibit: the perf guard for trace-mode execution.  Every
-shipped workload's train and ref traces are captured twice, once
-block-compiled (the default trace engine) and once on the interpreter;
+shipped workload's train and ref traces are captured twice, once on the
+function-compiled VM (the default trace engine: one Python function per
+guest function) and once on the interpreter;
 both must agree bit for bit (instructions, sites, outcomes).  The table
 gives branch events/s per workload and engine (fastest of three runs
 each) plus the one-time per-program compile cost, which the compiled
@@ -57,7 +58,7 @@ def bench_vm_throughput(archive):
     events = sum(r[1] for r in rows)
     interp_s = sum(r[2] for r in rows)
     compiled_s = sum(r[3] for r in rows)
-    lines = [f"Block-compiled VM vs interpreter, train + ref (scale {_SCALE:g})",
+    lines = [f"Function-compiled VM vs interpreter, train + ref (scale {_SCALE:g})",
              f"{'workload':10s} {'events':>8s} {'interp ev/s':>12s} "
              f"{'compiled ev/s':>14s} {'speedup':>8s} {'compile ms':>11s}"]
     for name, ev, t_i, t_c, t_comp in rows + [

@@ -7,7 +7,7 @@ the sweep engine:
 
 1. a seeded population — N input sets drawn from the same generator
    distribution as the workload's named ``ref`` input,
-2. one sweep pass — every lane traced on the block-compiled VM
+2. one sweep pass — every lane traced on the compiled VM
    (compiled once for the whole population, bit-identical to the
    interpreter), then profiled and ingested into a warehouse under the
    population's tag,
@@ -42,7 +42,7 @@ def main():
     warehouse = ProfileWarehouse(Path(tmp.name) / "warehouse")
 
     # 1 + 2. Generate the population and sweep it.  The program is
-    # block-compiled once; every lane then runs the compiled code.
+    # compiled to Python once; every lane then runs the compiled code.
     print(f"sweeping {SPEC.tag} ...")
     result = run_sweep(SPEC, warehouse=warehouse)
     print(f"  {len(result.lanes)} lanes, {result.total_events} branch events "

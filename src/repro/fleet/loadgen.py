@@ -86,10 +86,17 @@ class AsyncStreamClient:
     async def control(self, payload: dict) -> dict:
         return await self.request(protocol.encode_control(payload))
 
-    def close(self) -> None:
+    async def close(self) -> None:
+        """Close the connection and wait until its socket is released.
+
+        A peer that already died (a killed shard) fails the wait with a
+        connection error; that is how such a connection ends, so it is
+        swallowed.  Any other error propagates.
+        """
+        self._writer.close()
         try:
-            self._writer.close()
-        except Exception:
+            await self._writer.wait_closed()
+        except OSError:
             pass
 
 
@@ -222,8 +229,7 @@ async def _run_loadgen(
     try:
         await asyncio.gather(*(_one(i) for i in range(streams)))
     finally:
-        for client in pool:
-            client.close()
+        await asyncio.gather(*(client.close() for client in pool))
     result.wall_seconds = time.perf_counter() - started
     result.events_per_second = (
         result.events_total / result.wall_seconds if result.wall_seconds else 0.0)

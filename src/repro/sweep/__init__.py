@@ -5,7 +5,7 @@ asks the next question — how stable are the 2D-profiling verdicts
 across a *population* of inputs from the same distribution?  It grows a
 seeded population from any named workload input
 (:class:`PopulationSpec` / :func:`generate_population`), traces every
-input on the block-compiled VM, compiled once for the whole population
+input on the compiled VM, compiled once for the whole population
 (:func:`run_sweep`), and reduces
 the per-lane reports to a stability verdict per branch site
 (:func:`population_report`, :func:`population_report_from_store`).

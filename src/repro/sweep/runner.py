@@ -5,8 +5,9 @@ One :func:`run_sweep` call prices an entire input population:
 1. expand the :class:`~repro.sweep.population.PopulationSpec` into its
    input-set lanes;
 2. trace every lane with :func:`repro.trace.capture.capture_traces`,
-   which block-compiles the program once and runs each lane on the
-   compiled VM (bit-identical to the interpreter);
+   which compiles the program to Python once (one function per guest
+   function) and runs each lane on that code (bit-identical to the
+   interpreter);
 3. replay every lane's trace through the (vectorized) predictor and the
    2D profiler;
 4. ingest the whole population into the profile warehouse as one

@@ -29,8 +29,8 @@ def capture_traces(
 ) -> list[BranchTrace]:
     """Capture one trace per input set: ``[capture_trace(p, s) for s in sets]``.
 
-    All inputs share one machine, and the program is block-compiled once
-    however many inputs there are.
+    All inputs share one machine, and the program is compiled to Python
+    once however many inputs there are.
     """
     machine = Machine(program, fuel=fuel)
     return [_trace_of(program, s, machine.run(s, mode="trace")) for s in input_sets]

@@ -1,7 +1,8 @@
-"""The Minic virtual machine: block-compiled trace mode plus the interpreter.
+"""The Minic virtual machine: function-compiled trace mode plus the interpreter.
 
-Trace-mode runs execute the program's block-compiled form
-(:mod:`repro.vm.compiled`), several times faster than interpretation.  Any
+Trace-mode runs execute the program's compiled form
+(:mod:`repro.vm.compiled`: one generated Python function per guest
+function), over ten times faster than interpretation.  Any
 guest fault, fuel overrun or call-depth overflow there abandons the run,
 which is then replayed from scratch on the interpreter; such fallbacks are
 counted (``vm_compiled_fallbacks_total{reason}``) and logged.
@@ -137,7 +138,7 @@ class Machine:
         hook:
             Required for ``mode="callback"``.
 
-        Trace mode runs block-compiled (see the module docstring); the
+        Trace mode runs the compiled form (see the module docstring); the
         other modes run on the interpreter.
         """
         start = time.perf_counter()

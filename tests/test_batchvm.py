@@ -1,6 +1,6 @@
-"""Block-compiled VM vs the interpreter: the differential oracle.
+"""Function-compiled VM vs the interpreter: the differential oracle.
 
-Trace mode runs block-compiled code (:mod:`repro.vm.compiled`); the
+Trace mode runs compiled code (:mod:`repro.vm.compiled`); the
 interpreter is its reference.  The contract is absolute: for every
 program and input, the compiled run's trace bytes, instruction count,
 return value and output equal the interpreter's, and wherever the
@@ -11,9 +11,11 @@ sweep and experiment entry point), hence the module name.
 
 Covered: every shipped workload on its named inputs (train, ref, ext-*)
 and on seeded populations, Hypothesis-generated programs from the fuzz
-generator, the interpreter's edge semantics (fuel exhaustion mid-call,
-out-of-range indexing, shift-count masking, truncating division, division
-by zero, the RNG, recursion overflow), and the counted fallback path.
+generator, each control-flow shape the compiler structures (with fuel
+swept over every value), the interpreter's edge semantics (fuel
+exhaustion mid-call, out-of-range indexing, shift-count masking,
+truncating division, division by zero, the RNG, recursion overflow,
+Python's own recursion limit), and the counted fallback path.
 
 ``REPRO_VM_FUZZ_EXAMPLES`` sets the number of generated programs (CI's
 vm-differential job raises it).
@@ -21,8 +23,11 @@ vm-differential job raises it).
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import logging
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -326,6 +331,23 @@ class TestEdgeParity:
                           global_init=[3], sites=[])
         assert _assert_parity(program, InputSet.make("x"))[3] == -3
 
+    def test_halt_in_a_callee_ends_the_run(self):
+        # Hand-written bytecode (Minic never emits HALT): a HALT below main
+        # ends the whole run with return value 0.
+        helper = Function(name="stop", num_params=1, num_locals=1,
+                          ops=[int(Opcode.LOAD_LOCAL), int(Opcode.CALL_BUILTIN),
+                               int(Opcode.POP), int(Opcode.HALT)],
+                          args=[0, (4, 1), None, None], lines=[1] * 4)
+        main = Function(name="main", num_params=0, num_locals=0,
+                        ops=[int(Opcode.CONST), int(Opcode.CALL), int(Opcode.POP),
+                             int(Opcode.CONST), int(Opcode.RET)],
+                        args=[5, (0, 1), None, 9, None], lines=[1] * 5)
+        program = Program(name="halting", functions=[helper, main],
+                          func_index={"stop": 0, "main": 1}, global_names=[],
+                          global_init=[], sites=[])
+        outcome = _assert_parity(program, InputSet.make("x"))
+        assert (outcome[3], outcome[4]) == (0, [5])
+
     def test_bad_builtin_arguments(self):
         # Negative sizes and indexes must not wrap or silently succeed.
         source = """
@@ -343,6 +365,221 @@ class TestEdgeParity:
             InputSet.make("big-input", data=[4], args=[2, 1]),
         ])
 
+
+
+def _sweep_fuel(program, input_set):
+    """Parity at every fuel value until the run no longer runs out, and one more."""
+    fuel = 0
+    while isinstance(_assert_parity(program, input_set, fuel), FuelExhausted):
+        fuel += 1
+    _assert_parity(program, input_set, fuel + 1)
+
+
+class TestControlFlowShapes:
+    """The shapes the function compiler structures, each run to parity.
+
+    Fuel is swept over every value of each run, so a fuel check placed
+    anywhere but where the interpreter checks shows up as a wrong bail.
+    """
+
+    def _check(self, source, input_sets):
+        program = compile_source(source, name="shape")
+        for input_set in input_sets:
+            _sweep_fuel(program, input_set)
+        return [_interpreted(program, s) for s in input_sets]
+
+    def test_while_with_break_and_continue(self):
+        source = """
+        func main() {
+            var i = 0;
+            var acc = 0;
+            while (i < 20) {
+                i = i + 1;
+                if (i % 3 == 0) { continue; }
+                if (acc > arg(0)) { break; }
+                acc = acc + i;
+                while (1) { if (acc % 2 == 0) { break; } acc = acc + 1; }
+            }
+            return acc * 100 + i;
+        }
+        """
+        outcomes = self._check(source, [InputSet.make(f"l{k}", args=[k])
+                                        for k in (0, 5, 40, 1000)])
+        assert len({o[3] for o in outcomes}) == 4
+
+    def test_do_while(self):
+        source = """
+        func main() {
+            var n = arg(0);
+            var steps = 0;
+            do {
+                steps = steps + 1;
+                if (n % 2 == 0) { n = n / 2; continue; }
+                n = 3 * n + 1;
+            } while (n > 1 && steps < 50);
+            do { output(n); } while (0);
+            return steps;
+        }
+        """
+        self._check(source, [InputSet.make(f"l{k}", args=[k]) for k in (1, 6, 7, 27)])
+
+    def test_short_circuit_in_branch_and_value_context(self):
+        # Chains whose arms cannot simply meet: the selector guards them.
+        source = """
+        func main() {
+            var a = arg(0);
+            var b = arg(1);
+            var r = 0;
+            if (a > 0 && b > 0) { r = 1; } else { r = 2; }
+            if (a > 0 || b > 0) { r = r * 10 + 3; } else { r = r * 10 + 4; }
+            if ((a > 1 && b > 1) || (a < -1 && b < -1)) { r = r * 10 + 5; }
+            var v = (a && b) + (a || b) * 2 + ((a > b) && (b > 0 || a == 3)) * 4;
+            output(v);
+            while (a > 0 && (b > 0 || a % 2 == 1)) { a = a - 1; b = b - 1; r = r + 1; }
+            return r;
+        }
+        """
+        pairs = [(0, 0), (2, 0), (0, 2), (3, 3), (-2, -2), (5, -1), (3, 1)]
+        self._check(source, [InputSet.make(f"l{i}", args=list(p))
+                             for i, p in enumerate(pairs)])
+
+    def test_calls_inside_expressions(self):
+        # Operands computed before a call stay live across it; the callee
+        # branches, so fuel checks inside it see an exact count.
+        source = """
+        global g = 2;
+        func bump(x) { if (x > 3) { g = g + 1; } return x * g; }
+        func main() {
+            var a = arg(0);
+            var r = a + bump(a) * (g + bump(a + 1)) - bump(bump(a) % 7);
+            output(g + bump(2) + g);
+            return r + (a > 2 && bump(a) > 10);
+        }
+        """
+        self._check(source, [InputSet.make(f"l{k}", args=[k]) for k in (0, 3, 9)])
+
+    def test_return_inside_loop(self):
+        source = """
+        func find(n) {
+            var i = 0;
+            while (1) {
+                for (var j = 0; j < 4; j = j + 1) {
+                    if (i * 4 + j == n) { return i * 10 + j; }
+                }
+                i = i + 1;
+                if (i > 5) { return -1; }
+            }
+            return -2;
+        }
+        func main() { return find(arg(0)) + find(arg(0) + 7); }
+        """
+        self._check(source, [InputSet.make(f"l{k}", args=[k]) for k in (0, 5, 17, 30)])
+
+    def test_depth_guarded_recursive_helper(self):
+        source = """
+        func fib(n) {
+            if (n < 2) { return n; }
+            return fib(n - 1) + fib(n - 2);
+        }
+        func walk(n, acc) {
+            if (n <= 0) { return acc; }
+            return walk(n - 1, acc + fib(n % 6));
+        }
+        func main() { return walk(arg(0) & 15, 0) + fib(arg(0) % 9); }
+        """
+        self._check(source, [InputSet.make(f"l{k}", args=[k]) for k in (0, 7, 15)])
+
+    def test_faults_at_the_fuel_limit_stay_faults(self):
+        # The interpreter computes a branch condition and a call's
+        # arguments before its fuel check, so at the limit a faulting one
+        # (ordering an array, adding to it) is a fault, not a fuel stop.
+        source = """
+        func id(x) { return x; }
+        func main() {
+            var a = array(2);
+            var n = arg(0);
+            if (n > 0) { a = n; }
+            var r = 0;
+            if (a < 5) { r = 1; }
+            return r + id(a + 1);
+        }
+        """
+        self._check(source, [InputSet.make("int", args=[1]),
+                             InputSet.make("array", args=[0])])
+
+    def test_irreducible_loop_runs_as_a_dispatch_loop(self):
+        # Hand-written bytecode: a loop with two entries (blocks at 2 and
+        # 6 both reached from outside it), which no while/if nest expresses.
+        ops = [Opcode.LOAD_LOCAL, Opcode.BR_FALSE,
+               Opcode.LOAD_LOCAL, Opcode.CONST, Opcode.ADD, Opcode.STORE_LOCAL,
+               Opcode.LOAD_LOCAL, Opcode.CONST, Opcode.LT, Opcode.BR_TRUE,
+               Opcode.LOAD_LOCAL, Opcode.RET]
+        args = [0, (6, 0), 0, 1, None, 0, 0, 5, None, (2, 1), 0, None]
+        main = Function(name="main", num_params=0, num_locals=1,
+                        ops=[int(op) for op in ops], args=args, lines=[1] * 12)
+        program = Program(name="irreducible", functions=[main],
+                          func_index={"main": 0}, global_names=[],
+                          global_init=[], sites=[])
+        _sweep_fuel(program, InputSet.make("x"))
+        assert _assert_parity(program, InputSet.make("x"))[3] == 5
+
+
+class TestRecursionLimit:
+    """Deep guest recursion runs compiled; the Python limit is restored."""
+
+    _SOURCE = """
+    func down(n) {
+        if (n == 0) { return 0; }
+        return 1 + down(n - 1);
+    }
+    func main() { return down(arg(0)); }
+    """
+
+    def test_limit_unchanged_after_clean_faulting_and_bailed_runs(self):
+        program = compile_source(self._SOURCE, name="deep")
+        faulty = compile_source(
+            "func f(n) { if (n == 0) { return 1 / n; } return f(n - 1); }"
+            "func main() { return f(arg(0)); }", name="deep-fault")
+        machine = Machine(program)
+        saved = sys.getrecursionlimit()
+        # Below what 4000 guest frames need, so every run has to raise it.
+        sys.setrecursionlimit(len(inspect.stack(0)) + 500)
+        try:
+            limit = sys.getrecursionlimit()
+            result = machine.run(InputSet.make("clean", args=[3999]), mode="trace")
+            assert result.return_value == 3999
+            assert sys.getrecursionlimit() == limit
+            with pytest.raises(VMRuntimeError):  # a depth bail, replayed
+                machine.run(InputSet.make("overflow", args=[4000]), mode="trace")
+            assert sys.getrecursionlimit() == limit
+            with pytest.raises(VMRuntimeError):  # a fault bail, replayed
+                Machine(faulty).run(InputSet.make("fault", args=[2000]), mode="trace")
+            assert sys.getrecursionlimit() == limit
+        finally:
+            sys.setrecursionlimit(saved)
+
+    def test_low_limit_bails_depth_and_replays_exactly(self, monkeypatch):
+        import repro.vm.compiled as compiled_module
+
+        program = compile_source(self._SOURCE, name="deep-low")
+        input_set = InputSet.make("d", args=[3999])
+        want = _interpreted(program, input_set)
+        # Without the headroom the run overflows Python's own stack.
+        monkeypatch.setattr(compiled_module, "_recursion_headroom",
+                            lambda frames: contextlib.nullcontext())
+        fallbacks = get_registry().counter("vm_compiled_fallbacks_total").labels(
+            reason="depth")
+        before = fallbacks.value
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+        try:
+            result = Machine(program).run(input_set, mode="trace")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert fallbacks.value == before + 1
+        assert (np.asarray(result.packed_trace, dtype=np.int64).tobytes(),
+                result.instructions, result.branches, result.return_value,
+                list(result.output)) == want
 
 def test_capture_traces_matches_serial_loop():
     """The documented equivalence: capture_traces == [capture_trace...]."""
@@ -428,6 +665,23 @@ class TestCountedFallbacks:
         with pytest.raises(VMError):
             Machine(program, fuel=fuel).run(InputSet.make("x"), mode="trace")
         assert self._fallbacks(reason) == before + 1
+
+    def test_unstatic_stack_depth_is_replayed(self):
+        # Hand-written bytecode whose operand-stack depth at pc 4 depends
+        # on the path taken: the compiled function bails on entry and the
+        # interpreter returns the answer.
+        ops = [Opcode.LOAD_LOCAL, Opcode.BR_FALSE, Opcode.CONST, Opcode.JUMP,
+               Opcode.CONST, Opcode.RET]
+        main = Function(name="main", num_params=0, num_locals=1,
+                        ops=[int(op) for op in ops],
+                        args=[0, (4, 0), 7, 4, 1, None], lines=[1] * 6)
+        program = Program(name="unstatic", functions=[main],
+                          func_index={"main": 0}, global_names=[],
+                          global_init=[], sites=[])
+        assert isinstance(_compiled_only(program, InputSet.make("x")), Bail)
+        before = self._fallbacks("fault")
+        assert Machine(program).run(InputSet.make("x"), mode="trace").return_value == 1
+        assert self._fallbacks("fault") == before + 1
 
     def test_clean_runs_do_not_fall_back(self):
         program = get_workload("gzipish").program()

@@ -20,6 +20,7 @@ All ``slow``-marked (seconds each): deselect with ``-m 'not slow'``.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import re
@@ -32,10 +33,11 @@ import pytest
 from repro import cli
 from repro.core.profiler2d import ProfilerConfig, profile_trace
 from repro.fleet import FleetHarness
-from repro.fleet.loadgen import run_loadgen
+from repro.fleet.loadgen import AsyncStreamClient, run_loadgen
 from repro.predictors import make_predictor, simulate
 from repro.service.client import stream_simulation
 from repro.service.protocol import serialize_report
+from repro.service.server import ProfilingServer, ServerThread
 from repro.trace.synthetic import phased_trace
 
 pytestmark = pytest.mark.slow
@@ -116,6 +118,25 @@ class TestRollingRestart:
                         batch_size=1000, resume=True, num_sites=trace.num_sites)
                     assert outcome.resumed_from >= 4000
                     assert client.query(name)["report"] == offline
+
+
+class TestLoadgenClient:
+    def test_close_releases_the_socket(self, no_leaked_files):
+        """``close()`` returns only once the socket is closed, so nothing is
+        left for the garbage collector to find unclosed."""
+        server = ServerThread(ProfilingServer()).start()
+        try:
+            async def _connect_and_close() -> int:
+                client = await AsyncStreamClient.connect("127.0.0.1", server.port)
+                assert (await client.control({"op": "ping"}))["ok"]
+                sock = client._writer.get_extra_info("socket")
+                await client.close()
+                return sock.fileno()
+
+            with no_leaked_files():
+                assert asyncio.run(_connect_and_close()) == -1
+        finally:
+            server.drain()
 
 
 class TestLoadgenFailover:

@@ -29,12 +29,24 @@ _UNOPS = ["-", "!", "~"]
 
 
 class ProgramGenerator:
-    """Generates one random, semantically valid Minic program per seed."""
+    """Generates one random, semantically valid Minic program per seed.
+
+    Besides straight-line code, ``if``/``else`` and counted ``for`` loops it
+    emits the control-flow shapes a structuring compiler must handle:
+    ``while`` loops with ``break``/``continue``, ``do``-``while`` loops,
+    ``&&``/``||`` in branch and value context, calls nested inside
+    expressions (operands live across the call), ``return`` inside a loop,
+    and a depth-guarded recursive helper.  Every loop is bounded by a
+    counter its body cannot assign.
+    """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.globals: list[str] = []
         self.global_arrays: list[tuple[str, int]] = []
+        self.counters: set[str] = set()
+        #: Call templates usable in expressions (filled in before main).
+        self.calls: list[str] = []
         self.fresh = 0
 
     def name(self, prefix: str) -> str:
@@ -49,7 +61,7 @@ class ProgramGenerator:
         roll = self.rng.random()
         if depth >= 3 or roll < 0.3:
             return self.leaf(scope)
-        if roll < 0.75:
+        if roll < 0.68:
             op = self.rng.choice(_BINOPS)
             left = self.expr(scope, depth + 1)
             right = self.expr(scope, depth + 1)
@@ -60,12 +72,17 @@ class ProgramGenerator:
             if op in ("<<", ">>"):
                 right = f"({right} & 15)"
             return f"({left} {op} {right})"
-        if roll < 0.85:
+        if roll < 0.76:  # a short-circuit value (a branch condition in `if`)
+            op = self.rng.choice(["&&", "||"])
+            return f"({self.expr(scope, depth + 1)} {op} {self.expr(scope, depth + 1)})"
+        if roll < 0.84:
             return f"({self.rng.choice(_UNOPS)}{self.expr(scope, depth + 1)})"
-        if roll < 0.95 and self.global_arrays:
+        if roll < 0.91 and self.global_arrays:
             array, size = self.rng.choice(self.global_arrays)
             index = self.expr(scope, depth + 1)
             return f"{array}[(({index}) % {size} + {size}) % {size}]"
+        if roll < 0.97 and self.calls:
+            return self.rng.choice(self.calls).format(self.expr(scope, depth + 1))
         return f"abs({self.expr(scope, depth + 1)})"
 
     def leaf(self, scope: list[str]) -> str:
@@ -76,44 +93,80 @@ class ProgramGenerator:
             return self.rng.choice(self.globals)
         return str(self.rng.randint(-64, 64))
 
+    def condition(self, scope: list[str]) -> str:
+        """A branch condition, often a `&&`/`||` chain."""
+        if self.rng.random() < 0.5:
+            return self.expr(scope)
+        op = self.rng.choice(["&&", "||"])
+        return f"{self.expr(scope, 1)} {op} {self.expr(scope, 1)}"
+
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
 
-    def block(self, scope: list[str], depth: int, budget: int) -> list[str]:
+    def block(self, scope: list[str], depth: int, budget: int,
+              loop: bool = False) -> list[str]:
         lines: list[str] = []
         local_scope = list(scope)
         for _ in range(self.rng.randint(1, max(1, budget))):
-            lines.extend(self.statement(local_scope, depth))
+            lines.extend(self.statement(local_scope, depth, loop))
         return lines
 
-    def statement(self, scope: list[str], depth: int) -> list[str]:
+    def counter(self, prefix: str) -> str:
+        name = self.name(prefix)
+        self.counters.add(name)
+        return name
+
+    def statement(self, scope: list[str], depth: int, loop: bool = False) -> list[str]:
+        """One statement; ``loop``: inside a loop body (may break/continue)."""
         roll = self.rng.random()
-        if roll < 0.3 or not scope:
+        targets = [v for v in scope if v not in self.counters] + self.globals
+        if roll < 0.25 or not scope:
             name = self.name("v")
             line = f"var {name} = {self.expr(scope)};"
             scope.append(name)
             return [line]
-        if roll < 0.55:
-            target = self.rng.choice(scope + self.globals) if self.globals else self.rng.choice(scope)
+        if roll < 0.45 and targets:
+            target = self.rng.choice(targets)
             op = self.rng.choice(["=", "+=", "-=", "*=", "&=", "|=", "^="])
             return [f"{target} {op} {self.expr(scope)};"]
-        if roll < 0.7 and depth < 2:
-            cond = self.expr(scope)
-            then_body = self.block(scope, depth + 1, 2)
+        if roll < 0.57 and depth < 2:
+            cond = self.condition(scope)
+            then_body = self.block(scope, depth + 1, 2, loop)
             if self.rng.random() < 0.5:
-                else_body = self.block(scope, depth + 1, 2)
-                return ([f"if ({cond}) {{"] + [f"    {line}" for line in then_body]
-                        + ["} else {"] + [f"    {line}" for line in else_body] + ["}"])
-            return [f"if ({cond}) {{"] + [f"    {line}" for line in then_body] + ["}"]
-        if roll < 0.85 and depth < 2:
-            # Bounded counting loop (no unbounded whiles: fuel safety).
-            counter = self.name("i")
+                else_body = self.block(scope, depth + 1, 2, loop)
+                return ([f"if ({cond}) {{"] + _indent(then_body)
+                        + ["} else {"] + _indent(else_body) + ["}"])
+            return [f"if ({cond}) {{"] + _indent(then_body) + ["}"]
+        if roll < 0.65 and depth < 2:
+            counter = self.counter("i")
             bound = self.rng.randint(1, 12)
-            body = self.block(scope + [counter], depth + 1, 2)
+            body = self.block(scope + [counter], depth + 1, 2, loop=True)
             return ([f"for (var {counter} = 0; {counter} < {bound}; {counter} += 1) {{"]
-                    + [f"    {line}" for line in body] + ["}"])
-        if roll < 0.9 and self.global_arrays:
+                    + _indent(body) + ["}"])
+        if roll < 0.71 and depth < 2:
+            # The counter steps first, so `continue` cannot skip it.
+            counter = self.counter("w")
+            cond = f"{counter} < {self.rng.randint(1, 10)}"
+            if self.rng.random() < 0.5:
+                cond += f" && {self.expr(scope + [counter], 1)}"
+            body = self.block(scope + [counter], depth + 1, 2, loop=True)
+            return ([f"var {counter} = 0;", f"while ({cond}) {{", f"    {counter} += 1;"]
+                    + _indent(body) + ["}"])
+        if roll < 0.76 and depth < 2:
+            counter = self.counter("d")
+            cond = f"{counter} < {self.rng.randint(1, 10)}"
+            if self.rng.random() < 0.5:
+                cond += f" && {self.expr(scope + [counter], 1)}"
+            body = self.block(scope + [counter], depth + 1, 2, loop=True)
+            return ([f"var {counter} = 0;", "do {", f"    {counter} += 1;"]
+                    + _indent(body) + [f"}} while ({cond});"])
+        if roll < 0.83 and loop:
+            exit_ = self.rng.choice(["break;", "continue;", f"return {self.expr(scope)};"])
+            if self.rng.random() < 0.2:
+                return [exit_]  # unconditional: the rest of the body is dead
+            return [f"if ({self.condition(scope)}) {{", f"    {exit_}", "}"]
+        if roll < 0.88 and self.global_arrays:
             array, size = self.rng.choice(self.global_arrays)
             index = self.expr(scope)
             return [f"{array}[(({index}) % {size} + {size}) % {size}] = {self.expr(scope)};"]
@@ -133,7 +186,7 @@ class ProgramGenerator:
             lines.append(f"global {name}[{size}];")
             self.global_arrays.append((name, size))
 
-        # A couple of helper functions with guarded recursion.
+        # A couple of helper functions (loops in them may return early).
         helpers = []
         for _ in range(self.rng.randint(0, 2)):
             fname = self.name("f")
@@ -141,19 +194,34 @@ class ProgramGenerator:
             body = self.block([param], depth=1, budget=2)
             helpers.append(fname)
             lines.append(f"func {fname}({param}) {{")
-            lines.extend(f"    {line}" for line in body)
+            lines.extend(_indent(body))
             lines.append(f"    return {self.expr([param])};")
             lines.append("}")
+        calls = [f"{fname}({{}})" for fname in helpers]
+        if self.rng.random() < 0.5:
+            # Guarded recursion, at most 16 frames deep.
+            fname = self.name("r")
+            param = self.name("n")
+            lines.append(f"func {fname}({param}) {{")
+            lines.append(f"    if ({param} <= 0) {{ return {self.leaf([param])}; }}")
+            lines.append(f"    return {fname}({param} - 1) + {self.expr([param], 1)};")
+            lines.append("}")
+            calls.append(f"{fname}(({{}}) & 15)")
+        # Main's expressions may call the helpers (operands live across).
+        self.calls = calls
 
         lines.append("func main() {")
         main_scope: list[str] = []
-        for line in self.block(main_scope, depth=0, budget=6):
-            lines.append(f"    {line}")
-        for fname in helpers:
-            lines.append(f"    output({fname}({self.expr(main_scope)} & 31));")
+        lines.extend(_indent(self.block(main_scope, depth=0, budget=6)))
+        for call in calls:
+            lines.append(f"    output({call.format(self.expr(main_scope) + ' & 31')});")
         lines.append(f"    return {self.expr(main_scope)};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return [f"    {line}" for line in lines]
 
 
 def observable(source: str, optimize: bool):
