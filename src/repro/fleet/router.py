@@ -93,7 +93,10 @@ class _ConnState:
 
     def drop_shard(self, shard: str) -> list[str]:
         """Forget a dead shard's backend and routes; returns lost sessions."""
-        self.backends.pop(shard, None)
+        pair = self.backends.pop(shard, None)
+        if pair is not None:
+            with contextlib.suppress(Exception):
+                pair[1].close()
         lost = [r.session for r in self.routes.values() if r.shard == shard]
         for session in lost:
             router_id = self.by_name.pop(session, None)
@@ -102,11 +105,11 @@ class _ConnState:
                 self.lost[router_id] = shard
         return lost
 
-    async def close(self) -> None:
-        for _reader, writer in self.backends.values():
-            with contextlib.suppress(Exception):
-                writer.close()
+    def drop_backends(self) -> list[asyncio.StreamWriter]:
+        """Forget every shard connection; returns their writers to close."""
+        writers = [writer for _reader, writer in self.backends.values()]
         self.backends.clear()
+        return writers
 
 
 class FleetRouter:
@@ -153,6 +156,7 @@ class FleetRouter:
         self._writers: set[asyncio.StreamWriter] = set()
         self._stopped: asyncio.Event | None = None
         self._stopping = False
+        self._closing: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -175,9 +179,12 @@ class FleetRouter:
         self._stopping = True
         if self._server is not None:
             self._server.close()
-        for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.close()
+        self._closing = asyncio.get_running_loop().create_task(self._close_clients())
+
+    async def _close_clients(self) -> None:
+        """Close every client and shard connection before the loop stops."""
+        await protocol.close_writers(
+            *self._writers, *(w for state in self._conns for w in state.drop_backends()))
         if self._stopped is not None:
             self._stopped.set()
 
@@ -269,9 +276,7 @@ class FleetRouter:
         finally:
             self._conns.discard(state)
             self._writers.discard(writer)
-            await state.close()
-            with contextlib.suppress(Exception):
-                writer.close()
+            await protocol.close_writers(writer, *state.drop_backends())
 
     async def _dispatch(self, state: _ConnState, frame_type: int, payload: bytes) -> dict:
         try:

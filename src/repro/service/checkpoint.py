@@ -53,16 +53,19 @@ def checkpoint_path(directory: str | Path, session_name: str) -> Path:
 def save_checkpoint(
     directory: str | Path,
     session_name: str,
-    profiler: TwoDProfiler,
+    state: dict[str, np.ndarray],
     events_received: int,
 ) -> Path:
-    """Atomically publish a session snapshot; returns the checkpoint path."""
+    """Atomically publish a session snapshot; returns the checkpoint path.
+
+    ``state`` is the profiler's :meth:`~repro.core.profiler2d.TwoDProfiler.state_dict`,
+    a copy, so the server can take it on its event loop and write it from
+    a worker thread while the session keeps going.
+    """
     path = checkpoint_path(directory, session_name)
-    state = profiler.state_dict()
-    state["checkpoint_version"] = np.int64(CHECKPOINT_VERSION)
-    state["events_received"] = np.int64(events_received)
     with artifact_lock(path):
-        atomic_savez(path, **state)
+        atomic_savez(path, **state, checkpoint_version=np.int64(CHECKPOINT_VERSION),
+                     events_received=np.int64(events_received))
     return path
 
 

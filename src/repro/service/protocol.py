@@ -28,6 +28,7 @@ corrupt header means the byte stream can no longer be re-synchronized.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -210,6 +211,25 @@ async def read_frame_async(reader, max_frame: int = MAX_FRAME_BYTES) -> tuple[in
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid-frame") from exc
     return frame_type, payload
+
+
+async def close_writers(*writers, timeout: float = 5.0) -> None:
+    """Close :class:`asyncio.StreamWriter` objects, then wait for their transports.
+
+    Every writer is closed before the first wait, so a task cancelled while
+    it waits (its loop shutting down) still leaves each transport closing.
+    Waiting lets the transports finish closing before their event loop
+    does, which keeps ``-X dev`` runs free of "unclosed transport"
+    warnings.  Errors are suppressed: the peer may already be gone.
+    """
+    import asyncio
+
+    for writer in writers:
+        with contextlib.suppress(Exception):
+            writer.close()
+    for writer in writers:
+        with contextlib.suppress(Exception):
+            await asyncio.wait_for(writer.wait_closed(), timeout)
 
 
 # ----------------------------------------------------------------------

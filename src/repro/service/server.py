@@ -26,6 +26,12 @@ Robustness rules:
 * :meth:`drain` — wired to SIGTERM by the CLI — stops accepting, writes a
   final checkpoint for every live session, and shuts down, so a deploy
   restart loses nothing;
+* durable I/O (checkpoints, the close-time warehouse ingest and
+  checkpoint removal) runs in worker threads, so no frame waits behind
+  another session's fsyncs.  Live state is read on the loop
+  (``state_dict()`` and ``final_report()`` copy it), and I/O for one
+  session name runs in request order: an ``open``, ``checkpoint`` or
+  ``close`` of a name whose I/O is in flight waits for it first;
 * a SIGKILL loses only events after the last checkpoint: the client
   learns the resume offset from the ``open`` reply and re-sends the tail
   (``tests/test_service.py`` pins byte-identical reports across a crash).
@@ -35,15 +41,16 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import logging
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Awaitable, Callable, Optional, Union
 
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
-from repro.errors import ExperimentError, ProtocolError, ServiceError
+from repro.errors import ExperimentError, ProtocolError, ServiceError, StoreError
 from repro.obs import get_tracer
 from repro.obs.logs import log_event
 from repro.service import checkpoint as ckpt
@@ -51,6 +58,13 @@ from repro.service import protocol
 from repro.service.metrics import ServiceMetrics, stats_view
 
 log = logging.getLogger(__name__)
+
+#: Errors a request answers with ``{"ok": false, "error": ...}``.
+_REPLY_ERRORS = (ProtocolError, ServiceError, ExperimentError)
+
+#: What a handler returns: the reply, or an awaitable that finishes it off
+#: the loop.
+Reply = Union[dict, Awaitable[dict]]
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,9 @@ class ProfilingServer:
         self._reaper: asyncio.Task | None = None
         self._stopped: asyncio.Event | None = None
         self._draining = False
+        #: The latest durable-I/O task per session name (see :meth:`_io_for`).
+        self._io: dict[str, asyncio.Task] = {}
+        self._closing: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -189,40 +206,39 @@ class ProfilingServer:
         if self._draining:
             return 0
         self._draining = True
-        written = 0
         started = time.perf_counter()
-        with get_tracer().span("service.drain", cat="service",
-                               shard=self.shard_name) as sp:
-            if self.checkpoint_dir is not None:
-                for session in list(self._sessions.values()):
-                    ckpt.save_checkpoint(
-                        self.checkpoint_dir, session.name, session.profiler,
-                        session.events_received,
-                    )
-                    self.metrics.checkpoints_written.inc()
-                    written += 1
-            sp.set("sessions", len(self._sessions))
-            sp.set("checkpoints", written)
+        opened_us = time.time_ns() / 1e3
+        saves = []
+        if self.checkpoint_dir is not None:
+            saves = [self._checkpoint(session) for session in self._sessions.values()]
+        results = await asyncio.gather(*saves, return_exceptions=True)
+        written = sum(not isinstance(result, BaseException) for result in results)
+        while self._io:  # closes and evictions still writing
+            await asyncio.wait(list(self._io.values()))
+        # Recorded whole, not as a context manager: other connections' frames
+        # run on this thread while the checkpoints are written.
+        get_tracer().add_span(
+            "service.drain", ts_us=opened_us, dur_us=time.time_ns() / 1e3 - opened_us,
+            cat="service", shard=self.shard_name, sessions=len(self._sessions),
+            checkpoints=written)
         self.metrics.drain_seconds.observe(time.perf_counter() - started)
         log_event(log, "server_drained", shard=self.shard_name,
                   checkpoints=written,
                   wall_s=round(time.perf_counter() - started, 4))
-        self._shut_down()
+        await self._shut_down()
         return written
 
     def abort(self) -> None:
         """Hard stop with **no** checkpoints (crash simulation in tests)."""
         self._draining = True
-        self._shut_down()
+        self._closing = asyncio.get_running_loop().create_task(self._shut_down())
 
-    def _shut_down(self) -> None:
+    async def _shut_down(self) -> None:
         if self._reaper is not None:
             self._reaper.cancel()
         if self._server is not None:
             self._server.close()
-        for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.close()
+        await protocol.close_writers(*self._writers)
         if self._stopped is not None:
             self._stopped.set()
 
@@ -233,20 +249,21 @@ class ProfilingServer:
         while True:
             await asyncio.sleep(interval)
             now = asyncio.get_running_loop().time()
-            for session in [s for s in self._sessions.values()
-                            if now - s.last_active > timeout]:
+            idle = [s for s in self._sessions.values() if now - s.last_active > timeout]
+            saves = []
+            for session in idle:
                 with get_tracer().span("service.evict", cat="service",
                                        session=session.name,
                                        events=session.events_received) as sp:
                     if self.checkpoint_dir is not None:
-                        ckpt.save_checkpoint(
-                            self.checkpoint_dir, session.name, session.profiler,
-                            session.events_received,
-                        )
-                        self.metrics.checkpoints_written.inc()
+                        # Written off the loop; a resume of this name waits for it.
+                        saves.append(self._checkpoint(session))
                         sp.set("checkpointed", True)
                     self._drop_session(session)
-                    self.metrics.sessions_evicted.inc()
+            if saves:
+                await asyncio.wait(saves)
+            for session in idle:
+                self.metrics.sessions_evicted.inc()
                 log_event(log, "session_evicted", shard=self.shard_name,
                           session=session.name, idle_s=timeout,
                           events=session.events_received)
@@ -297,7 +314,12 @@ class ProfilingServer:
                         hot_path=frame_type == protocol.FRAME_EVENTS,
                         frame=chr(frame_type)) as sp:
                     reply = self._dispatch(frame_type, payload)
-                    sp.set("ok", bool(reply.get("ok")))
+                    if isinstance(reply, dict):
+                        sp.set("ok", bool(reply.get("ok")))
+                    else:
+                        sp.set("io", True)  # finished off the loop, below
+                if not isinstance(reply, dict):
+                    reply = await self._settle(reply)
                 encoded = protocol.encode_control(reply)
                 self.metrics.frame_latency.observe(time.perf_counter() - started)
                 self.metrics.bytes_out.inc(len(encoded))
@@ -308,18 +330,28 @@ class ProfilingServer:
         finally:
             self._writers.discard(writer)
             self.metrics.connections_open.dec()
-            with contextlib.suppress(Exception):
-                writer.close()
+            await protocol.close_writers(writer)
 
-    def _dispatch(self, frame_type: int, payload: bytes) -> dict:
-        """Decode and apply one frame; always returns a reply payload."""
+    def _dispatch(self, frame_type: int, payload: bytes) -> Reply:
+        """Decode and apply one frame; always returns a reply payload, or
+        an awaitable of one for a request that waits on durable I/O."""
         try:
             if frame_type == protocol.FRAME_EVENTS:
                 return self._on_events(protocol.decode_events(payload))
             return self._on_control(protocol.decode_control(payload))
-        except (ProtocolError, ServiceError, ExperimentError) as exc:
-            self.metrics.frames_rejected.inc()
-            return {"ok": False, "error": str(exc)}
+        except _REPLY_ERRORS as exc:
+            return self._rejected(exc)
+
+    async def _settle(self, pending: Awaitable[dict]) -> dict:
+        """The reply of a request whose handler handed its I/O to a thread."""
+        try:
+            return await pending
+        except _REPLY_ERRORS as exc:
+            return self._rejected(exc)
+
+    def _rejected(self, exc: Exception) -> dict:
+        self.metrics.frames_rejected.inc()
+        return {"ok": False, "error": str(exc)}
 
     # ------------------------------------------------------------------
     # Frame semantics
@@ -339,7 +371,7 @@ class ProfilingServer:
         self.metrics.events_total.inc(len(batch))
         return {"ok": True, "events": session.events_received}
 
-    def _on_control(self, message: dict) -> dict:
+    def _on_control(self, message: dict) -> Reply:
         op = message.get("op")
         handlers = {
             "ping": self._op_ping,
@@ -358,8 +390,15 @@ class ProfilingServer:
     def _op_ping(self, message: dict) -> dict:
         return {"ok": True, "op": "ping"}
 
-    def _op_open(self, message: dict) -> dict:
+    def _op_open(self, message: dict) -> Reply:
         name = ckpt.validate_session_name(message.get("session"))
+        pending = self._io.get(name)
+        if pending is not None:
+            async def after_io() -> dict:
+                await asyncio.wait([pending])
+                reply = self._op_open(message)  # the table may have changed
+                return reply if isinstance(reply, dict) else await reply
+            return after_io()
         num_sites = message.get("num_sites")
         if not isinstance(num_sites, int) or num_sites <= 0:
             raise ServiceError("open requires a positive integer num_sites")
@@ -428,42 +467,130 @@ class ProfilingServer:
             "report": session.report_payload(),
         }
 
-    def _op_checkpoint(self, message: dict) -> dict:
+    def _op_checkpoint(self, message: dict) -> Reply:
         if self.checkpoint_dir is None:
             raise ServiceError("server has no checkpoint directory configured")
         session = self._require_session(message)
-        path = ckpt.save_checkpoint(
-            self.checkpoint_dir, session.name, session.profiler, session.events_received
-        )
-        self.metrics.checkpoints_written.inc()
         session.touch()
-        return {
-            "ok": True,
-            "op": "checkpoint",
-            "session": session.name,
-            "events": session.events_received,
-            "path": str(path),
-        }
+        return self._checkpoint_reply(session.name, session.events_received,
+                                      self._checkpoint(session))
 
-    def _op_close(self, message: dict) -> dict:
+    async def _checkpoint_reply(self, name: str, events: int,
+                                written: Awaitable[Path]) -> dict:
+        try:
+            path = await written
+        except OSError as exc:
+            raise ServiceError(f"checkpoint of {name!r} failed: {exc}") from exc
+        return {"ok": True, "op": "checkpoint", "session": name,
+                "events": events, "path": str(path)}
+
+    def _op_close(self, message: dict) -> Reply:
         session = self._require_session(message)
         final = session.final_report()
-        warehouse_run = self._finalize_to_warehouse(session, final)
+        report = protocol.serialize_report(final)
+        ingest = self._prepare_ingest(session, final)
         self._drop_session(session)
-        if self.checkpoint_dir is not None:
-            ckpt.delete_checkpoint(self.checkpoint_dir, session.name)
-        self.metrics.sessions_closed.inc()
-        log_event(log, "session_closed", shard=self.shard_name,
-                  session=session.name, events=session.events_received,
-                  warehouse_run=warehouse_run)
+        return self._close_reply(session, report, self._io_for(
+            session.name, self._close_io, session.name, ingest))
+
+    async def _close_reply(self, session: _Session, report: dict,
+                           stored: Awaitable[str | Exception | None]) -> dict:
+        outcome = await stored
+        # The frame's span closed before the await; this one gives the
+        # close's log records a trace id.
+        with get_tracer().span("service.close", cat="service", session=session.name):
+            warehouse_run = None
+            if isinstance(outcome, Exception):
+                # Best-effort: counted and logged, never surfaced to the client.
+                log_event(log, "warehouse_ingest_failed", level=logging.WARNING,
+                          shard=self.shard_name, session=session.name,
+                          error=str(outcome))
+                self.metrics.warehouse_failures.inc()
+            elif outcome is not None:
+                warehouse_run = outcome
+                self.metrics.runs_ingested.inc()
+                log.info("session %r finalized into warehouse as %s",
+                         session.name, warehouse_run)
+            self.metrics.sessions_closed.inc()
+            log_event(log, "session_closed", shard=self.shard_name,
+                      session=session.name, events=session.events_received,
+                      warehouse_run=warehouse_run)
         return {
             "ok": True,
             "op": "close",
             "session": session.name,
             "events": session.events_received,
-            "report": protocol.serialize_report(final),
+            "report": report,
             "warehouse_run": warehouse_run,
         }
+
+    # ------------------------------------------------------------------
+    # Durable I/O, off the loop
+    # ------------------------------------------------------------------
+
+    def _io_for(self, name: str, work: Callable, *args) -> asyncio.Task:
+        """Run ``work(*args)`` in a worker thread once ``name``'s earlier
+        I/O has finished; returns the task.
+
+        Chaining by name keeps one session's writes in request order, so a
+        close's checkpoint removal can never land after the checkpoint of
+        the session re-opened under its name.
+        """
+        previous = self._io.get(name)
+
+        async def run():
+            if previous is not None:
+                await asyncio.wait([previous])  # its outcome is its own request's
+            return await asyncio.to_thread(work, *args)
+
+        task = asyncio.get_running_loop().create_task(run())
+        self._io[name] = task
+
+        def forget(done: asyncio.Task) -> None:
+            if self._io.get(name) is done:
+                del self._io[name]
+
+        task.add_done_callback(forget)
+        return task
+
+    def _checkpoint(self, session: _Session) -> asyncio.Task:
+        """Write ``session``'s checkpoint off the loop; the task returns its path.
+
+        The state is copied here, on the loop, so the session keeps going.
+        """
+        task = self._io_for(session.name, ckpt.save_checkpoint, self.checkpoint_dir,
+                            session.name, session.profiler.state_dict(),
+                            session.events_received)
+        task.add_done_callback(functools.partial(self._checkpoint_done, session.name))
+        return task
+
+    def _checkpoint_done(self, name: str, task: asyncio.Task) -> None:
+        if task.cancelled():
+            return
+        exc = task.exception()
+        if exc is None:
+            self.metrics.checkpoints_written.inc()
+        else:
+            log_event(log, "checkpoint_failed", level=logging.WARNING,
+                      shard=self.shard_name, session=name, error=str(exc))
+
+    def _close_io(self, name: str, ingest: Callable[[], list[str]] | None
+                  ) -> str | Exception | None:
+        """A closed session's I/O (worker thread): ingest, then drop its checkpoint.
+
+        Returns the run id, ``None`` when nothing was stored, or the
+        warehouse error; a failed ingest is reported, not raised, because
+        closing the session must always work.
+        """
+        stored = None
+        if ingest is not None:
+            try:
+                [stored] = ingest()
+            except (StoreError, OSError, ValueError) as exc:
+                stored = exc
+        if self.checkpoint_dir is not None:
+            ckpt.delete_checkpoint(self.checkpoint_dir, name)
+        return stored
 
     # ------------------------------------------------------------------
     # Warehouse finalization
@@ -478,13 +605,12 @@ class ProfilingServer:
             self._warehouse = ProfileWarehouse(self.warehouse_dir)
         return self._warehouse
 
-    def _finalize_to_warehouse(self, session: _Session, report) -> str | None:
-        """Ingest a closing session's report into the profile warehouse.
+    def _prepare_ingest(self, session: _Session, report) -> Callable[[], list[str]] | None:
+        """The ingest of a closing session's report, to run off the loop; or None.
 
-        Best-effort: a warehouse failure is logged and counted, never
-        surfaced to the client — closing the session must always work.
         Sessions profiled without ``keep_series`` cannot be stored (there
-        is no matrix to ingest) and are skipped with a log line.
+        is no matrix to ingest) and are skipped with a log line.  The
+        warehouse is opened here, on the loop, before any thread uses it.
         """
         if self.warehouse_dir is None:
             return None
@@ -495,28 +621,14 @@ class ProfilingServer:
         from repro.store import IngestRun
 
         meta = session.meta
-        try:
-            [run_id] = self.warehouse.ingest([IngestRun(
-                report,
-                workload=str(meta.get("workload", session.name)),
-                input_name=str(meta.get("input", "live")),
-                predictor=str(meta.get("predictor", "stream")),
-                scale=float(meta.get("scale", 1.0)),
-                source="service",
-            )])
-        except Exception as exc:
-            from repro.errors import StoreError
-
-            if not isinstance(exc, (StoreError, OSError, ValueError)):
-                raise
-            log_event(log, "warehouse_ingest_failed", level=logging.WARNING,
-                      shard=self.shard_name, session=session.name,
-                      error=str(exc))
-            self.metrics.warehouse_failures.inc()
-            return None
-        self.metrics.runs_ingested.inc()
-        log.info("session %r finalized into warehouse as %s", session.name, run_id)
-        return run_id
+        return functools.partial(self.warehouse.ingest, [IngestRun(
+            report,
+            workload=str(meta.get("workload", session.name)),
+            input_name=str(meta.get("input", "live")),
+            predictor=str(meta.get("predictor", "stream")),
+            scale=float(meta.get("scale", 1.0)),
+            source="service",
+        )])
 
     def _snapshot(self) -> dict:
         """The registry snapshot, with the live-session and uptime gauges

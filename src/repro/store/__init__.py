@@ -15,7 +15,8 @@ Public surface::
     relabeled = reclassify(run, std_th=0.06)
 
 Layers: :mod:`repro.store.layout` (schema + CSR columnarization),
-:mod:`repro.store.segments` (atomic ``.npy`` publication, memmap reads),
+:mod:`repro.store.segments` (one-file atomic segment publication, memmap
+reads),
 :mod:`repro.store.manifest` (a JSON snapshot plus an append-only commit
 log, on the :mod:`repro.cachefs` primitives), :mod:`repro.store.queries`
 (the query engine), :mod:`repro.store.warehouse` (ingest, catalog, gc,
@@ -39,7 +40,7 @@ from repro.store.queries import (
     join_runs,
     reclassify,
 )
-from repro.store.segments import SegmentBuilder, SegmentReader, atomic_save_array
+from repro.store.segments import SegmentBuilder, SegmentReader
 from repro.store.warehouse import CompactStats, GcStats, ProfileWarehouse
 
 __all__ = [
@@ -58,7 +59,6 @@ __all__ = [
     "reclassify",
     "SegmentBuilder",
     "SegmentReader",
-    "atomic_save_array",
     "CompactStats",
     "GcStats",
     "ProfileWarehouse",

@@ -8,22 +8,26 @@ A warehouse root directory looks like::
         manifest.json.lock       # flock sidecar (see repro.cachefs)
         segments/
             <segment-uid>/
-                acc.npy          # float64[entries]  qualifying slice accuracies
-                slice.npy        # int32[entries]    slice index of each entry
-                indptr.npy       # int64[...]        per-run CSR row pointers
-                exec.npy         # int64[...]        per-run per-site exec counts
-                correct.npy      # int64[...]        per-run per-site correct counts
-                overall.npy      # float64[...]      per-run per-slice overall accuracy
+                segment.bin      # header, then six 64-byte-aligned columns:
+                                 #   acc      float64  qualifying slice accuracies
+                                 #   slice    int32    slice index of each entry
+                                 #   indptr   int64    per-run CSR row pointers
+                                 #   exec     int64    per-run per-site exec counts
+                                 #   correct  int64    per-run per-site correct counts
+                                 #   overall  float64  per-run per-slice overall accuracy
 
 Each *run* (one 2D-profiling execution, keyed by workload / input /
 predictor / profiler-config digest) is stored **columnar by branch**: the
 qualifying per-slice accuracies of one branch are a contiguous slab of
-``acc.npy`` (CSR layout, ``indptr`` delimiting sites), so retrieving one
-branch's time-series from a memmap touches only that slab — never the
-whole segment.  A segment holds one ingest batch (one run for a single
+the ``acc`` column (CSR layout, ``indptr`` delimiting sites), so
+retrieving one branch's time-series from a memmap touches only that
+slab, never the whole segment (see :mod:`repro.store.segments` for the
+file format).  A segment holds one ingest batch (one run for a single
 ingest, a whole population for a sweep); compaction rewrites every run
 into one segment, concatenating the arrays and re-pointing each run's
-offsets.
+offsets.  Segments written by store versions 1 and 2 hold each column in
+its own ``<column>.npy`` file; they are read as they are, and compaction
+rewrites them into one ``segment.bin``.
 
 Only the manifest (the snapshot plus the log records of its generation,
 see :mod:`repro.store.manifest`) makes data visible: a segment directory
@@ -43,20 +47,24 @@ from repro.errors import StoreError
 
 #: Bump on any change to the manifest schema or segment file layout.
 #: Version 2 added the commit log: older code would not see logged runs.
-STORE_VERSION = 2
+#: Version 3 writes each segment as one ``segment.bin``.
+STORE_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "manifest.log"
 SEGMENTS_DIRNAME = "segments"
 
-#: Segment file names and their required dtypes, in canonical order.
-SEGMENT_FILES: dict[str, tuple[str, type]] = {
-    "acc": ("acc.npy", np.float64),
-    "slice": ("slice.npy", np.int32),
-    "indptr": ("indptr.npy", np.int64),
-    "exec": ("exec.npy", np.int64),
-    "correct": ("correct.npy", np.int64),
-    "overall": ("overall.npy", np.float64),
+#: The one file of a version-3 segment.
+SEGMENT_FILE = "segment.bin"
+
+#: Segment columns and their required dtypes, in file order.
+SEGMENT_COLUMNS: dict[str, str] = {
+    "acc": "<f8",
+    "slice": "<i4",
+    "indptr": "<i8",
+    "exec": "<i8",
+    "correct": "<i8",
+    "overall": "<f8",
 }
 
 
@@ -119,6 +127,12 @@ class RunRecord:
     def digest(self) -> str:
         return config_digest(self.config)
 
+    @property
+    def dedupe_key(self) -> tuple:
+        """(workload, input, predictor, config digest, scale): a re-ingest
+        under this key returns the stored run."""
+        return (*self.key, self.digest, self.scale)
+
     def to_json(self) -> dict:
         data = dict(vars(self))
         data["config"] = dict(self.config)
@@ -134,7 +148,11 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class SegmentRecord:
-    """One committed segment: its files' byte sizes (for validation)."""
+    """One committed segment: its files' byte sizes (for validation).
+
+    ``files`` is ``{"segment.bin": size}``, or ``{column: size}`` for a
+    segment of a version-1 or -2 store.
+    """
 
     uid: str
     entries: int

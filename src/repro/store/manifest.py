@@ -17,7 +17,7 @@ adds runs and segments (every ingest) **appends** one record with one
 ``os.write`` on an ``O_APPEND`` descriptor and an ``fsync``: its cost
 does not depend on how many runs are stored.  A commit that removes or
 rewrites records (compaction, ``gc --purge-corrupt``), the first commit
-to an empty or version-1 store, and an append that grows the log past
+to an empty store or one of an older version, and an append that grows the log past
 ``max(snapshot bytes, FOLD_MIN_BYTES)`` **fold**: they publish a new
 snapshot at generation + 1, then replace the log with an empty one.  The
 size rule keeps the amortised cost of a commit constant.
@@ -59,8 +59,9 @@ log = logging.getLogger(__name__)
 #: The log is folded into the snapshot once it outgrows max(snapshot, this).
 FOLD_MIN_BYTES = 1 << 20
 
-#: Snapshot versions this code reads; version 1 stores have no log.
-READABLE_VERSIONS = (1, STORE_VERSION)
+#: Snapshot versions this code reads; version 1 stores have no log, and
+#: versions 1 and 2 write a segment's columns as six ``.npy`` files.
+READABLE_VERSIONS = (1, 2, STORE_VERSION)
 
 _HEADER = struct.Struct("<II")  # body length, crc32 of the body
 
@@ -70,7 +71,9 @@ class Manifest:
     """In-memory image of the snapshot with the log applied.
 
     Records are immutable: a commit changes a run by replacing its
-    record, which is how the commit tells an append from a fold.
+    record, which is how the commit tells an append from a fold.  Runs
+    are added with :meth:`add_run` and removed with :meth:`remove_run`,
+    which keep the dedupe-key index current once it has been built.
     """
 
     version: int = STORE_VERSION
@@ -78,6 +81,9 @@ class Manifest:
     next_run: int = 1
     runs: dict[str, RunRecord] = field(default_factory=dict)
     segments: dict[str, SegmentRecord] = field(default_factory=dict)
+    #: {dedupe key: run ids in commit order}, built on first use.
+    _by_key: dict[tuple, tuple[str, ...]] | None = field(
+        default=None, repr=False, compare=False)
 
     def allocate_run_id(self) -> str:
         run_id = f"r{self.next_run:06d}"
@@ -86,14 +92,33 @@ class Manifest:
 
     def add_run(self, record: RunRecord) -> None:
         self.runs[record.run_id] = record
+        if self._by_key is not None:
+            key = record.dedupe_key
+            self._by_key[key] = self._by_key.get(key, ()) + (record.run_id,)
+
+    def remove_run(self, run_id: str) -> None:
+        del self.runs[run_id]
+        self._by_key = None
+
+    def run_ids(self, key: tuple) -> tuple[str, ...]:
+        """Ids of the runs stored under a dedupe key, oldest first."""
+        if self._by_key is None:
+            # Filled before it is published: an image is shared by threads.
+            by_key: dict[tuple, tuple[str, ...]] = {}
+            for run_id, record in self.runs.items():
+                stored = record.dedupe_key
+                by_key[stored] = by_key.get(stored, ()) + (run_id,)
+            self._by_key = by_key
+        return self._by_key.get(key, ())
 
     def add_segment(self, record: SegmentRecord) -> None:
         self.segments[record.uid] = record
 
     def copy(self) -> "Manifest":
         """A copy whose run and segment maps change independently."""
-        return dataclasses.replace(self, runs=dict(self.runs),
-                                   segments=dict(self.segments))
+        return dataclasses.replace(
+            self, runs=dict(self.runs), segments=dict(self.segments),
+            _by_key=None if self._by_key is None else dict(self._by_key))
 
     def to_json(self) -> dict:
         return {

@@ -160,18 +160,15 @@ class ProfileWarehouse:
     def _dedupe_index(self, keys: list[tuple]) -> dict[tuple, str]:
         """Latest *valid* stored run id per dedupe key, from one manifest read.
 
+        The image's key index makes this cost the batch, not the store.
         Candidates are validated exactly as :meth:`find` does: a corrupt
         run is a miss and bumps ``store_corrupt_total``.
         """
         manifest = self.manifest()
-        wanted = {key[:3] for key in keys}
-        candidates: dict[tuple, list[RunRecord]] = {}
-        for rec in manifest.runs.values():
-            if rec.key in wanted:
-                candidates.setdefault(rec.key + (rec.digest, rec.scale), []).append(rec)
         index = {}
         for key in set(keys):
-            rec = self._latest_valid(manifest, candidates.get(key, []))
+            rec = self._latest_valid(
+                manifest, [manifest.runs[run_id] for run_id in manifest.run_ids(key)])
             if rec is not None:
                 index[key] = rec.run_id
         return index
@@ -361,7 +358,7 @@ class ProfileWarehouse:
                     with self._manifest.commit() as manifest:
                         for run_id in corrupt:
                             if run_id in manifest.runs:
-                                del manifest.runs[run_id]
+                                manifest.remove_run(run_id)
                                 stats.runs_purged += 1
                         self._drop_orphan_segments(manifest)
                     manifest = self.manifest()

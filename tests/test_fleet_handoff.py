@@ -177,38 +177,41 @@ class TestLoadgenFailover:
 
 
 class TestFleetServeCommand:
-    def test_serve_status_drain_and_merged_trace(self, tmp_path, capsys):
+    def test_serve_status_drain_and_merged_trace(self, tmp_path, capsys, no_leaked_files):
         """``fleet serve`` end to end: one subprocess, router + 2 shards."""
         repo_root = Path(__file__).resolve().parents[1]
         trace_path = tmp_path / "fleet-trace.json"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "fleet", "serve", "--port", "0",
-             "--shards", "2", "--fleet-dir", str(tmp_path / "fleet"),
-             "--trace", str(trace_path)],
-            stdout=subprocess.PIPE, text=True, cwd=repo_root,
-            env=dict(os.environ, PYTHONPATH=str(repo_root / "src"),
-                     REPRO_2DPROF_CACHE=str(tmp_path / "cache")))
-        try:
-            line = proc.stdout.readline()
-            match = re.match(r"fleet listening on \S+:(\d+) ", line)
-            assert match, f"unexpected first line: {line!r}"
-            port = match.group(1)
+        # Every client this process opens (the stats, status and drain
+        # commands) must close its socket before the block ends.
+        with no_leaked_files():
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "fleet", "serve", "--port", "0",
+                 "--shards", "2", "--fleet-dir", str(tmp_path / "fleet"),
+                 "--trace", str(trace_path)],
+                stdout=subprocess.PIPE, text=True, cwd=repo_root,
+                env=dict(os.environ, PYTHONPATH=str(repo_root / "src"),
+                         REPRO_2DPROF_CACHE=str(tmp_path / "cache")))
+            try:
+                line = proc.stdout.readline()
+                match = re.match(r"fleet listening on \S+:(\d+) ", line)
+                assert match, f"unexpected first line: {line!r}"
+                port = match.group(1)
 
-            assert cli.main(["stats", "--port", port, "--json"]) == 0
-            stats = json.loads(capsys.readouterr().out)
-            assert sorted(stats["shards"]) == ["s0", "s1"]
+                assert cli.main(["stats", "--port", port, "--json"]) == 0
+                stats = json.loads(capsys.readouterr().out)
+                assert sorted(stats["shards"]) == ["s0", "s1"]
 
-            assert cli.main(["fleet", "status", "--port", port, "--json"]) == 0
-            status = json.loads(capsys.readouterr().out)
-            assert [s["alive"] for s in status["shards"]] == [True, True]
+                assert cli.main(["fleet", "status", "--port", port, "--json"]) == 0
+                status = json.loads(capsys.readouterr().out)
+                assert [s["alive"] for s in status["shards"]] == [True, True]
 
-            assert cli.main(["fleet", "drain", "--port", port]) == 0
-            assert proc.wait(timeout=60) == 0
-        finally:
-            if proc.poll() is None:
-                proc.terminate()  # graceful: stops the shards too
-                proc.wait(timeout=60)
-            proc.stdout.close()
+                assert cli.main(["fleet", "drain", "--port", port]) == 0
+                assert proc.wait(timeout=60) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.terminate()  # graceful: stops the shards too
+                    proc.wait(timeout=60)
+                proc.stdout.close()
 
         # The router's spans plus each shard's, merged into one file.
         events = json.loads(trace_path.read_text())["traceEvents"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -132,7 +133,7 @@ class TestCheckpoint:
 
     def test_roundtrip_resumes_byte_identical(self, tmp_path):
         profiler = self._profiler_with_data()
-        ckpt.save_checkpoint(tmp_path, "sess", profiler, 730)
+        ckpt.save_checkpoint(tmp_path, "sess", profiler.state_dict(), 730)
         restored, events = ckpt.load_checkpoint(tmp_path, "sess")
         assert events == 730
         assert serialize_report(restored.finish()) == serialize_report(profiler.finish())
@@ -142,13 +143,13 @@ class TestCheckpoint:
 
     def test_corrupt_checkpoint_is_a_miss(self, tmp_path):
         profiler = self._profiler_with_data()
-        path = ckpt.save_checkpoint(tmp_path, "sess", profiler, 10)
+        path = ckpt.save_checkpoint(tmp_path, "sess", profiler.state_dict(), 10)
         path.write_bytes(b"garbage, not a zip")
         assert ckpt.load_checkpoint(tmp_path, "sess") is None
 
     def test_truncated_checkpoint_is_a_miss(self, tmp_path, caplog, no_leaked_files):
         profiler = self._profiler_with_data()
-        path = ckpt.save_checkpoint(tmp_path, "sess", profiler, 10)
+        path = ckpt.save_checkpoint(tmp_path, "sess", profiler.state_dict(), 10)
         path.write_bytes(path.read_bytes()[:40])
         # A captured warning record keeps the exception, and with it any
         # file its traceback still references, alive past the block.
@@ -158,8 +159,8 @@ class TestCheckpoint:
 
     def test_delete_and_list(self, tmp_path):
         profiler = self._profiler_with_data()
-        ckpt.save_checkpoint(tmp_path, "a", profiler, 1)
-        ckpt.save_checkpoint(tmp_path, "b", profiler, 1)
+        ckpt.save_checkpoint(tmp_path, "a", profiler.state_dict(), 1)
+        ckpt.save_checkpoint(tmp_path, "b", profiler.state_dict(), 1)
         assert ckpt.list_checkpoints(tmp_path) == ["a", "b"]
         assert ckpt.delete_checkpoint(tmp_path, "a")
         assert not ckpt.delete_checkpoint(tmp_path, "a")
@@ -630,6 +631,151 @@ class TestWarehouseFinalize:
                     client.open_session("run", trace.num_sites, config,
                                         meta={"workload": ["not", "scalar"]})
         finally:
+            server.drain()
+
+
+# ----------------------------------------------------------------------
+# Durable I/O off the event loop
+# ----------------------------------------------------------------------
+
+
+def _gate_ingest(server: ServerThread, monkeypatch) -> tuple[threading.Event, threading.Event]:
+    """Make the server's warehouse ingest block until ``release`` is set;
+    ``entered`` is set once an ingest is blocked.  Returns (entered, release)."""
+    warehouse = server.server.warehouse
+    real = warehouse.ingest
+    entered, release = threading.Event(), threading.Event()
+
+    def gated(runs, **kwargs):
+        entered.set()
+        assert release.wait(timeout=60), "the test never released the ingest"
+        return real(runs, **kwargs)
+
+    monkeypatch.setattr(warehouse, "ingest", gated)
+    return entered, release
+
+
+def _wait_for_frames(server: ServerThread, count: int) -> None:
+    """Block until the server has received ``count`` frames in all."""
+    frames = server.server.metrics.frames_total
+    deadline = time.monotonic() + 60
+    while frames.value < count:
+        assert time.monotonic() < deadline, "the frame never reached the server"
+        time.sleep(0.005)
+
+
+class TestDurableIOOffTheLoop:
+    """Checkpoints and the close-time ingest run in worker threads."""
+
+    def test_frames_flow_while_another_sessions_ingest_blocks(
+            self, tmp_path, stream_data, monkeypatch):
+        """Session A's close blocks inside its ingest while session B streams
+        frames and checkpoints.  On the loop, B's first frame would wait for
+        A's ingest, and B's client would time out."""
+        trace, sim, config, _offline = stream_data
+        keep = dataclasses.replace(config, keep_series=True)
+        expected = serialize_report(profile_trace(trace, simulation=sim, config=keep))
+        server = _start_server(tmp_path, warehouse_dir=tmp_path / "wh")
+        entered, release = _gate_ingest(server, monkeypatch)
+        closed: dict = {}
+        try:
+            with StreamingClient("127.0.0.1", server.port) as a, \
+                 StreamingClient("127.0.0.1", server.port) as b:
+                stream_simulation(a, "A", trace.sites, sim.correct, keep,
+                                  num_sites=trace.num_sites)
+                closer = threading.Thread(
+                    target=lambda: closed.update(a.close_session("A")))
+                closer.start()
+                assert entered.wait(timeout=60)
+
+                b.open_session("B", trace.num_sites, config)
+                for k in range(8):
+                    batch = slice(1000 * k, 1000 * (k + 1))
+                    assert b.send_events("B", trace.sites[batch],
+                                         sim.correct[batch]) == 1000 * (k + 1)
+                assert b.checkpoint("B")["events"] == 8000
+                assert closer.is_alive()  # A's reply still waits for its ingest
+                release.set()
+                closer.join(timeout=60)
+            assert closed["warehouse_run"] == "r000001"
+            assert closed["report"] == expected
+        finally:
+            release.set()
+            server.drain()
+
+    def test_reopened_session_waits_for_the_close_before_it(
+            self, tmp_path, stream_data, monkeypatch):
+        """Close S, then at once re-open (resume) and checkpoint S from
+        another connection: the open waits for the close's I/O, so it
+        starts fresh instead of resuming the checkpoint the close removes,
+        and the new checkpoint survives the close."""
+        trace, sim, config, _offline = stream_data
+        keep = dataclasses.replace(config, keep_series=True)
+        server = _start_server(tmp_path, warehouse_dir=tmp_path / "wh")
+        entered, release = _gate_ingest(server, monkeypatch)
+        replies: dict = {}
+        try:
+            with StreamingClient("127.0.0.1", server.port) as a, \
+                 StreamingClient("127.0.0.1", server.port) as b:
+                stream_simulation(a, "S", trace.sites, sim.correct, keep,
+                                  num_sites=trace.num_sites)
+                a.checkpoint("S")  # the close removes this one
+                closer = threading.Thread(
+                    target=lambda: replies.update(close=a.close_session("S")))
+                closer.start()
+                assert entered.wait(timeout=60)
+
+                def reopen() -> None:
+                    replies["open"] = b.open_session("S", trace.num_sites, keep,
+                                                     resume=True)
+                    b.send_events("S", trace.sites[:3000], sim.correct[:3000])
+                    replies["checkpoint"] = b.checkpoint("S")
+
+                frames = server.server.metrics.frames_total.value
+                opener = threading.Thread(target=reopen)
+                opener.start()
+                _wait_for_frames(server, frames + 1)  # the open is in
+                assert opener.is_alive() and "open" not in replies
+                release.set()
+                closer.join(timeout=60)
+                opener.join(timeout=60)
+            assert replies["close"]["warehouse_run"] == "r000001"
+            assert (replies["open"]["resumed"], replies["open"]["events"]) == (None, 0)
+            assert replies["checkpoint"]["events"] == 3000
+            restored = ckpt.load_checkpoint(tmp_path / "ckpt", "S")
+            assert restored is not None and restored[1] == 3000
+        finally:
+            release.set()
+            server.drain()
+
+    def test_drain_waits_for_in_flight_closes(self, tmp_path, stream_data, monkeypatch):
+        """A drain that starts while a close is ingesting lets the close
+        finish and reply before the server shuts its connections."""
+        trace, sim, config, _offline = stream_data
+        keep = dataclasses.replace(config, keep_series=True)
+        server = _start_server(tmp_path, warehouse_dir=tmp_path / "wh")
+        entered, release = _gate_ingest(server, monkeypatch)
+        try:
+            with StreamingClient("127.0.0.1", server.port) as client:
+                stream_simulation(client, "run", trace.sites, sim.correct, keep,
+                                  num_sites=trace.num_sites)
+                client._sock.sendall(protocol.encode_control({"op": "close",
+                                                              "session": "run"}))
+                assert entered.wait(timeout=60)
+                drainer = threading.Thread(target=server.drain)
+                drainer.start()
+                deadline = time.monotonic() + 60
+                while not server.server._draining:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                release.set()
+                frame_type, payload = protocol.read_frame_blocking(client._recv_exact)
+                reply = protocol.decode_control(payload)
+                drainer.join(timeout=60)
+            assert reply["ok"] and reply["warehouse_run"] == "r000001"
+            assert not server.is_alive()
+        finally:
+            release.set()
             server.drain()
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler, profile_trace
 from repro.core.stats import TestThresholds
+import repro.store.layout as layout_mod
 import repro.store.manifest as manifest_mod
 from repro.errors import StoreError
 from repro.obs import get_registry
@@ -36,6 +38,7 @@ from repro.store import (
     RunRecord,
     SegmentBuilder,
     SegmentRecord,
+    STORE_VERSION,
     csr_from_series,
     diff_runs,
     join_runs,
@@ -574,7 +577,7 @@ class TestMaintenance:
     def test_gc_purge_corrupt_drops_damaged_runs(self, stocked):
         warehouse, ids = stocked
         record = warehouse.manifest().runs[ids["ref"]]
-        acc = warehouse.segments_root / record.segment / "acc.npy"
+        acc = warehouse.segments_root / record.segment / "segment.bin"
         acc.write_bytes(acc.read_bytes()[:16])
         assert warehouse.check() == [ids["ref"]]
 
@@ -593,7 +596,7 @@ class TestMaintenance:
         litter = warehouse.segments_root / ("x.npy.123" + ".tmp")
         litter.write_bytes(b"partial")
         record = warehouse.manifest().runs[ids["ref"]]
-        acc = warehouse.segments_root / record.segment / "acc.npy"
+        acc = warehouse.segments_root / record.segment / "segment.bin"
         acc.write_bytes(acc.read_bytes()[:16])
 
         before = _manifest_files(warehouse)
@@ -700,6 +703,102 @@ class TestCommitCost:
             f"w{seed}" for seed in range(8)]
 
 
+def _scanned_dedupe_index(warehouse, keys) -> dict:
+    """Dedupe lookup by a scan over every stored run: the index's oracle."""
+    manifest = warehouse.manifest()
+    index = {}
+    for key in set(keys):
+        rec = warehouse._latest_valid(manifest, [
+            rec for rec in manifest.runs.values()
+            if rec.key + (rec.digest, rec.scale) == key])
+        if rec is not None:
+            index[key] = rec.run_id
+    return index
+
+
+class TestDedupeIndex:
+    """The per-key index answers exactly what a scan of every run did."""
+
+    @staticmethod
+    def _store(root: Path) -> tuple[ProfileWarehouse, list[tuple]]:
+        """Duplicates under each key across three segments, the middle one
+        corrupt; returns the store and every key it was asked about."""
+        warehouse = ProfileWarehouse(root)
+        items = [_synthetic_run(seed, f"w{seed % 3}") for seed in range(6)]
+        items.append(dataclasses.replace(items[0], scale=0.5))
+        warehouse.ingest(items, dedupe=False)
+        warehouse.ingest(items[:1])  # builds the index; later commits update it
+        [corrupt, *_] = warehouse.ingest(items[:4], dedupe=False)
+        warehouse.ingest(items[:1], dedupe=False)
+        segment = warehouse.manifest().runs[corrupt].segment
+        path = warehouse.segments_root / segment / "segment.bin"
+        path.write_bytes(path.read_bytes()[:100])
+        keys = [warehouse._prepare(item)[0] for item in items]
+        keys.append(keys[0][:3] + ("no-such-digest", 1.0))
+        return warehouse, keys
+
+    def test_index_matches_a_full_scan(self, tmp_path):
+        warehouse, keys = self._store(tmp_path / "wh")
+        expected = _scanned_dedupe_index(warehouse, keys)
+        # The corrupt segment's copies are misses: w1 and w2 fall back to
+        # the first segment, w0 finds its newest copy in the third.
+        assert sorted(expected.values()) == ["r000005", "r000006", "r000007", "r000012"]
+        assert warehouse._dedupe_index(keys) == expected
+        assert ProfileWarehouse(warehouse.root)._dedupe_index(keys) == expected
+
+        # Purging the corrupt runs rebuilds the index; it still agrees.
+        warehouse.gc(purge_corrupt=True)
+        assert warehouse._dedupe_index(keys) == _scanned_dedupe_index(warehouse, keys)
+        assert ProfileWarehouse(warehouse.root)._dedupe_index(keys) == expected
+
+    def test_lookup_does_not_scan_the_store(self, tmp_path, monkeypatch):
+        """Once built, the index is kept current: a one-run ingest digests
+        only its own run's config, however many runs are stored."""
+        warehouse = _grown_store(tmp_path / "wh", 50)
+        warehouse.ingest([_synthetic_run(1, "warm")])  # builds the index
+        digests = []
+        real = layout_mod.config_digest
+
+        def counting(config):
+            digests.append(config)
+            return real(config)
+
+        monkeypatch.setattr(layout_mod, "config_digest", counting)
+        [run_id] = warehouse.ingest([_synthetic_run(2, "probe")])
+        assert len(digests) <= 1
+        assert warehouse.ingest([_synthetic_run(2, "probe")]) == [run_id]
+
+
+class TestFsyncsPerIngest:
+    def test_an_ingest_fsyncs_twice(self, tmp_path, monkeypatch):
+        """One for the segment file, one for the manifest: the first
+        ingest folds into a new snapshot, the later ones append to the log."""
+        warehouse = ProfileWarehouse(tmp_path / "wh")
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        for seed in range(3):
+            calls.clear()
+            warehouse.ingest([_synthetic_run(seed, f"w{seed}")])
+            assert len(calls) == 2
+        assert [len(body["runs"]) for body in _log_bodies(warehouse)] == [1, 1]
+
+
+def _log_bodies(warehouse) -> list[dict]:
+    data = warehouse.log_path.read_bytes()
+    return manifest_mod._decode_records(data, warehouse.log_path)[0]
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 class TestStoreVersions:
     def test_v1_store_answers_unchanged_then_upgrades(self, stocked, artifacts,
                                                       capsys):
@@ -721,23 +820,67 @@ class TestStoreVersions:
         assert old.ingest([_item(artifacts, "train")]) == [ids["train"]]
         assert _manifest_files(old) == v1, "reading a v1 store must not write it"
 
-        # Its first commit publishes a version-2 snapshot.
+        # Its first commit publishes a snapshot of the current version.
         [fresh] = old.ingest([_item(artifacts, "train", scale=0.5)])
         data = json.loads(old.manifest_path.read_text())
-        assert (data["version"], data["generation"]) == (2, 1)
+        assert (data["version"], data["generation"]) == (STORE_VERSION, 1)
         assert sorted(data["runs"]) == sorted([*ids.values(), fresh])
         again = ProfileWarehouse(warehouse.root)
         assert {run_id: serialize_report(again.open_run(run_id).report())
                 for run_id in ids.values()} == reports
 
+    def test_v2_store_answers_unchanged_then_compacts_to_one_file(self, tmp_path,
+                                                                    capsys):
+        """A six-``.npy`` store written by version-2 code (the fixture, with
+        its answers recorded by that code) answers the same; reading it
+        writes nothing; compaction rewrites it into one ``segment.bin``."""
+        store = tmp_path / "wh"
+        shutil.copytree(GOLDEN_DIR / "warehouse_v2", store)
+        expected = json.loads((GOLDEN_DIR / "warehouse_v2_answers.json").read_text())
+        before = _tree_bytes(store)
+
+        def answers() -> dict:
+            warehouse = ProfileWarehouse(store)
+            runs = warehouse.runs()
+            got = {
+                "catalog": [line for line in _run_db_cli(capsys, store, "query").splitlines()
+                            if not line.startswith("total:")],
+                "runs": {rec.run_id: _run_db_cli(capsys, store, "query", rec.run_id)
+                         for rec in runs},
+                "sites": {rec.run_id: _run_db_cli(capsys, store, "query", rec.run_id,
+                                                  "--site", "2") for rec in runs},
+                "reports": {rec.run_id: serialize_report(warehouse.open_run(rec).report())
+                            for rec in runs},
+                "counts": {rec.run_id: [list(map(int, column))
+                                        for column in warehouse.open_run(rec).counts()]
+                           for rec in runs if rec.has_counts},
+            }
+            return json.loads(json.dumps(got))
+
+        assert json.loads((store / "manifest.json").read_text())["version"] == 2
+        assert answers() == expected
+        assert ProfileWarehouse(store).check() == []
+        assert _tree_bytes(store) == before, "reading a v2 store must not write it"
+
+        stats = ProfileWarehouse(store).compact()
+        assert (stats.runs_rewritten, stats.segments_before, stats.segments_after) == (3, 2, 1)
+        data = json.loads((store / "manifest.json").read_text())
+        assert data["version"] == STORE_VERSION
+        [segment] = data["segments"].values()
+        assert list(segment["files"]) == ["segment.bin"]
+        assert [path.name for path in (store / "segments").iterdir()] == [segment["uid"]]
+        assert [path.name for path in (store / "segments" / segment["uid"]).iterdir()] == [
+            "segment.bin"]
+        assert answers() == expected
+
     def test_unknown_version_is_refused(self, stocked):
-        with pytest.raises(StoreError, match="unsupported store version 3"):
-            Manifest.from_json({"version": 3})
+        with pytest.raises(StoreError, match="unsupported store version 4"):
+            Manifest.from_json({"version": 4})
         warehouse, _ids = stocked
         data = json.loads(warehouse.manifest_path.read_text())
-        data["version"] = 3
+        data["version"] = 4
         warehouse.manifest_path.write_text(json.dumps(data))
-        with pytest.raises(StoreError, match="unsupported store version 3"):
+        with pytest.raises(StoreError, match="unsupported store version 4"):
             ProfileWarehouse(warehouse.root).runs()
 
 

@@ -17,6 +17,9 @@ commit (segment files first, manifest second).  Covered here:
 * injected ENOSPC, EIO and short writes on the manifest files fail the
   ingest with no run visible, and the next commit after the fault
   succeeds; the streaming service still closes the session;
+* the same faults on the one-file segment publication leave no run
+  visible, and on a service checkpoint written off the event loop they
+  fail only that request, with an error reply and no ``*.tmp`` left;
 * external damage to the manifest itself (snapshot or log) raises loudly
   instead of being silently treated as an empty store (which would
   orphan data);
@@ -40,9 +43,10 @@ import pytest
 
 import repro.cachefs as cachefs
 import repro.store.manifest as manifest_mod
+import repro.store.segments as segments_mod
 from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
-from repro.errors import StoreError
+from repro.errors import ServiceError, StoreError
 from repro.service.client import StreamingClient, stream_simulation
 from repro.service.protocol import serialize_report
 from repro.service.server import ProfilingServer, ServerThread
@@ -69,9 +73,20 @@ def stocked(tmp_path, runner):
     return warehouse, run_id, report, sim
 
 
-def _segment_file(warehouse: ProfileWarehouse, run_id: str, key: str) -> Path:
+def _segment_file(warehouse: ProfileWarehouse, run_id: str) -> Path:
     record = warehouse.manifest().runs[run_id]
-    return warehouse.segments_root / record.segment / f"{key}.npy"
+    return warehouse.segments_root / record.segment / "segment.bin"
+
+
+def _column_bytes(path: Path, key: str) -> tuple[int, int]:
+    """[start, stop) of column ``key`` in a segment file, from its header."""
+    data = path.read_bytes()
+    _magic, length, _crc = segments_mod._PREFIX.unpack_from(data)
+    header = data[segments_mod._PREFIX.size:segments_mod._PREFIX.size + length]
+    for name, dtype, offset, count in json.loads(header):
+        if name == key:
+            return offset, offset + count * np.dtype(dtype).itemsize
+    raise KeyError(key)
 
 
 # ----------------------------------------------------------------------
@@ -82,16 +97,19 @@ def _segment_file(warehouse: ProfileWarehouse, run_id: str, key: str) -> Path:
 class TestSegmentCorruption:
     @pytest.mark.parametrize("key", ["acc", "indptr", "exec"])
     def test_truncated_segment_file_fails_validation(self, stocked, key):
+        """The file is cut halfway through column ``key``."""
         warehouse, run_id, _report, _sim = stocked
-        path = _segment_file(warehouse, run_id, key)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        path = _segment_file(warehouse, run_id)
+        start, stop = _column_bytes(path, key)
+        assert stop > start
+        path.write_bytes(path.read_bytes()[: (start + stop) // 2])
         with pytest.raises(StoreError, match="bytes"):
             warehouse.open_run(run_id)
         assert warehouse.check() == [run_id]
 
     def test_missing_segment_file_fails_validation(self, stocked):
         warehouse, run_id, _report, _sim = stocked
-        _segment_file(warehouse, run_id, "slice").unlink()
+        _segment_file(warehouse, run_id).unlink()
         with pytest.raises(StoreError, match="missing"):
             warehouse.open_run(run_id)
 
@@ -99,16 +117,15 @@ class TestSegmentCorruption:
         """Same-size garbage passes the cheap size check but is refused at
         map time — the query layer never trusts undecodable bytes."""
         warehouse, run_id, _report, _sim = stocked
-        path = _segment_file(warehouse, run_id, "acc")
+        path = _segment_file(warehouse, run_id)
         path.write_bytes(b"\xff" * path.stat().st_size)
         run = warehouse.open_run(run_id)  # the cheap size check still passes
-        site = min(run.profiled_sites())  # reads only the (intact) index
         with pytest.raises(StoreError, match="cannot map|dtype"):
-            run.site_series(site)
+            run.profiled_sites()  # the first read maps the file
 
     def test_find_treats_corrupt_run_as_miss(self, stocked, caplog):
         warehouse, run_id, report, sim = stocked
-        path = _segment_file(warehouse, run_id, "acc")
+        path = _segment_file(warehouse, run_id)
         path.write_bytes(path.read_bytes()[:8])
         with caplog.at_level("WARNING", logger="repro.store.warehouse"):
             assert warehouse.find(WORKLOAD, "train", "gshare") is None
@@ -146,6 +163,7 @@ _KILL_SCRIPT = """
 import os, signal, sys
 from pathlib import Path
 import repro.store.manifest as manifest_mod
+import repro.store.segments as segments_mod
 from repro.core.experiment import ExperimentRunner, SuiteConfig
 from repro.core.profiler2d import ProfilerConfig
 from repro.store import IngestRun, ProfileWarehouse
@@ -403,10 +421,12 @@ class TestLogDamage:
 
 
 class _FaultyOS:
-    """``os`` for the manifest and cachefs modules, failing manifest-file I/O.
+    """``os`` for the manifest and cachefs modules, failing chosen files' I/O.
 
-    Only descriptors of files named ``manifest*`` directly under ``root``
-    (the snapshot, the log and their ``*.tmp`` siblings) are affected:
+    Only descriptors of files under ``root`` whose names start with
+    ``prefix`` are affected: by default the manifest snapshot, the log
+    and their ``*.tmp`` siblings; a session's checkpoint, or a segment
+    file, with another root and prefix:
 
     * ``enospc`` — a write raises ENOSPC before storing anything;
     * ``short`` — a write stores half its bytes; a log write then returns
@@ -415,8 +435,8 @@ class _FaultyOS:
     * ``eio`` — ``fsync`` raises EIO after the write completed.
     """
 
-    def __init__(self, root: Path, fault: str):
-        self.root, self.fault = root, fault
+    def __init__(self, root: Path, fault: str, prefix: str = "manifest"):
+        self.root, self.fault, self.prefix = root, fault, prefix
         self.armed = True
         self.hits = 0
 
@@ -427,7 +447,7 @@ class _FaultyOS:
         if not self.armed or self.fault not in faults:
             return False
         path = Path(os.readlink(f"/proc/self/fd/{fd}"))
-        if path.parent != self.root or not path.name.startswith("manifest"):
+        if self.root not in path.parents or not path.name.startswith(self.prefix):
             return False
         self.hits += 1
         return True
@@ -484,10 +504,10 @@ needs_proc_fd = pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
 
 @pytest.fixture()
 def inject(monkeypatch):
-    """Install a :class:`_FaultyOS` for the store at ``root``; returns it."""
+    """Install a :class:`_FaultyOS` for files under ``root``; returns it."""
 
-    def install(root: Path, fault: str) -> _FaultyOS:
-        faulty = _FaultyOS(Path(root), fault)
+    def install(root: Path, fault: str, prefix: str = "manifest") -> _FaultyOS:
+        faulty = _FaultyOS(Path(root), fault, prefix)
         monkeypatch.setattr(manifest_mod, "os", faulty)
         monkeypatch.setattr(cachefs, "os", faulty)
         return faulty
@@ -563,3 +583,64 @@ class TestInjectedFaults:
             server.drain()
         assert [rec.workload for rec in ProfileWarehouse(store).runs()] == [
             "before", "after"]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_segment_publish_fault_leaves_no_visible_run(self, tmp_path, inject, fault):
+        """The one-file segment write fails: the batch raises before its
+        commit, no run is visible and no ``*.tmp`` is left; the next
+        ingest after the fault succeeds."""
+        warehouse = ProfileWarehouse(tmp_path / "wh")
+        committed = warehouse.ingest([_synthetic(0)])
+        snapshot = warehouse.manifest_path.read_bytes()
+        faulty = inject(warehouse.segments_root, fault, prefix="segment.bin")
+        batch = [_synthetic(1), _synthetic(2)]
+        with pytest.raises(OSError):
+            warehouse.ingest(batch)
+        assert faulty.hits >= 1
+        assert [rec.run_id for rec in ProfileWarehouse(warehouse.root).runs()] == committed
+        assert warehouse.manifest_path.read_bytes() == snapshot
+        assert not list(warehouse.segments_root.rglob("*.tmp"))
+
+        faulty.armed = False
+        assert warehouse.ingest(batch) == ["r000002", "r000003"]
+        assert ProfileWarehouse(warehouse.root).check() == []
+        assert warehouse.gc().segments_removed == 1  # the failed batch's empty directory
+
+    @pytest.mark.parametrize("fault", ["enospc", "eio"])
+    def test_checkpoint_fault_fails_only_that_request(self, tmp_path, inject, fault):
+        """A checkpoint written off the loop hits ENOSPC or EIO on fsync:
+        that request gets an error reply, other sessions keep being
+        served, no ``*.tmp`` is left, and the next checkpoint succeeds
+        once the fault clears."""
+        from repro.service import checkpoint as ckpt
+
+        ckpt_dir = tmp_path / "ckpt"
+        server = ServerThread(ProfilingServer(checkpoint_dir=ckpt_dir)).start()
+        config = ProfilerConfig(slice_size=64)
+        rng = np.random.default_rng(11)
+        sites = rng.integers(0, 12, 8000).astype(np.int64)
+        correct = rng.integers(0, 2, 8000).astype(np.int64)
+        try:
+            with StreamingClient("127.0.0.1", server.port) as victim, \
+                 StreamingClient("127.0.0.1", server.port) as other:
+                for client, name in ((victim, "victim"), (other, "other")):
+                    client.open_session(name, 12, config)
+                    client.send_events(name, sites[:4000], correct[:4000])
+                faulty = inject(ckpt_dir, fault, prefix="victim")
+                with pytest.raises(ServiceError, match="checkpoint of 'victim' failed"):
+                    victim.checkpoint("victim")
+                assert faulty.hits >= 1
+                assert other.send_events("other", sites[4000:], correct[4000:]) == 8000
+                assert other.checkpoint("other")["events"] == 8000
+                assert victim.send_events("victim", sites[4000:], correct[4000:]) == 8000
+                assert not list(ckpt_dir.glob("*.tmp"))
+                assert ckpt.list_checkpoints(ckpt_dir) == ["other"]
+
+                faulty.armed = False
+                assert victim.checkpoint("victim")["events"] == 8000
+                stats = other.stats()
+            assert (stats["checkpoints_written"], stats["frames_rejected"]) == (2, 1)
+            restored = ckpt.load_checkpoint(ckpt_dir, "victim")
+            assert restored is not None and restored[1] == 8000
+        finally:
+            server.drain()
