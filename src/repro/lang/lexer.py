@@ -3,13 +3,21 @@
 The lexer is a straightforward single-pass scanner.  It recognises decimal
 and hexadecimal integer literals, identifiers/keywords, the operator set in
 :mod:`repro.lang.tokens`, ``//`` line comments and ``/* ... */`` block
-comments.
+comments.  The alphabet is ASCII: any other character, wherever it
+appears, is an "unexpected character" error at its own position.
 """
 
 from __future__ import annotations
 
+import string
+
 from repro.errors import LexError
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
+
+_DIGITS = frozenset(string.digits)
+_HEX_DIGITS = frozenset(string.hexdigits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 # Multi-character operators, longest first so maximal munch works with a
 # simple ordered scan.
@@ -117,9 +125,9 @@ class Lexer:
         line, column = self.line, self.column
         ch = src[self.pos]
 
-        if ch.isdigit():
+        if ch in _DIGITS:
             return self._lex_number(line, column)
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             return self._lex_ident(line, column)
 
         for text, kind in _OPERATORS:
@@ -129,31 +137,38 @@ class Lexer:
 
         raise LexError(f"unexpected character {ch!r}", line, column)
 
+    def _scan(self, chars: frozenset, start: int) -> int:
+        """Consume the run of ``chars`` from ``start`` (no newlines in it);
+        returns the position after it."""
+        src = self.source
+        end = start
+        while end < len(src) and src[end] in chars:
+            end += 1
+        self.column += end - self.pos
+        self.pos = end
+        return end
+
     def _lex_number(self, line: int, column: int) -> Token:
         src = self.source
         start = self.pos
-        if src.startswith(("0x", "0X"), self.pos):
-            self._advance(2)
-            while self.pos < len(src) and (src[self.pos].isdigit() or src[self.pos] in "abcdefABCDEF"):
-                self._advance()
-            text = src[start:self.pos]
+        if src.startswith(("0x", "0X"), start):
+            end = self._scan(_HEX_DIGITS, start + 2)
+            text = src[start:end]
             if len(text) == 2:
+                if end < len(src) and not src[end].isascii():
+                    raise LexError(f"unexpected character {src[end]!r}", line, column + 2)
                 raise LexError("malformed hexadecimal literal", line, column)
             return Token(TokenKind.INT, text, line, column, value=int(text, 16))
 
-        while self.pos < len(src) and src[self.pos].isdigit():
-            self._advance()
-        if self.pos < len(src) and (src[self.pos].isalpha() or src[self.pos] == "_"):
+        end = self._scan(_DIGITS, start)
+        if end < len(src) and src[end] in _IDENT_START:
             raise LexError("identifier cannot start with a digit", line, column)
-        text = src[start:self.pos]
+        text = src[start:end]
         return Token(TokenKind.INT, text, line, column, value=int(text, 10))
 
     def _lex_ident(self, line: int, column: int) -> Token:
-        src = self.source
         start = self.pos
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-            self._advance()
-        text = src[start:self.pos]
+        text = self.source[start:self._scan(_IDENT_CHARS, start)]
         kind = KEYWORDS.get(text, TokenKind.IDENT)
         return Token(kind, text, line, column)
 

@@ -16,13 +16,23 @@ instrumented unconditionally:
         ...
         sp.set("events", n)
 
+The innermost open span lives in a :class:`contextvars.ContextVar`, so
+"current" follows the logical flow of control, not the OS thread: each
+asyncio task runs in its own copy of the context (a span held across an
+``await`` never becomes another task's parent), ``asyncio.to_thread``
+carries the caller's span into the worker thread, and a plain
+:class:`threading.Thread` starts with no current span.
+
 Timestamps are wall-clock (``time.time_ns``) so spans recorded by
 different processes on one machine line up on a common axis; durations
-and CPU time come from the higher-resolution per-process clocks.
+and CPU time come from the higher-resolution per-process clocks.  A
+span's ``cpu_ms`` is its thread's CPU time over the span's interval, so
+on a span that awaits it includes whatever else the loop thread ran.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import threading
@@ -62,21 +72,16 @@ class _NoopSpan:
 
 _NOOP = _NoopSpan()
 
-_tls = threading.local()
-
-
-def _span_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    return stack
+#: The innermost open span of the running task or thread.
+_current: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
+    "repro_current_span", default=None)
 
 
 class Span:
     """One live span; becomes a Chrome ``"X"`` (complete) event on exit."""
 
     __slots__ = ("_tracer", "name", "cat", "args", "_ts_ns", "_t0", "_cpu0",
-                 "parent", "trace_id", "span_id")
+                 "parent", "trace_id", "span_id", "_token")
 
     def __init__(self, tracer: "Tracer", name: str, cat: str, args: dict):
         self._tracer = tracer
@@ -92,14 +97,14 @@ class Span:
         self.args[key] = value
 
     def __enter__(self) -> "Span":
-        stack = _span_stack()
-        if stack:
-            self.parent = stack[-1].name
-            self.trace_id = stack[-1].trace_id
+        outer = _current.get()
+        if outer is not None:
+            self.parent = outer.name
+            self.trace_id = outer.trace_id
         else:
             self.trace_id = _new_id()
         self.span_id = _new_id()
-        stack.append(self)
+        self._token = _current.set(self)
         self._ts_ns = time.time_ns()
         self._t0 = time.perf_counter_ns()
         # CLOCK_THREAD_CPUTIME_ID is not vDSO-accelerated; on virtualized
@@ -110,9 +115,7 @@ class Span:
 
     def __exit__(self, *exc_info) -> bool:
         dur_ns = time.perf_counter_ns() - self._t0
-        stack = _span_stack()
-        if stack and stack[-1] is self:
-            stack.pop()
+        _current.reset(self._token)
         args = self.args
         if self._cpu0 is not None:
             args["cpu_ms"] = round((time.thread_time_ns() - self._cpu0) / 1e6, 3)
@@ -134,15 +137,14 @@ class Span:
 
 
 def current_ids() -> tuple[str | None, str | None]:
-    """``(trace_id, span_id)`` of this thread's innermost open span.
+    """``(trace_id, span_id)`` of the innermost open span in this context.
 
     ``(None, None)`` outside any span or while tracing is disabled —
     structured log records simply omit the correlation fields then.
     """
-    stack = getattr(_tls, "stack", None)
-    if not stack:
+    top = _current.get()
+    if top is None:
         return None, None
-    top = stack[-1]
     return top.trace_id, top.span_id
 
 

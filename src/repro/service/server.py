@@ -28,10 +28,12 @@ Robustness rules:
   restart loses nothing;
 * durable I/O (checkpoints, the close-time warehouse ingest and
   checkpoint removal) runs in worker threads, so no frame waits behind
-  another session's fsyncs.  Live state is read on the loop
-  (``state_dict()`` and ``final_report()`` copy it), and I/O for one
-  session name runs in request order: an ``open``, ``checkpoint`` or
-  ``close`` of a name whose I/O is in flight waits for it first;
+  another session's fsyncs.  Handlers are plain coroutines that read
+  live state on the loop before their first ``await`` (``state_dict()``
+  and ``final_report()`` copy it), and I/O for one session name runs in
+  request order: an ``open``, ``checkpoint`` or ``close`` of a name
+  whose I/O is in flight waits for it first.  Each frame is one
+  ``service.frame`` span; the worker thread's spans are its children;
 * a SIGKILL loses only events after the last checkpoint: the client
   learns the resume offset from the ``open`` reply and re-sends the tail
   (``tests/test_service.py`` pins byte-identical reports across a crash).
@@ -43,11 +45,12 @@ import asyncio
 import contextlib
 import functools
 import logging
+import sys
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Awaitable, Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.core.profiler2d import ProfilerConfig, TwoDProfiler
 from repro.errors import ExperimentError, ProtocolError, ServiceError, StoreError
@@ -61,10 +64,6 @@ log = logging.getLogger(__name__)
 
 #: Errors a request answers with ``{"ok": false, "error": ...}``.
 _REPLY_ERRORS = (ProtocolError, ServiceError, ExperimentError)
-
-#: What a handler returns: the reply, or an awaitable that finishes it off
-#: the loop.
-Reply = Union[dict, Awaitable[dict]]
 
 
 @dataclass(frozen=True)
@@ -123,6 +122,10 @@ def _validate_meta(meta) -> dict:
             raise ServiceError("meta keys must be strings")
         if not isinstance(value, (str, int, float, bool)):
             raise ServiceError(f"meta[{key!r}] must be a scalar")
+    scale = meta.get("scale", 1.0)
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not 0 < scale <= sys.float_info.max):
+        raise ServiceError("meta['scale'] must be a finite positive number")
     return dict(meta)
 
 
@@ -207,20 +210,16 @@ class ProfilingServer:
             return 0
         self._draining = True
         started = time.perf_counter()
-        opened_us = time.time_ns() / 1e3
-        saves = []
-        if self.checkpoint_dir is not None:
-            saves = [self._checkpoint(session) for session in self._sessions.values()]
-        results = await asyncio.gather(*saves, return_exceptions=True)
-        written = sum(not isinstance(result, BaseException) for result in results)
-        while self._io:  # closes and evictions still writing
-            await asyncio.wait(list(self._io.values()))
-        # Recorded whole, not as a context manager: other connections' frames
-        # run on this thread while the checkpoints are written.
-        get_tracer().add_span(
-            "service.drain", ts_us=opened_us, dur_us=time.time_ns() / 1e3 - opened_us,
-            cat="service", shard=self.shard_name, sessions=len(self._sessions),
-            checkpoints=written)
+        with get_tracer().span("service.drain", cat="service", shard=self.shard_name,
+                               sessions=len(self._sessions)) as sp:
+            saves = []
+            if self.checkpoint_dir is not None:
+                saves = [self._checkpoint(session) for session in self._sessions.values()]
+            results = await asyncio.gather(*saves, return_exceptions=True)
+            written = sum(not isinstance(result, BaseException) for result in results)
+            sp.set("checkpoints", written)
+            while self._io:  # closes and evictions still writing
+                await asyncio.wait(list(self._io.values()))
         self.metrics.drain_seconds.observe(time.perf_counter() - started)
         log_event(log, "server_drained", shard=self.shard_name,
                   checkpoints=written,
@@ -313,13 +312,8 @@ class ProfilingServer:
                         "service.frame", cat="service",
                         hot_path=frame_type == protocol.FRAME_EVENTS,
                         frame=chr(frame_type)) as sp:
-                    reply = self._dispatch(frame_type, payload)
-                    if isinstance(reply, dict):
-                        sp.set("ok", bool(reply.get("ok")))
-                    else:
-                        sp.set("io", True)  # finished off the loop, below
-                if not isinstance(reply, dict):
-                    reply = await self._settle(reply)
+                    reply = await self._dispatch(frame_type, payload)
+                    sp.set("ok", bool(reply.get("ok")))
                 encoded = protocol.encode_control(reply)
                 self.metrics.frame_latency.observe(time.perf_counter() - started)
                 self.metrics.bytes_out.inc(len(encoded))
@@ -332,26 +326,15 @@ class ProfilingServer:
             self.metrics.connections_open.dec()
             await protocol.close_writers(writer)
 
-    def _dispatch(self, frame_type: int, payload: bytes) -> Reply:
-        """Decode and apply one frame; always returns a reply payload, or
-        an awaitable of one for a request that waits on durable I/O."""
+    async def _dispatch(self, frame_type: int, payload: bytes) -> dict:
+        """Decode and apply one frame; always returns a reply payload."""
         try:
             if frame_type == protocol.FRAME_EVENTS:
                 return self._on_events(protocol.decode_events(payload))
-            return self._on_control(protocol.decode_control(payload))
+            return await self._on_control(protocol.decode_control(payload))
         except _REPLY_ERRORS as exc:
-            return self._rejected(exc)
-
-    async def _settle(self, pending: Awaitable[dict]) -> dict:
-        """The reply of a request whose handler handed its I/O to a thread."""
-        try:
-            return await pending
-        except _REPLY_ERRORS as exc:
-            return self._rejected(exc)
-
-    def _rejected(self, exc: Exception) -> dict:
-        self.metrics.frames_rejected.inc()
-        return {"ok": False, "error": str(exc)}
+            self.metrics.frames_rejected.inc()
+            return {"ok": False, "error": str(exc)}
 
     # ------------------------------------------------------------------
     # Frame semantics
@@ -371,7 +354,7 @@ class ProfilingServer:
         self.metrics.events_total.inc(len(batch))
         return {"ok": True, "events": session.events_received}
 
-    def _on_control(self, message: dict) -> Reply:
+    async def _on_control(self, message: dict) -> dict:
         op = message.get("op")
         handlers = {
             "ping": self._op_ping,
@@ -385,20 +368,15 @@ class ProfilingServer:
         handler = handlers.get(op)
         if handler is None:
             raise ServiceError(f"unknown control op {op!r}")
-        return handler(message)
+        return await handler(message)
 
-    def _op_ping(self, message: dict) -> dict:
+    async def _op_ping(self, message: dict) -> dict:
         return {"ok": True, "op": "ping"}
 
-    def _op_open(self, message: dict) -> Reply:
+    async def _op_open(self, message: dict) -> dict:
         name = ckpt.validate_session_name(message.get("session"))
-        pending = self._io.get(name)
-        if pending is not None:
-            async def after_io() -> dict:
-                await asyncio.wait([pending])
-                reply = self._op_open(message)  # the table may have changed
-                return reply if isinstance(reply, dict) else await reply
-            return after_io()
+        while (pending := self._io.get(name)) is not None:
+            await asyncio.wait([pending])
         num_sites = message.get("num_sites")
         if not isinstance(num_sites, int) or num_sites <= 0:
             raise ServiceError("open requires a positive integer num_sites")
@@ -455,7 +433,7 @@ class ProfilingServer:
             raise ServiceError(f"unknown session {name!r}")
         return session
 
-    def _op_query(self, message: dict) -> dict:
+    async def _op_query(self, message: dict) -> dict:
         session = self._require_session(message)
         session.touch()
         self.metrics.queries_served.inc()
@@ -467,54 +445,42 @@ class ProfilingServer:
             "report": session.report_payload(),
         }
 
-    def _op_checkpoint(self, message: dict) -> Reply:
+    async def _op_checkpoint(self, message: dict) -> dict:
         if self.checkpoint_dir is None:
             raise ServiceError("server has no checkpoint directory configured")
         session = self._require_session(message)
         session.touch()
-        return self._checkpoint_reply(session.name, session.events_received,
-                                      self._checkpoint(session))
-
-    async def _checkpoint_reply(self, name: str, events: int,
-                                written: Awaitable[Path]) -> dict:
+        name, events = session.name, session.events_received
         try:
-            path = await written
+            path = await self._checkpoint(session)
         except OSError as exc:
             raise ServiceError(f"checkpoint of {name!r} failed: {exc}") from exc
         return {"ok": True, "op": "checkpoint", "session": name,
                 "events": events, "path": str(path)}
 
-    def _op_close(self, message: dict) -> Reply:
+    async def _op_close(self, message: dict) -> dict:
         session = self._require_session(message)
         final = session.final_report()
         report = protocol.serialize_report(final)
         ingest = self._prepare_ingest(session, final)
         self._drop_session(session)
-        return self._close_reply(session, report, self._io_for(
-            session.name, self._close_io, session.name, ingest))
-
-    async def _close_reply(self, session: _Session, report: dict,
-                           stored: Awaitable[str | Exception | None]) -> dict:
-        outcome = await stored
-        # The frame's span closed before the await; this one gives the
-        # close's log records a trace id.
-        with get_tracer().span("service.close", cat="service", session=session.name):
-            warehouse_run = None
-            if isinstance(outcome, Exception):
-                # Best-effort: counted and logged, never surfaced to the client.
-                log_event(log, "warehouse_ingest_failed", level=logging.WARNING,
-                          shard=self.shard_name, session=session.name,
-                          error=str(outcome))
-                self.metrics.warehouse_failures.inc()
-            elif outcome is not None:
-                warehouse_run = outcome
-                self.metrics.runs_ingested.inc()
-                log.info("session %r finalized into warehouse as %s",
-                         session.name, warehouse_run)
-            self.metrics.sessions_closed.inc()
-            log_event(log, "session_closed", shard=self.shard_name,
-                      session=session.name, events=session.events_received,
-                      warehouse_run=warehouse_run)
+        outcome = await self._io_for(session.name, self._close_io, session.name, ingest)
+        warehouse_run = None
+        if isinstance(outcome, Exception):
+            # Best-effort: counted and logged, never surfaced to the client.
+            log_event(log, "warehouse_ingest_failed", level=logging.WARNING,
+                      shard=self.shard_name, session=session.name,
+                      error=str(outcome))
+            self.metrics.warehouse_failures.inc()
+        elif outcome is not None:
+            warehouse_run = outcome
+            self.metrics.runs_ingested.inc()
+            log.info("session %r finalized into warehouse as %s",
+                     session.name, warehouse_run)
+        self.metrics.sessions_closed.inc()
+        log_event(log, "session_closed", shard=self.shard_name,
+                  session=session.name, events=session.events_received,
+                  warehouse_run=warehouse_run)
         return {
             "ok": True,
             "op": "close",
@@ -641,13 +607,13 @@ class ProfilingServer:
         return {session.name: session.events_received
                 for session in self._sessions.values()}
 
-    def _op_stats(self, message: dict) -> dict:
+    async def _op_stats(self, message: dict) -> dict:
         stats = stats_view(self._snapshot(), self._session_events())
         if self.shard_name is not None:
             stats["shard"] = self.shard_name
         return {"ok": True, "op": "stats", "stats": stats}
 
-    def _op_metrics(self, message: dict) -> dict:
+    async def _op_metrics(self, message: dict) -> dict:
         """Full registry snapshot plus the live sessions.
 
         This is the fleet router's scrape endpoint: the router merges the

@@ -14,6 +14,7 @@ different shard and still reproduces the identical report.
 from __future__ import annotations
 
 import json
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.core.profiler2d import ProfilerConfig, profile_trace
 from repro.errors import ServiceError
 from repro.fleet import SessionRegistry, ShardMap, ShardSpec
 from repro.fleet.router import FleetRouter
-from repro.obs import Registry, labeled_snapshot, merge_additive_snapshot
+from repro.obs import Registry, get_tracer, labeled_snapshot, merge_additive_snapshot
 from repro.predictors import make_predictor, simulate
 from repro.service import protocol
 from repro.service.client import StreamingClient, stream_simulation
@@ -380,6 +381,36 @@ class TestRouterEndToEnd:
                 client._checked(client._request(protocol.encode_events(
                     999, np.array([1], dtype=np.int64), np.array([1], dtype=np.int64))))
             assert client.ping()["router"] is True
+
+    def test_router_frames_are_roots_of_their_own_traces(self, fleet, stream_data):
+        """Two clients stream at once, so the router holds two connections'
+        ``router.frame`` spans across its awaits on the shards; neither may
+        become the other's parent or share its trace id."""
+        trace, sim, config, _offline = stream_data
+        tracer = get_tracer()
+        hot_sample = tracer.hot_sample
+        tracer.clear()
+        tracer.configure(enabled=True, hot_sample=1)
+        try:
+            def stream(name: str) -> None:
+                with StreamingClient("127.0.0.1", fleet.router.port) as client:
+                    stream_simulation(client, name, trace.sites, sim.correct, config,
+                                      batch_size=500, num_sites=trace.num_sites)
+                    client.close_session(name)
+
+            threads = [threading.Thread(target=stream, args=(f"tr-{i}",))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            frames = [e for e in tracer.events() if e["name"] == "router.frame"]
+        finally:
+            tracer.configure(enabled=False, hot_sample=hot_sample)
+            tracer.clear()
+        assert len(frames) >= 2 * (len(trace) // 500 + 2)
+        assert [e for e in frames if "parent" in e["args"]] == []
+        assert len({e["args"]["trace_id"] for e in frames}) == len(frames)
 
     def test_fleet_drain_without_supervisor_is_an_error(self, fleet):
         with StreamingClient("127.0.0.1", fleet.router.port) as client:

@@ -145,3 +145,25 @@ class TestErrors:
     def test_digit_followed_by_letter(self):
         with pytest.raises(LexError):
             tokenize("123abc")
+
+
+class TestAsciiAlphabet:
+    """Minic's alphabet is ASCII; ``str.isdigit``/``isalpha`` accept more
+    (``int("²")`` raises ``ValueError``), so any other character must be a
+    ``LexError`` at its own position."""
+
+    @pytest.mark.parametrize("source, column, char", [
+        ("²", 1, "²"),           # a digit to isdigit(), not to int()
+        ("0x²", 3, "²"),         # the same after a hex prefix
+        ("٣", 1, "٣"),           # an Arabic-Indic digit int() would accept
+        ("café", 4, "é"),        # a letter to isalpha()
+    ])
+    def test_non_ascii_is_unexpected_character(self, source, column, char):
+        with pytest.raises(LexError, match="unexpected character") as excinfo:
+            tokenize(source)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+        assert repr(char) in str(excinfo.value)
+
+    def test_non_ascii_digits_do_not_form_a_literal(self):
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize("x = ٣٣;")

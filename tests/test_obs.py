@@ -9,9 +9,11 @@ the parent trace), the service stats view, and the CLI
 
 from __future__ import annotations
 
+import asyncio
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -19,7 +21,7 @@ import pytest
 
 from repro.obs.metrics import Registry
 from repro.obs.spool import merge_spool, worker_capture
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, current_ids
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +100,70 @@ class TestTracer:
         assert {"M", "X", "i"} <= phases
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"alpha", "mark", "process_name"} <= names
+
+    def test_tasks_holding_spans_across_awaits_stay_apart(self):
+        """Two tasks on one loop interleave spans held across awaits; each
+        frame is a root of its own trace and its child stays inside it."""
+        tracer = Tracer(enabled=True)
+
+        async def connection(name: str) -> None:
+            for _ in range(20):
+                with tracer.span("frame", conn=name):
+                    await asyncio.sleep(0)
+                    with tracer.span("work", conn=name):
+                        await asyncio.sleep(0)
+                    await asyncio.sleep(0)
+
+        async def main() -> None:
+            await asyncio.gather(connection("a"), connection("b"))
+
+        asyncio.run(main())
+        events = tracer.events()
+        frames = [e for e in events if e["name"] == "frame"]
+        works = [e for e in events if e["name"] == "work"]
+        assert len(frames) == len(works) == 40
+        assert all("parent" not in e["args"] for e in frames)
+        owner = {e["args"]["trace_id"]: e["args"]["conn"] for e in frames}
+        assert len(owner) == 40  # distinct trace ids
+        for work in works:
+            assert work["args"]["parent"] == "frame"
+            assert owner[work["args"]["trace_id"]] == work["args"]["conn"]
+        assert current_ids() == (None, None)  # nothing left open
+
+    def test_span_in_to_thread_is_child_of_the_awaiting_span(self):
+        tracer = Tracer(enabled=True)
+
+        def io() -> int:
+            with tracer.span("io"):
+                return threading.get_ident()
+
+        async def main() -> int:
+            with tracer.span("frame"):
+                return await asyncio.to_thread(io)
+
+        worker = asyncio.run(main())
+        child, frame = tracer.events()
+        assert child["args"]["parent"] == "frame"
+        assert child["args"]["trace_id"] == frame["args"]["trace_id"]
+        assert child["tid"] == worker & 0x7FFFFFFF != frame["tid"]
+
+    def test_plain_thread_starts_with_no_current_span(self):
+        tracer = Tracer(enabled=True)
+        seen = {}
+
+        def run() -> None:
+            seen["ids"] = current_ids()
+            with tracer.span("thread"):
+                pass
+
+        with tracer.span("outer"):
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join()
+        assert seen["ids"] == (None, None)
+        inner, outer = tracer.events()
+        assert "parent" not in inner["args"]
+        assert inner["args"]["trace_id"] != outer["args"]["trace_id"]
 
     def test_add_chrome_events_works_while_disabled(self):
         tracer = Tracer(enabled=False)

@@ -15,6 +15,9 @@ Three layers:
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
+import logging
 import socket
 import struct
 import threading
@@ -632,6 +635,74 @@ class TestWarehouseFinalize:
                                         meta={"workload": ["not", "scalar"]})
         finally:
             server.drain()
+
+    def test_bad_scale_rejected_at_open(self, tmp_path, stream_data):
+        """``meta.scale`` becomes the stored run's float scale at close, so
+        an open whose scale is not a finite positive number is refused
+        there; the close could not store it, nor even finish."""
+        trace, sim, config, _offline = stream_data
+        bad = ["abc", True, 0, -1.5, float("nan"), float("inf"), 10 ** 400]
+        server = _start_server(tmp_path, warehouse_dir=tmp_path / "wh")
+        try:
+            with StreamingClient("127.0.0.1", server.port) as client:
+                for scale in bad:
+                    with pytest.raises(ServiceError, match="scale"):
+                        client.open_session("run", trace.num_sites, config,
+                                            meta={"scale": scale})
+                stats = client.stats()
+                assert (stats["frames_rejected"], stats["active_sessions"]) == (len(bad), 0)
+                stream_simulation(client, "run", trace.sites, sim.correct,
+                                  self._keep_series(config), num_sites=trace.num_sites,
+                                  meta={"scale": 2})
+                assert client.close_session("run")["warehouse_run"] == "r000001"
+                assert client.stats()["sessions_closed"] == 1
+        finally:
+            server.drain()
+
+    def test_close_io_spans_and_logs_carry_the_close_frames_trace(
+            self, tmp_path, stream_data):
+        """The close's ingest runs in a worker thread and its log records
+        are written after that await; both belong to the close frame."""
+        from repro.obs import get_tracer
+        from repro.obs.logs import JsonLineFormatter
+
+        trace, sim, config, _offline = stream_data
+        tracer = get_tracer()
+        tracer.clear()
+        tracer.configure(enabled=True)
+        logger = logging.getLogger("repro.service.server")
+        level = logger.level
+        lines = io.StringIO()
+        handler = logging.StreamHandler(lines)
+        handler.setFormatter(JsonLineFormatter())
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        try:
+            server = _start_server(tmp_path, warehouse_dir=tmp_path / "wh")
+            try:
+                with StreamingClient("127.0.0.1", server.port) as client:
+                    stream_simulation(client, "run", trace.sites, sim.correct,
+                                      self._keep_series(config),
+                                      num_sites=trace.num_sites)
+                    assert client.close_session("run")["warehouse_run"] == "r000001"
+            finally:
+                server.drain()
+            events = tracer.events()
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+            tracer.configure(enabled=False)
+            tracer.clear()
+        close = [e for e in events if e["name"] == "service.frame"][-1]
+        [ingest] = [e for e in events if e["name"] == "store.ingest"]
+        assert "parent" not in close["args"]
+        assert ingest["args"]["parent"] == "service.frame"
+        assert ingest["args"]["trace_id"] == close["args"]["trace_id"]
+        assert ingest["tid"] != close["tid"]  # a worker thread
+        records = [json.loads(line) for line in lines.getvalue().splitlines()]
+        [closed] = [r for r in records if r.get("event") == "session_closed"]
+        assert closed["trace_id"] == close["args"]["trace_id"]
+
 
 
 # ----------------------------------------------------------------------
