@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.core.experiment import ExperimentRunner, SuiteConfig, default_cache_dir
@@ -53,6 +54,17 @@ def _dist_version() -> str:
         import repro
 
         return repro.__version__
+
+
+def _scale(text: str) -> float:
+    """``--scale``: a finite input-size multiplier above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _profiler_config(args: argparse.Namespace) -> ProfilerConfig:
@@ -835,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {_dist_version()}")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_scale, default=1.0,
                         help="input-size multiplier for all workloads (default 1.0)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -35,16 +35,6 @@ class Edge2DReport:
     def num_sites(self) -> int:
         return self._report.num_sites
 
-    @property
-    def overall_taken_rate(self) -> float:
-        return self._report.overall_accuracy
-
-    def mean_bias(self, site_id: int) -> float:
-        return self._report.stats[site_id].mean
-
-    def bias_std(self, site_id: int) -> float:
-        return self._report.stats[site_id].std
-
     def profiled_sites(self) -> set[int]:
         return self._report.profiled_sites()
 

@@ -52,10 +52,6 @@ class CostReport:
     total_branches: int
     per_site: dict[int, SiteCost] = field(default_factory=dict)
 
-    @property
-    def cycles_per_branch(self) -> float:
-        return self.total_cycles / self.total_branches if self.total_branches else 0.0
-
 
 class WishBranchState:
     """Per-site confidence state for the wish-branch hardware model.

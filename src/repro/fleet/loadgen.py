@@ -67,7 +67,10 @@ class AsyncStreamClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "AsyncStreamClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+        except OSError as exc:
+            raise ServiceError(f"cannot connect to {host}:{port}: {exc}") from exc
         return cls(reader, writer)
 
     async def request(self, frame: bytes) -> dict:

@@ -205,6 +205,9 @@ class FleetSupervisor:
         #: Per-shard respawn counts (rolling restarts excluded) — the
         #: watchdog and ``restart_dead`` both feed this.
         self.restarts: dict[str, int] = {}
+        #: Processes spawned per shard name, every respawn counted; each
+        #: generation writes its own trace file.
+        self._generations: dict[str, int] = {}
         self._template = dict(
             checkpoint_dir=self.checkpoint_dir,
             warehouse_dir=warehouse_dir,
@@ -216,8 +219,10 @@ class FleetSupervisor:
 
     def _spawn(self, name: str) -> ShardSpec:
         kwargs = dict(self._template)
+        generation = self._generations.get(name, 0)
+        self._generations[name] = generation + 1
         if self.trace_dir is not None:
-            kwargs["trace_path"] = self.trace_dir / f"{name}.trace.json"
+            kwargs["trace_path"] = self.trace_dir / f"{name}.g{generation}.trace.json"
         if self.flight_dir is not None:
             kwargs["flight_dir"] = self.flight_dir
         if self.log_dir is not None:

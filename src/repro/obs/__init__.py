@@ -6,7 +6,7 @@ Three modules, one subsystem:
   buffer, exportable as Chrome trace-event JSON (open in Perfetto);
   disabled by default with a ~free no-op path.
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms with
-  labeled children, JSON snapshots, and Prometheus text exposition.
+  labeled children, JSON snapshots, and snapshot merging.
 * :mod:`repro.obs.spool` — ProcessPool workers spool spans/metrics to
   per-task JSONL files (atomic publication via :mod:`repro.cachefs`);
   the parent merges them into one coherent trace.

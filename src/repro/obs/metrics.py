@@ -3,12 +3,9 @@
 A :class:`Registry` owns a flat namespace of metrics.  Each metric is
 directly usable (``registry.counter("cache_hits_total").inc()``) and can
 also fan out into labeled children (``.labels(kind="trace")``), mirroring
-the Prometheus data model.  Two export forms are supported:
-
-* :meth:`Registry.snapshot` — a JSON-safe dict, the payload behind
-  ``--metrics-json`` and the service ``stats`` frame;
-* :meth:`Registry.render_prometheus` — the Prometheus text exposition
-  format, for anything that wants to scrape.
+the Prometheus data model.  :meth:`Registry.snapshot` exports a
+JSON-safe dict, the payload behind ``--metrics-json`` and the service
+``stats`` frame.
 
 Registries merge: :meth:`Registry.merge_snapshot` folds a snapshot taken
 in another process into this one (counters add, gauges take the incoming
@@ -81,29 +78,6 @@ def _label_key(labels: dict) -> tuple:
 
 def _label_str(key: tuple) -> str:
     return ",".join(f'{k}="{v}"' for k, v in key)
-
-
-def _escape_label_value(value) -> str:
-    """Escape a label value for the Prometheus text exposition format.
-
-    Backslash, double-quote, and newline are the three characters the
-    format defines escapes for.  Snapshot keys stay *unescaped* (they
-    round-trip through merge/labeled_snapshot as plain strings); only the
-    rendered exposition applies this.
-    """
-    return (str(value)
-            .replace("\\", r"\\")
-            .replace('"', r"\"")
-            .replace("\n", r"\n"))
-
-
-def _prom_label_str(key: tuple) -> str:
-    return ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in key)
-
-
-def _escape_help(text: str) -> str:
-    """Escape a HELP line (backslash and newline only, per the format)."""
-    return text.replace("\\", r"\\").replace("\n", r"\n")
 
 
 class _Metric:
@@ -225,17 +199,6 @@ class Histogram(_Metric):
             return bucket_percentile(self.buckets, self._counts, q,
                                      floor=self.min, ceiling=self.max)
 
-    def bucket_counts(self) -> dict[str, int]:
-        """Cumulative counts keyed by ``le`` bound (Prometheus semantics)."""
-        with self._lock:
-            out: dict[str, int] = {}
-            running = 0
-            for bound, count in zip(self.buckets, self._counts):
-                running += count
-                out[f"{bound:g}"] = running
-            out["+Inf"] = running + self._counts[-1]
-            return out
-
     def _make_child(self) -> "Histogram":
         return Histogram(self.name, self.help, self._lock, self.buckets)
 
@@ -255,7 +218,7 @@ class Histogram(_Metric):
 
 
 class Registry:
-    """A namespace of metrics with snapshot/exposition/merge support."""
+    """A namespace of metrics with snapshot and merge support."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -323,29 +286,6 @@ class Registry:
                 for key, child in sorted(metric._children.items())
             }
         return entry
-
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        with self._lock:
-            metrics = dict(self._metrics)
-        lines: list[str] = []
-        for name, metric in sorted(metrics.items()):
-            if metric.help:
-                lines.append(f"# HELP {name} {_escape_help(metric.help)}")
-            lines.append(f"# TYPE {name} {metric.kind}")
-            series = [((), metric)] + sorted(metric._children.items())
-            for key, child in series:
-                suffix = "{" + _prom_label_str(key) + "}" if key else ""
-                if isinstance(child, (Counter, Gauge)):
-                    lines.append(f"{name}{suffix} {child.value}")
-                elif isinstance(child, Histogram):
-                    base = _prom_label_str(key)
-                    for bound, cumulative in child.bucket_counts().items():
-                        label = f'{base},le="{bound}"' if base else f'le="{bound}"'
-                        lines.append(f"{name}_bucket{{{label}}} {cumulative}")
-                    lines.append(f"{name}_sum{suffix} {child.sum}")
-                    lines.append(f"{name}_count{suffix} {child.count}")
-        return "\n".join(lines) + "\n"
 
     # -- merge ----------------------------------------------------------
 

@@ -41,7 +41,7 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable
 
-#: Default ring-buffer capacity (finished spans + instants retained).
+#: Default ring-buffer capacity (finished spans retained).
 DEFAULT_CAPACITY = 200_000
 
 #: Default 1-in-N sampling for ``hot_path`` spans (event-frame handling);
@@ -188,21 +188,6 @@ class Tracer:
             if self._hot_seq % self.hot_sample:
                 return _NOOP
         return Span(self, name, cat, attrs)
-
-    def instant(self, name: str, cat: str = "app", **attrs) -> None:
-        """A zero-duration point event."""
-        if not self.enabled:
-            return
-        self._record({
-            "name": name,
-            "cat": cat,
-            "ph": "i",
-            "s": "p",
-            "ts": time.time_ns() / 1e3,
-            "pid": os.getpid(),
-            "tid": threading.get_ident() & 0x7FFFFFFF,
-            "args": attrs,
-        })
 
     def add_span(self, name: str, ts_us: float, dur_us: float,
                  cat: str = "app", **attrs) -> None:

@@ -29,7 +29,6 @@ same rule the fleet router's ``stats`` op follows).
 
 Query API (all windows look back from ``now``):
 
-* :meth:`range_query`   — raw ``(ts, value)`` points of one series;
 * :meth:`latest`        — the newest point of one series;
 * :meth:`rate` / :meth:`delta` — counter increase per second / total,
   reset-aware (a restarted shard's counter dropping to zero counts as a
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 import time
 from collections import deque
@@ -389,22 +387,6 @@ class MetricTSDB:
             if sample.ts >= last.get(sample.source, -math.inf):
                 last[sample.source] = sample.ts
         return last
-
-    def range_query(
-        self,
-        name: str,
-        start: float | None = None,
-        end: float | None = None,
-        source: str | None = None,
-    ) -> list:
-        """Ordered ``(ts, value)`` points of one scalar series."""
-        points = [
-            (sample.ts, sample.scalars[name])
-            for sample in self.samples(start=start, end=end, source=source)
-            if name in sample.scalars
-        ]
-        points.sort(key=lambda p: p[0])
-        return points
 
     def latest(self, name: str, source: str | None = None) -> tuple | None:
         """The newest ``(ts, value)`` of one scalar series, or ``None``."""

@@ -12,7 +12,7 @@ predictor library.  The paper's two configurations are the defaults:
 """
 
 from repro.predictors.base import Predictor
-from repro.predictors.static_ import AlwaysTaken, AlwaysNotTaken, ProfileStatic
+from repro.predictors.static_ import AlwaysTaken, AlwaysNotTaken
 from repro.predictors.bimodal import Bimodal
 from repro.predictors.gag import GAg
 from repro.predictors.gshare import Gshare
@@ -61,7 +61,6 @@ __all__ = [
     "Predictor",
     "AlwaysTaken",
     "AlwaysNotTaken",
-    "ProfileStatic",
     "Bimodal",
     "GAg",
     "Gshare",

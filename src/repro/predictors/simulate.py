@@ -54,14 +54,6 @@ class SimulationResult:
             for site in sites
         }
 
-    def site_accuracy(self, site_id: int) -> float:
-        if site_id < 0 or site_id >= self.exec_counts.size:
-            raise KeyError(f"site {site_id} out of range")
-        executed = int(self.exec_counts[site_id])
-        if executed == 0:
-            raise KeyError(f"site {site_id} never executed")
-        return float(self.correct_counts[site_id]) / executed
-
 
 def simulate(
     predictor: Predictor, trace: BranchTrace, reset: bool = True

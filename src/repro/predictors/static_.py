@@ -1,9 +1,4 @@
-"""Static predictors: fixed-direction and profile-guided.
-
-These are baselines and test oracles — a stationary biased branch is
-predicted by :class:`ProfileStatic` with accuracy equal to its bias, which
-several unit tests rely on.
-"""
+"""Static predictors: fixed-direction baselines."""
 
 from __future__ import annotations
 
@@ -33,30 +28,3 @@ class AlwaysNotTaken(Predictor):
     def reset(self) -> None:
         pass
 
-
-class ProfileStatic(Predictor):
-    """Per-site fixed direction, as a profile-guided static compiler sets it.
-
-    Directions come either from a ``{site: direction}`` map (e.g. majority
-    direction measured on a profiling run) or default to ``fallback``.
-    """
-
-    name = "profile-static"
-
-    def __init__(self, directions: dict[int, int] | None = None, fallback: int = 1):
-        self.directions = dict(directions or {})
-        self.fallback = fallback
-
-    def predict_and_update(self, site_id: int, taken: int) -> int:
-        return self.directions.get(site_id, self.fallback)
-
-    def reset(self) -> None:
-        pass
-
-    def state_dict(self) -> dict:
-        return {"directions": dict(self.directions), "fallback": self.fallback}
-
-    @classmethod
-    def from_bias(cls, biases: dict[int, float]) -> "ProfileStatic":
-        """Build from per-site taken rates (majority vote per site)."""
-        return cls({site: int(bias >= 0.5) for site, bias in biases.items()})

@@ -34,7 +34,10 @@ class StreamingClient:
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self.host = host
         self.port = port
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            self._sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as exc:
+            raise ServiceError(f"cannot connect to {host}:{port}: {exc}") from exc
         self._session_ids: dict[str, int] = {}
 
     # -- context manager ------------------------------------------------

@@ -4,7 +4,7 @@
 histograms in its own :class:`repro.obs.metrics.Registry`, so concurrent
 servers in one process (tests, embedding) don't bleed counts into each
 other.  The registry is the source of truth: ``--metrics-json`` dumps it,
-Prometheus exposition renders it, the ``metrics`` op ships its snapshot.
+the ``metrics`` op ships its snapshot.
 
 :func:`stats_view` is the only builder of a ``stats`` payload: it reads
 one registry snapshot — a shard's own, or the fleet router's bucket-wise

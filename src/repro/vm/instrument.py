@@ -14,8 +14,6 @@ hook.  The tool set mirrors the paper's Figure 16 overhead conditions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class NullTool:
     """A callback that does nothing; measures bare instrumentation cost."""
@@ -40,11 +38,6 @@ class EdgeProfilerTool:
         if taken:
             self.taken_counts[site_id] += 1
 
-    def bias(self, site_id: int) -> float:
-        """Taken rate of a site in [0, 1]; 0.0 for never-executed sites."""
-        executed = self.exec_counts[site_id]
-        return self.taken_counts[site_id] / executed if executed else 0.0
-
     def biases(self) -> dict[int, float]:
         """Taken rate for every site that executed at least once."""
         return {
@@ -52,22 +45,6 @@ class EdgeProfilerTool:
             for site, count in enumerate(self.exec_counts)
             if count
         }
-
-
-@dataclass
-class SiteAccuracy:
-    """Aggregate prediction statistics for one static branch site."""
-
-    executed: int
-    correct: int
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.executed if self.executed else 0.0
-
-    @property
-    def misprediction_rate(self) -> float:
-        return 1.0 - self.accuracy if self.executed else 0.0
 
 
 class PredictorTool:
@@ -87,17 +64,6 @@ class PredictorTool:
         self.exec_counts[site_id] += 1
         if predicted == taken:
             self.correct_counts[site_id] += 1
-
-    def site_accuracy(self, site_id: int) -> SiteAccuracy:
-        return SiteAccuracy(self.exec_counts[site_id], self.correct_counts[site_id])
-
-    def accuracies(self) -> dict[int, SiteAccuracy]:
-        """Per-site statistics for every site that executed at least once."""
-        return {
-            site: SiteAccuracy(count, self.correct_counts[site])
-            for site, count in enumerate(self.exec_counts)
-            if count
-        }
 
     @property
     def overall_accuracy(self) -> float:

@@ -1,6 +1,7 @@
 """Tests for the command-line driver."""
 
 import json
+import socket
 
 import pytest
 
@@ -26,6 +27,17 @@ class TestParser:
     def test_scale_option(self):
         args = build_parser().parse_args(["--scale", "0.5", "list"])
         assert args.scale == 0.5
+        # Inputs clamp to each generator's minimum size; a tiny scale is valid.
+        args = build_parser().parse_args(["--scale", "1e-9", "list"])
+        assert args.scale == 1e-9
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_scale_must_be_finite_and_positive(self, value, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", value, "evaluate", "gzipish"])
+        assert excinfo.value.code == 2
+        assert "argument --scale" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_series_accepts_jobs(self):
         args = build_parser().parse_args(["series", "gzipish", "--jobs", "2"])
@@ -98,6 +110,24 @@ class TestCommands:
         )
         assert code == 0
         assert "mean=" in out
+
+
+def closed_port() -> int:
+    """A local port that was bound and then closed: nothing listens there."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestNoServer:
+    @pytest.mark.parametrize("command", [["stats"], ["fleet", "loadgen"]])
+    def test_connect_refused_is_an_error_line(self, command, capsys):
+        port = closed_port()
+        code = main([*command, "--port", str(port)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot connect to 127.0.0.1:{port}:")
+        assert "Traceback" not in err
 
 
 class TestStreamCommand:

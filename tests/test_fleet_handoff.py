@@ -34,6 +34,7 @@ from repro import cli
 from repro.core.profiler2d import ProfilerConfig, profile_trace
 from repro.fleet import FleetHarness
 from repro.fleet.loadgen import AsyncStreamClient, run_loadgen
+from repro.obs import get_tracer
 from repro.predictors import make_predictor, simulate
 from repro.service.client import stream_simulation
 from repro.service.protocol import serialize_report
@@ -118,6 +119,28 @@ class TestRollingRestart:
                         batch_size=1000, resume=True, num_sites=trace.num_sites)
                     assert outcome.resumed_from >= 4000
                     assert client.query(name)["report"] == offline
+
+    def test_merged_trace_keeps_every_shard_generation(self, tmp_path, stream_data):
+        trace, sim, config, _offline = stream_data
+        tracer = get_tracer()
+        tracer.clear()
+        try:
+            with FleetHarness(tmp_path / "fleet", num_shards=1,
+                              trace_dir=tmp_path / "traces") as fleet:
+                pids = []
+                for name in ("before", "after"):
+                    if pids:
+                        fleet.rolling_restart()
+                    pids.append(fleet.supervisor.processes["s0"].pid)
+                    with fleet.client() as client:
+                        stream_simulation(client, name, trace.sites, sim.correct,
+                                          config, num_sites=trace.num_sites)
+            frame_pids = {e["pid"] for e in tracer.events()
+                          if e.get("name") == "service.frame"}
+        finally:
+            tracer.clear()
+        assert pids[0] != pids[1]
+        assert set(pids) <= frame_pids
 
 
 class TestLoadgenClient:

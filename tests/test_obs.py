@@ -1,8 +1,8 @@
 """Tests for the unified observability subsystem (:mod:`repro.obs`).
 
 Covers the tentpole contracts: span nesting and attributes, the disabled
-no-op fast path, histogram percentile math, Prometheus exposition,
-snapshot merging, the ProcessPool spool round-trip (worker spans land in
+no-op fast path, histogram percentile math, snapshot merging, the
+ProcessPool spool round-trip (worker spans land in
 the parent trace), the service stats view, and the CLI
 ``--trace`` / ``--metrics-json`` / ``stats`` surfaces.
 """
@@ -37,7 +37,6 @@ class TestTracer:
         assert a is b  # one shared object, no per-call allocation
         with a as sp:
             sp.set("key", "value")  # must be accepted and dropped
-        tracer.instant("point")
         assert tracer.events() == []
 
     def test_span_records_chrome_complete_event(self):
@@ -92,14 +91,13 @@ class TestTracer:
         tracer = Tracer(enabled=True)
         with tracer.span("alpha"):
             pass
-        tracer.instant("mark", detail=1)
         path = tracer.export(tmp_path / "trace.json")
         doc = json.loads(path.read_text())
         assert isinstance(doc["traceEvents"], list)
         phases = {e["ph"] for e in doc["traceEvents"]}
-        assert {"M", "X", "i"} <= phases
+        assert {"M", "X"} <= phases
         names = {e["name"] for e in doc["traceEvents"]}
-        assert {"alpha", "mark", "process_name"} <= names
+        assert {"alpha", "process_name"} <= names
 
     def test_tasks_holding_spans_across_awaits_stay_apart(self):
         """Two tasks on one loop interleave spans held across awaits; each
@@ -232,36 +230,6 @@ class TestMetrics:
         assert hist.percentile(0.5) == pytest.approx(1.7)
         assert hist.percentile(0.99) == pytest.approx(1.7)
 
-    def test_histogram_bucket_counts_cumulative(self):
-        registry = Registry()
-        hist = registry.histogram("lat", buckets=(1.0, 2.0))
-        for value in (0.5, 1.5, 9.0):
-            hist.observe(value)
-        assert hist.bucket_counts() == {"1": 1, "2": 2, "+Inf": 3}
-
-    def test_prometheus_exposition_format(self):
-        registry = Registry()
-        registry.counter("requests_total", "requests served").inc(3)
-        registry.counter("requests_total").labels(method="get").inc(2)
-        registry.gauge("open_connections").set(4)
-        hist = registry.histogram("latency_seconds", "req latency",
-                                  buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
-        text = registry.render_prometheus()
-        assert "# HELP requests_total requests served" in text
-        assert "# TYPE requests_total counter" in text
-        assert "\nrequests_total 3" in text
-        assert 'requests_total{method="get"} 2' in text
-        assert "# TYPE open_connections gauge" in text
-        assert "\nopen_connections 4" in text
-        assert "# TYPE latency_seconds histogram" in text
-        assert 'latency_seconds_bucket{le="0.1"} 1' in text
-        assert 'latency_seconds_bucket{le="1"} 2' in text
-        assert 'latency_seconds_bucket{le="+Inf"} 2' in text
-        assert "latency_seconds_count 2" in text
-        assert text.endswith("\n")
-
     def test_snapshot_and_merge(self):
         source = Registry()
         source.counter("jobs_total").inc(4)
@@ -291,37 +259,16 @@ class TestMetrics:
         registry.histogram("h").observe(0.2)
         json.dumps(registry.snapshot())  # must not raise
 
-    def test_prometheus_label_value_escaping(self):
+    def test_snapshot_label_values_round_trip_through_merge(self):
         registry = Registry()
         registry.counter("odd_total").labels(
             path='C:\\tmp', note='say "hi"', multi="a\nb").inc()
-        text = registry.render_prometheus()
-        assert r'path="C:\\tmp"' in text
-        assert r'note="say \"hi\""' in text
-        assert r'multi="a\nb"' in text
-        assert "\na\nb" not in text  # the newline never splits a line
-        # Snapshot keys stay unescaped so merge round-trips exactly.
         snap = registry.snapshot()
-        labels = snap["odd_total"]["labels"]
-        (key,) = labels
-        assert 'C:\\tmp' in key and '\n' in key
+        (key,) = snap["odd_total"]["labels"]
+        assert 'C:\\tmp' in key and '"hi"' in key and '\n' in key
         target = Registry()
         target.merge_snapshot(snap)
-        assert target.render_prometheus() == text
-
-    def test_prometheus_help_escaping(self):
-        registry = Registry()
-        registry.counter("x_total", "first line\nsecond \\ line").inc()
-        text = registry.render_prometheus()
-        assert r"# HELP x_total first line\nsecond \\ line" in text
-
-    def test_prometheus_escaped_histogram_labels(self):
-        registry = Registry()
-        registry.histogram("lat", buckets=(1.0,)).labels(
-            shard='s"0').observe(0.5)
-        text = registry.render_prometheus()
-        assert r'lat_bucket{shard="s\"0",le="1"} 1' in text
-        assert r'lat_sum{shard="s\"0"}' in text
+        assert target.snapshot() == snap
 
     def test_empty_histogram_percentiles_are_nan_and_snapshot_none(self):
         registry = Registry()
@@ -332,10 +279,6 @@ class TestMetrics:
         assert entry["count"] == 0
         assert entry["p50"] is None and entry["p99"] is None
         assert entry["min"] is None and entry["max"] is None
-        # Exposition still renders the (all-zero) cumulative buckets.
-        text = registry.render_prometheus()
-        assert 'empty_seconds_bucket{le="+Inf"} 0' in text
-        assert "empty_seconds_count 0" in text
 
     def test_cross_process_gauge_merge_adopts_not_sums(self):
         # merge_snapshot models "same process, newer state": the gauge
@@ -524,7 +467,6 @@ class TestServiceMetricsCompat:
         assert stats["frame_latency"]["p50"] == metrics.frame_latency.percentile(0.5)
         # The registry is the source of truth.
         assert metrics.registry.counter("service_frames_total").value == 5
-        assert "service_frames_total 5" in metrics.registry.render_prometheus()
         assert metrics.registry.counter("service_bytes_in_total").value == 100
 
     def test_instances_are_isolated(self):

@@ -20,7 +20,6 @@ from repro.predictors import (
     LocalTwoLevel,
     LoopPredictor,
     Perceptron,
-    ProfileStatic,
     Tournament,
     make_predictor,
     paper_gshare,
@@ -50,16 +49,6 @@ class TestStaticPredictors:
 
     def test_always_not_taken(self):
         assert accuracy(AlwaysNotTaken(), [0, 0, 1, 0]) == 0.75
-
-    def test_profile_static_directions(self):
-        predictor = ProfileStatic({0: 1, 1: 0})
-        assert predictor.predict_and_update(0, 0) == 1
-        assert predictor.predict_and_update(1, 1) == 0
-        assert predictor.predict_and_update(99, 0) == 1  # fallback
-
-    def test_profile_static_from_bias(self):
-        predictor = ProfileStatic.from_bias({0: 0.9, 1: 0.2})
-        assert predictor.directions == {0: 1, 1: 0}
 
 
 class TestBimodal:
@@ -264,12 +253,6 @@ class TestSimulate:
         trace = interleave_sites({0: pattern_site("T", 100), 1: pattern_site("T", 3)}, seed=13)
         result = simulate(AlwaysTaken(), trace)
         assert set(result.site_accuracies(min_executions=10)) == {0}
-
-    def test_site_accuracy_unexecuted_raises(self):
-        trace = interleave_sites({0: pattern_site("T", 10)}, seed=14)
-        result = simulate(AlwaysTaken(), trace)
-        with pytest.raises(KeyError):
-            result.site_accuracy(5)
 
     def test_always_taken_accuracy_is_taken_rate(self):
         outcomes = bernoulli_site(2000, SiteSpec.stationary(0.7), seed=15)

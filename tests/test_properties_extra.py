@@ -69,9 +69,6 @@ def test_edge2d_total_invariants(data):
                                                     exec_threshold=1))
     report = profiler.profile(trace)
     assert report.input_dependent_sites() <= report.profiled_sites()
-    for site in report.profiled_sites():
-        assert 0.0 <= report.mean_bias(site) <= 1.0
-        assert report.bias_std(site) <= 0.5 + 1e-9
 
 
 # ----------------------------------------------------------------------

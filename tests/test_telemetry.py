@@ -20,7 +20,7 @@ import pytest
 
 from repro.obs.metrics import Registry
 from repro.obs.slo import AlertManager, SloRule, default_fleet_rules, load_rules
-from repro.obs.tsdb import MetricTSDB, bucket_percentile, flatten_snapshot
+from repro.obs.tsdb import MetricTSDB, bucket_percentile
 
 
 def _hist(buckets, counts, total=None, hsum=0.0):
@@ -56,8 +56,11 @@ class TestMetricTSDB:
             tsdb.append_flat("a", {"x": 1}, ts=3.0)
             tsdb.append_flat("b", {"x": 9}, ts=2.0)
             tsdb.append_flat("a", {"x": 2}, ts=5.0)
-            assert tsdb.range_query("x", source="a") == [(3.0, 1), (5.0, 2)]
-            assert tsdb.latest("x", source="a") == (5.0, 2)
+            tsdb.append_flat("a", {"x": 4}, ts=7.0)
+            points = [(s.ts, s.scalars["x"])
+                      for s in tsdb.samples(start=3.0, end=5.0, source="a")]
+            assert points == [(3.0, 1), (5.0, 2)]
+            assert tsdb.latest("x", source="a") == (7.0, 4)
             assert tsdb.latest("missing") is None
 
     def test_rate_is_counter_reset_aware(self, tmp_path):
@@ -106,7 +109,7 @@ class TestMetricTSDB:
             fh.write('{"ts": 2.0, "src": "s0", "m": {"x": 2}}\n')
             fh.write('{"ts": 3.0, "src": "s0", "m": {"x": 3}')  # torn tail
         with MetricTSDB(tmp_path) as tsdb:
-            points = tsdb.range_query("x", source="s0")
+            points = [(s.ts, s.scalars["x"]) for s in tsdb.samples(source="s0")]
         assert points == [(1.0, 1), (2.0, 2)]
 
     def test_segment_rotation_and_retention_compaction(self, tmp_path):
@@ -116,7 +119,7 @@ class TestMetricTSDB:
         assert tsdb.stats()["segments"] > 1
         report = tsdb.compact(now=40.0)  # everything before ts=25 expires
         assert report["segments_removed"] >= 1
-        points = tsdb.range_query("x")
+        points = [(s.ts, s.scalars["x"]) for s in tsdb.samples()]
         # Only the active (never-rewritten) segment may still straddle
         # the cutoff; everything in older segments is gone.
         assert points and all(ts >= 20.0 for ts, _v in points)
@@ -140,7 +143,7 @@ class TestMetricTSDB:
         writer.append_flat("s0", {"c": 1}, ts=now)
         writer.append_flat("s0", {"c": 11}, ts=now + 5.0)
         assert reader.delta("c", window=10.0, now=now + 5.0) == pytest.approx(10)
-        assert [v for _ts, v in reader.range_query("c", start=now - 1.0)] == [1, 11]
+        assert [s.scalars["c"] for s in reader.samples(start=now - 1.0)] == [1, 11]
         assert reader.sources(window=10.0, now=now + 5.0) == {"s0": now + 5.0}
         # The writer itself still answers the same window from its tail.
         assert writer.delta("c", window=10.0, now=now + 5.0) == pytest.approx(10)
@@ -411,7 +414,8 @@ class TestFlightRecorder:
         recorder, tracer = self._recorder(tmp_path, capacity=10)
         recorder.arm()
         for i in range(50):
-            tracer.instant(f"e{i}")
+            with tracer.span(f"e{i}"):
+                pass
         assert len(tracer.events()) <= 10
 
     def test_armed_hot_path_spans_are_sampled(self, tmp_path):

@@ -5,13 +5,28 @@ that makes it a stand-in for its SPEC counterpart — is checked directly
 through program outputs and trace statistics.
 """
 
-
 from repro.trace import capture_trace
-from repro.trace.ops import bias_divergence, site_stream
 from repro.vm import InputSet, Machine
 from repro.workloads import get_workload
 
 TINY = 0.05
+
+
+def site_stream(trace, site):
+    """The outcome sequence of one static branch, in program order."""
+    return trace.outcomes[trace.sites == site]
+
+
+def bias_divergence(a, b, min_executions):
+    """Per-site absolute taken-rate difference between two runs of one
+    program, over the sites each run executed ``min_executions`` times."""
+    counts_a, counts_b = a.execution_counts(), b.execution_counts()
+    taken_a, taken_b = a.taken_counts(), b.taken_counts()
+    return {
+        site: abs(float(taken_a[site] / counts_a[site] - taken_b[site] / counts_b[site]))
+        for site in range(a.num_sites)
+        if counts_a[site] >= min_executions and counts_b[site] >= min_executions
+    }
 
 
 def run(workload_name, input_name, scale=TINY):
