@@ -54,12 +54,9 @@ def bench_warehouse_queries(runner, archive):
     warehouse = _stocked(runner)
     pairs = []
     for workload in deep_workloads():
-        train = warehouse.find(workload.name, "train", "gshare")
-        ref = warehouse.find(workload.name, "ref", "gshare")
-        assert train is not None and ref is not None
-        pairs.append((workload.name,
-                      warehouse.open_run(train.run_id),
-                      warehouse.open_run(ref.run_id)))
+        [train] = warehouse.runs(workload.name, "train", "gshare")
+        [ref] = warehouse.runs(workload.name, "ref", "gshare")
+        pairs.append((workload.name, *warehouse.open_runs([train, ref])))
 
     def query_all():
         rows = []

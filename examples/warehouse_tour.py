@@ -13,8 +13,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import ExperimentRunner, SuiteConfig
-from repro.store import ProfileWarehouse, diff_runs, reclassify
+from repro import ExperimentRunner, ProfilerConfig, SuiteConfig
+from repro.store import IngestRun, ProfileWarehouse, diff_runs, reclassify
 
 WORKLOAD = "gzipish"
 
@@ -24,25 +24,29 @@ def main():
     tmp = tempfile.TemporaryDirectory(prefix="warehouse-tour-")
     store_dir = Path(tmp.name) / "warehouse"
 
-    # With warehouse_dir set, profile_2d ingests automatically (and forces
-    # keep_series so the full accuracy matrix is preserved).
-    runner = ExperimentRunner(SuiteConfig(scale=scale, warehouse_dir=store_dir))
-    runner.profile_2d(WORKLOAD, "gshare")
-    runner.profile_2d(WORKLOAD, "gshare", input_name="ref")
-    runner.profile_2d(WORKLOAD, "gshare")          # dedupe: still two runs
+    # Ingest the way `db ingest` does: profile with keep_series so the
+    # full accuracy matrix is preserved, and store it with its simulation.
+    runner = ExperimentRunner(SuiteConfig(scale=scale))
+    keep = ProfilerConfig(keep_series=True)
 
-    warehouse = ProfileWarehouse(store_dir, create=False)
+    def profiled(input_name):
+        return IngestRun(
+            runner.profile_2d(WORKLOAD, "gshare", input_name=input_name, config=keep),
+            WORKLOAD, input_name, "gshare", scale=scale,
+            sim=runner.simulation(WORKLOAD, input_name, "gshare"), source="experiment")
+
+    warehouse = ProfileWarehouse(store_dir)
+    [train_id] = warehouse.ingest([profiled("train")])
+    [ref_id] = warehouse.ingest([profiled("ref")])
+    assert warehouse.ingest([profiled("train")]) == [train_id]   # dedupe: still two runs
+
     print(f"catalog ({store_dir.name}):")
     for rec in warehouse.runs():
         print(f"  {rec.run_id}: {rec.workload}/{rec.input} {rec.predictor} "
               f"scale={rec.scale} sites={rec.num_sites} slices={rec.n_slices}")
 
-    train = warehouse.find(WORKLOAD, "train", "gshare")
-    ref = warehouse.find(WORKLOAD, "ref", "gshare")
-    assert train is not None and ref is not None
-
     # 1. Time series (paper Fig. 8) — a zero-copy memmap slab per branch.
-    run = warehouse.open_run(train.run_id)
+    run = warehouse.open_run(train_id)
     site = int(run.branch_counts().argmax())
     slices, acc = run.site_series(site)
     print(f"\nsite {site} accuracy over {len(slices)} slices "
@@ -57,7 +61,7 @@ def main():
           f"{len(strict['input_dependent'])} at std_th=0.08 pam_th=0.2")
 
     # 3. Cross-input ground truth (paper §4) — from stored int64 counts.
-    truth = diff_runs(run, [warehouse.open_run(ref.run_id)])
+    truth = diff_runs(run, [warehouse.open_run(ref_id)])
     print(f"ground truth train-vs-ref: {len(truth.dependent)} dependent / "
           f"{len(truth.independent)} independent "
           f"(static fraction {truth.dependent_fraction:.1%})")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.core.experiment import ExperimentRunner
+from repro.core.groundtruth import DEFAULT_THRESHOLD
 from repro.analysis import tables
 from repro.analysis.timeseries import figure8_series, render_ascii_series
 from repro.analysis.whatif import whatif_rows
@@ -33,7 +34,7 @@ def generate_report(
         "# 2D-Profiling experiment report",
         "",
         f"Workload scale: {runner.config.scale}; ground-truth threshold: "
-        f"{runner.config.dep_threshold:.0%} accuracy delta; profiler: 4 KB gshare.",
+        f"{DEFAULT_THRESHOLD:.0%} accuracy delta; profiler: 4 KB gshare.",
         "",
     ]
 

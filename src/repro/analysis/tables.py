@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.experiment import ExperimentRunner
+from repro.core.groundtruth import DEFAULT_MIN_EXECUTIONS
 from repro.core.metrics import average_metrics
 from repro.core.predication import PredicationCosts, cost_sweep
 from repro.workloads import all_workloads, deep_workloads
@@ -100,8 +101,7 @@ def fig4_rows(runner: ExperimentRunner, predictor: str = "gshare") -> list[dict]
     for wl in all_workloads():
         truth = runner.ground_truth(wl.name, predictor)
         ref_acc = runner.simulation(wl.name, "ref", predictor).site_accuracies(
-            runner.config.min_executions
-        )
+            DEFAULT_MIN_EXECUTIONS)
         counts = {label: 0 for _, _, label in ACCURACY_BINS}
         total = 0
         for site in truth.dependent:
@@ -121,8 +121,7 @@ def fig5_rows(runner: ExperimentRunner, predictor: str = "gshare") -> list[dict]
     for wl in all_workloads():
         truth = runner.ground_truth(wl.name, predictor)
         ref_acc = runner.simulation(wl.name, "ref", predictor).site_accuracies(
-            runner.config.min_executions
-        )
+            DEFAULT_MIN_EXECUTIONS)
         per_bin: dict[str, list[int]] = {label: [0, 0] for _, _, label in ACCURACY_BINS}
         for site in truth.universe:
             if site not in ref_acc:
@@ -205,7 +204,7 @@ def fig11_rows(runner: ExperimentRunner, predictor: str = "gshare") -> list[dict
     rows = []
     for wl in deep_workloads():
         train_sim = runner.simulation(wl.name, "train", predictor)
-        denominator = len(train_sim.site_accuracies(runner.config.min_executions))
+        denominator = len(train_sim.site_accuracies(DEFAULT_MIN_EXECUTIONS))
         row = {"workload": wl.name}
         for others in runner.incremental_input_sets(wl.name):
             truth = runner.ground_truth(wl.name, predictor, others)

@@ -52,9 +52,7 @@ LOCK_SUFFIX = ".lock"
 
 
 def _observe_publish(seconds: float) -> None:
-    get_registry().histogram(
-        "cachefs_publish_seconds", "atomic artifact publication wall time"
-    ).observe(seconds)
+    get_registry().histogram("cachefs_publish_seconds").observe(seconds)
 
 
 def _atomic_publish(path: str | Path, write: Callable[[BinaryIO], object]) -> Path:
@@ -129,9 +127,8 @@ def artifact_lock(path: str | Path) -> Iterator[None]:
                                artifact=Path(path).name):
             start = time.perf_counter()
             fcntl.flock(fd, fcntl.LOCK_EX)
-            get_registry().histogram(
-                "cachefs_lock_wait_seconds", "artifact flock acquisition wait"
-            ).observe(time.perf_counter() - start)
+            get_registry().histogram("cachefs_lock_wait_seconds").observe(
+                time.perf_counter() - start)
         try:
             yield
         finally:

@@ -10,7 +10,6 @@ runs across figures.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import os
 import zipfile
@@ -23,13 +22,7 @@ import numpy as np
 from repro.errors import ExperimentError, TraceError
 from repro.cachefs import artifact_lock, atomic_savez
 from repro.obs import get_registry, get_tracer
-from repro.core.groundtruth import (
-    DEFAULT_MIN_EXECUTIONS,
-    DEFAULT_THRESHOLD,
-    GroundTruth,
-    dynamic_dependent_fraction,
-    ground_truth,
-)
+from repro.core.groundtruth import GroundTruth, dynamic_dependent_fraction, ground_truth
 from repro.core.metrics import CovAccMetrics, evaluate_detection
 from repro.core.profiler2d import ProfilerConfig, TwoDReport, profile_trace
 from repro.predictors import make_predictor
@@ -41,6 +34,10 @@ from repro.workloads import get_workload
 log = logging.getLogger(__name__)
 
 _A = TypeVar("_A")
+
+#: Read and write the on-disk artifact cache; tests turn it off to run
+#: the pipeline in memory only.
+USE_DISK_CACHE = True
 
 
 def default_cache_dir() -> Path:
@@ -55,20 +52,14 @@ def default_cache_dir() -> Path:
 class SuiteConfig:
     """Shared parameters of one experiment campaign.
 
-    ``jobs`` is the default worker-process count for :meth:`ExperimentRunner.prefetch`
-    (1 = in-process serial; 0/None = one per CPU).  ``warehouse_dir``
-    enables the profile warehouse: every profiling run is auto-ingested
-    into the columnar store at that path (see :mod:`repro.store`).
+    ``jobs`` is the worker-process count of :meth:`ExperimentRunner.prefetch`
+    (1 = in-process serial; 0/None = one per CPU).
     """
 
     scale: float = 1.0
     cache_dir: Path = field(default_factory=default_cache_dir)
     profiler: ProfilerConfig = field(default_factory=ProfilerConfig)
-    dep_threshold: float = DEFAULT_THRESHOLD
-    min_executions: int = DEFAULT_MIN_EXECUTIONS
-    use_disk_cache: bool = True
     jobs: int = 1
-    warehouse_dir: Path | None = None
 
 
 class ExperimentRunner:
@@ -78,22 +69,6 @@ class ExperimentRunner:
         self.config = config or SuiteConfig()
         self._traces: dict[tuple[str, str], BranchTrace] = {}
         self._sims: dict[tuple[str, str, str], SimulationResult] = {}
-        self._warehouse = None
-
-    @property
-    def warehouse(self):
-        """The configured :class:`~repro.store.warehouse.ProfileWarehouse`.
-
-        Raises :class:`ExperimentError` when ``SuiteConfig.warehouse_dir``
-        is unset — callers must opt in to the store.
-        """
-        if self.config.warehouse_dir is None:
-            raise ExperimentError("SuiteConfig.warehouse_dir is not configured")
-        if self._warehouse is None:
-            from repro.store import ProfileWarehouse
-
-            self._warehouse = ProfileWarehouse(self.config.warehouse_dir)
-        return self._warehouse
 
     # ------------------------------------------------------------------
     # Cache paths
@@ -140,7 +115,7 @@ class ExperimentRunner:
         :meth:`_try_load`).
         """
         with get_tracer().span(f"experiment.{kind}", cat="experiment", **span_attrs) as sp:
-            if not self.config.use_disk_cache:
+            if not USE_DISK_CACHE:
                 sp.set("cache", "off")
                 return compute()
             artifact = self._try_load(path, load, kind)
@@ -163,9 +138,7 @@ class ExperimentRunner:
 
     @staticmethod
     def _count_cache(outcome: str, kind: str) -> None:
-        get_registry().counter(
-            f"cache_{outcome}_total", f"disk-cache {outcome} by artifact kind"
-        ).labels(kind=kind).inc()
+        get_registry().counter(f"cache_{outcome}_total").labels(kind=kind).inc()
 
     @classmethod
     def _try_load(cls, path: Path, load: Callable[[Path], _A], kind: str = "artifact") -> _A | None:
@@ -230,22 +203,19 @@ class ExperimentRunner:
         self,
         sims: Iterable[tuple[str, str, str]] = (),
         traces: Iterable[tuple[str, str]] = (),
-        jobs: int | None = None,
     ):
         """Warm the cache for a grid of artifacts, possibly in parallel.
 
         ``sims`` is an iterable of (workload, input, predictor) triples and
         ``traces`` of extra (workload, input) pairs not implied by a sim.
-        With ``jobs`` != 1 the work fans out over worker processes with
+        With ``SuiteConfig.jobs`` != 1 the work fans out over worker processes with
         traces computed before the simulations that replay them; see
         :class:`repro.core.parallel.ParallelRunner`.  Returns its
         :class:`repro.core.parallel.WarmStats`.
         """
         from repro.core.parallel import ParallelRunner
 
-        if jobs is None:
-            jobs = self.config.jobs
-        return ParallelRunner(self, jobs=jobs).warm(sims, traces)
+        return ParallelRunner(self, jobs=self.config.jobs).warm(sims, traces)
 
     @staticmethod
     def _save_sim(path: Path, sim: SimulationResult) -> None:
@@ -284,26 +254,10 @@ class ExperimentRunner:
         input_name: str = "train",
         config: ProfilerConfig | None = None,
     ) -> TwoDReport:
-        """Run 2D-profiling for a workload (train input, by default).
-
-        With ``SuiteConfig.warehouse_dir`` set, the report (profiled with
-        ``keep_series=True``) is also ingested into the profile warehouse;
-        identical re-runs dedupe against the stored copy.
-        """
+        """Run 2D-profiling for a workload (train input, by default)."""
         trace = self.trace(workload, input_name)
         sim = self.simulation(workload, input_name, predictor)
-        config = config or self.config.profiler
-        if self.config.warehouse_dir is not None and not config.keep_series:
-            config = dataclasses.replace(config, keep_series=True)
-        report = profile_trace(trace, simulation=sim, config=config)
-        if self.config.warehouse_dir is not None:
-            from repro.store import IngestRun
-
-            self.warehouse.ingest([IngestRun(
-                report, workload, input_name, predictor,
-                scale=self.config.scale, sim=sim, source="experiment",
-            )])
-        return report
+        return profile_trace(trace, simulation=sim, config=config or self.config.profiler)
 
     def ground_truth(
         self,
@@ -320,8 +274,6 @@ class ExperimentRunner:
         return ground_truth(
             self.simulation(workload, "train", predictor),
             [self.simulation(workload, name, predictor) for name in others],
-            threshold=self.config.dep_threshold,
-            min_executions=self.config.min_executions,
         )
 
     def evaluate(
@@ -330,7 +282,6 @@ class ExperimentRunner:
         profiler_predictor: str = "gshare",
         target_predictor: str | None = None,
         others: list[str] | None = None,
-        config: ProfilerConfig | None = None,
     ) -> CovAccMetrics:
         """End-to-end COV/ACC of 2D-profiling for one workload.
 
@@ -339,7 +290,7 @@ class ExperimentRunner:
         enabling the paper's Section 5.3 cross-predictor experiment.
         """
         target_predictor = target_predictor or profiler_predictor
-        report = self.profile_2d(workload, profiler_predictor, config=config)
+        report = self.profile_2d(workload, profiler_predictor)
         truth = self.ground_truth(workload, target_predictor, others)
         return evaluate_detection(report.input_dependent_sites(), truth)
 
@@ -347,10 +298,9 @@ class ExperimentRunner:
         self,
         workload: str,
         predictor: str = "gshare",
-        others: list[str] | None = None,
     ) -> tuple[float, float]:
         """(dynamic, static) fraction of input-dependent branches (Fig. 3)."""
-        truth = self.ground_truth(workload, predictor, others)
+        truth = self.ground_truth(workload, predictor)
         ref_sim = self.simulation(workload, "ref", predictor)
         return dynamic_dependent_fraction(ref_sim, truth), truth.dependent_fraction
 

@@ -66,19 +66,15 @@ class WarmStats:
 # ----------------------------------------------------------------------
 
 
-def _queue_wait(submit_ts: float | None) -> float:
+def _queue_wait(submit_ts: float) -> float:
     """Seconds this task sat in the pool's queue (wall clock, same host)."""
-    if submit_ts is None:
-        return 0.0
     wait_s = max(0.0, time.time() - submit_ts)
-    get_registry().histogram(
-        "parallel_queue_wait_seconds", "submit-to-start latency of warm tasks"
-    ).observe(wait_s)
+    get_registry().histogram("parallel_queue_wait_seconds").observe(wait_s)
     return wait_s
 
 
 def _warm_trace(config, workload: str, input_name: str,
-                spool_dir=None, submit_ts: float | None = None) -> TraceSpec:
+                spool_dir, submit_ts: float) -> TraceSpec:
     from repro.core.experiment import ExperimentRunner
 
     with worker_capture(spool_dir):
@@ -90,7 +86,7 @@ def _warm_trace(config, workload: str, input_name: str,
 
 
 def _warm_sim(config, workload: str, input_name: str, predictor: str,
-              spool_dir=None, submit_ts: float | None = None) -> SimSpec:
+              spool_dir, submit_ts: float) -> SimSpec:
     from repro.core.experiment import ExperimentRunner
 
     with worker_capture(spool_dir):
@@ -126,17 +122,13 @@ class ParallelRunner:
                 [tuple(t) for t in traces] + [(w, i) for (w, i, _p) in sim_specs]
             )
         )
-        parallel = self.jobs > 1 and self.runner.config.use_disk_cache
+        parallel = self.jobs > 1
         with get_tracer().span("warm", cat="parallel", jobs=self.jobs,
                                traces=len(trace_specs), sims=len(sim_specs),
                                mode="parallel" if parallel else "serial"):
             if parallel:
                 self._warm_parallel(trace_specs, sim_specs)
             else:
-                if self.jobs > 1:
-                    log.warning(
-                        "disk cache disabled; parallel warm-up would be lost — running serially"
-                    )
                 self._warm_serial(trace_specs, sim_specs)
         return WarmStats(jobs=self.jobs, traces=len(trace_specs), sims=len(sim_specs))
 
@@ -154,9 +146,7 @@ class ParallelRunner:
         sweep_tmp_files(config.cache_dir / "sims")
         config.cache_dir.mkdir(parents=True, exist_ok=True)
         spool_dir = tempfile.mkdtemp(prefix="obs-spool-", dir=config.cache_dir)
-        pending_gauge = get_registry().gauge(
-            "parallel_pending_tasks", "warm tasks submitted but not finished"
-        )
+        pending_gauge = get_registry().gauge("parallel_pending_tasks")
 
         # Group each trace's dependent simulations so they can be
         # released as soon as that trace is published.

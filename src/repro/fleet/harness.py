@@ -35,6 +35,9 @@ from repro.service.server import ServerThread
 #: Generous per-shard session limit so loadgen runs don't trip it.
 DEFAULT_MAX_SESSIONS = 4096
 
+#: Socket timeout of :meth:`FleetHarness.client` connections.
+CLIENT_TIMEOUT = 60.0
+
 
 def _optional_dir(root: Path, name: str, value) -> Path | None:
     """``False``/``None`` -> off, ``True`` -> ``root/name``, else the path."""
@@ -99,11 +102,12 @@ class FleetHarness:
             flight_dir=self.telemetry_dir / "flight" if self.telemetry_dir else None,
             log_dir=self.telemetry_dir / "logs" if self.telemetry_dir else None,
         )
-        self._router_opts = dict(host=host, port=port)
-        self._telemetry_opts = dict(
-            scrape_interval=scrape_interval, rules=rules, watchdog=watchdog,
-            warehouse_dir=self.warehouse_dir,
-            triage_min_interval=triage_min_interval)
+        self._host = host
+        self._port = port
+        self._scrape_interval = scrape_interval
+        self._rules = rules
+        self._watchdog = watchdog
+        self._triage_min_interval = triage_min_interval
         self.telemetry = None
         #: The :class:`ServerThread` hosting the router; ``join()`` it to
         #: wait for a ``fleet drain``, ``shutdown()`` it to stop serving.
@@ -136,14 +140,19 @@ class FleetHarness:
                 self.telemetry_dir,
                 shard_map=shard_map,
                 supervisor=self.supervisor,
-                **self._telemetry_opts,
+                rules=self._rules,
+                scrape_interval=self._scrape_interval,
+                watchdog=self._watchdog,
+                warehouse_dir=self.warehouse_dir,
+                triage_min_interval=self._triage_min_interval,
             )
         router = FleetRouter(
             shard_map,
             registry_dir=self.registry_dir,
+            host=self._host,
+            port=self._port,
             supervisor=self.supervisor,
             telemetry=self.telemetry,
-            **self._router_opts,
         )
         if self.telemetry is not None:
             self.telemetry.scraper.local_registries["router"] = router.metrics
@@ -183,9 +192,9 @@ class FleetHarness:
     def port(self) -> int:
         return self.router.port
 
-    def client(self, timeout: float = 60.0) -> StreamingClient:
+    def client(self) -> StreamingClient:
         """A blocking client connected through the router."""
-        return StreamingClient(self.host, self.port, timeout=timeout)
+        return StreamingClient(self.host, self.port, timeout=CLIENT_TIMEOUT)
 
     # -- fleet operations ----------------------------------------------
 

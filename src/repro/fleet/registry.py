@@ -40,13 +40,12 @@ class SessionRegistry:
     def _path(self, session: str) -> Path:
         return self.root / f"{validate_session_name(session)}{_SUFFIX}"
 
-    def record(self, session: str, shard: str, events: int, status: str = "open") -> None:
+    def record(self, session: str, shard: str, events: int) -> None:
         """Publish ``session``'s current owner and progress."""
         entry = {
             "session": session,
             "shard": shard,
             "events": int(events),
-            "status": status,
             "updated_at": time.time(),
         }
         atomic_write_bytes(self._path(session), json.dumps(entry).encode("utf-8"))

@@ -56,6 +56,12 @@ from repro.service.metrics import stats_view
 
 log = logging.getLogger(__name__)
 
+#: Seconds an unreachable shard is skipped before the router tries it again.
+DEAD_COOLDOWN = 2.0
+
+#: Seconds the router waits to open a connection to a shard.
+CONNECT_TIMEOUT = 5.0
+
 
 class _ShardDown(Exception):
     """Transport-level failure talking to one shard (not an error reply)."""
@@ -122,8 +128,6 @@ class FleetRouter:
         host: str = "127.0.0.1",
         port: int = 0,
         supervisor=None,
-        dead_cooldown: float = 2.0,
-        connect_timeout: float = 5.0,
         telemetry=None,
     ):
         self.shard_map = shard_map
@@ -137,18 +141,11 @@ class FleetRouter:
         #: Optional :class:`~repro.obs.telemetry.FleetTelemetry`; when
         #: present, ``fleet_status`` includes scrape ages and alert state.
         self.telemetry = telemetry
-        self.dead_cooldown = dead_cooldown
-        self.connect_timeout = connect_timeout
         self.metrics = Registry()
-        self._frames = self.metrics.counter(
-            "router_frames_total", "frames forwarded or answered by the router")
-        self._shard_failures = self.metrics.counter(
-            "router_shard_failures_total", "transport failures talking to shards")
-        self._reroutes = self.metrics.counter(
-            "router_reroutes_total", "sessions placed away from their preferred shard")
-        self._latency = self.metrics.histogram(
-            "router_frame_latency_seconds",
-            "router-side wall time per frame (includes the shard round trip)")
+        self._frames = self.metrics.counter("router_frames_total")
+        self._shard_failures = self.metrics.counter("router_shard_failures_total")
+        self._reroutes = self.metrics.counter("router_reroutes_total")
+        self._latency = self.metrics.histogram("router_frame_latency_seconds")
         self._dead_until: dict[str, float] = {}
         self._next_id = 1
         self._server: asyncio.AbstractServer | None = None
@@ -198,7 +195,7 @@ class FleetRouter:
         return asyncio.get_running_loop().time() >= self._dead_until.get(shard, 0.0)
 
     def _mark_dead(self, shard: str) -> None:
-        self._dead_until[shard] = asyncio.get_running_loop().time() + self.dead_cooldown
+        self._dead_until[shard] = asyncio.get_running_loop().time() + DEAD_COOLDOWN
         self._shard_failures.inc()
 
     async def _backend(self, state: _ConnState, shard: str):
@@ -211,7 +208,7 @@ class FleetRouter:
         try:
             pair = await asyncio.wait_for(
                 asyncio.open_connection(spec.host, spec.port),
-                timeout=self.connect_timeout,
+                timeout=CONNECT_TIMEOUT,
             )
         except (OSError, asyncio.TimeoutError) as exc:
             self._mark_dead(shard)

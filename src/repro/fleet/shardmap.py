@@ -45,10 +45,8 @@ def rendezvous_score(shard_name: str, session: str) -> int:
 class ShardMap:
     """A mutable set of shards with deterministic session placement."""
 
-    def __init__(self, shards: tuple[ShardSpec, ...] | list[ShardSpec] = ()):
+    def __init__(self):
         self._shards: dict[str, ShardSpec] = {}
-        for spec in shards:
-            self.add(spec)
 
     # -- membership -----------------------------------------------------
 

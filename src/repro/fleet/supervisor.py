@@ -42,6 +42,9 @@ log = logging.getLogger(__name__)
 
 _LISTEN_PREFIX = "listening on "
 
+#: Seconds a shard gets to announce its port, and to finish a SIGTERM drain.
+SHARD_TIMEOUT = 30.0
+
 
 def _child_env() -> dict:
     """The child's environment, with this repro importable on PYTHONPATH."""
@@ -80,7 +83,7 @@ class ShardProcess:
         self.spec: ShardSpec | None = None
         self.started_at: float | None = None
 
-    def start(self, timeout: float = 30.0) -> ShardSpec:
+    def start(self) -> ShardSpec:
         """Spawn the server and wait for it to announce its bound port."""
         cmd = [
             sys.executable, "-m", "repro.cli", "serve",
@@ -103,14 +106,14 @@ class ShardProcess:
         self.proc = subprocess.Popen(
             cmd, stdout=subprocess.PIPE, env=_child_env(), text=True)
         self.started_at = time.time()
-        self.spec = ShardSpec(self.name, self.host, self._await_port(timeout))
+        self.spec = ShardSpec(self.name, self.host, self._await_port())
         log.info("shard %s: pid %d on %s", self.name, self.proc.pid, self.spec.address)
         return self.spec
 
-    def _await_port(self, timeout: float) -> int:
+    def _await_port(self) -> int:
         """Read the child's ``listening on host:port`` line (with deadline)."""
         assert self.proc is not None and self.proc.stdout is not None
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + SHARD_TIMEOUT
         while True:
             if self.proc.poll() is not None:
                 raise ServiceError(
@@ -124,7 +127,8 @@ class ShardProcess:
                     continue  # loop reports the exit code
             if time.monotonic() > deadline:
                 self.kill()
-                raise ServiceError(f"shard {self.name} did not bind within {timeout}s")
+                raise ServiceError(
+                    f"shard {self.name} did not bind within {SHARD_TIMEOUT}s")
 
     @property
     def pid(self) -> int | None:
@@ -139,13 +143,13 @@ class ShardProcess:
             return None
         return time.time() - self.started_at
 
-    def terminate(self, timeout: float = 30.0) -> None:
+    def terminate(self) -> None:
         """SIGTERM (graceful drain: every session checkpointed) and wait."""
         if self.alive():
             assert self.proc is not None
             self.proc.send_signal(signal.SIGTERM)
             try:
-                self.proc.wait(timeout=timeout)
+                self.proc.wait(timeout=SHARD_TIMEOUT)
             except subprocess.TimeoutExpired:
                 log.warning("shard %s ignored SIGTERM; killing", self.name)
                 self.kill()
@@ -299,7 +303,7 @@ class FleetSupervisor:
         process.kill()
         return pid
 
-    def stop_all(self, timeout: float = 30.0) -> None:
+    def stop_all(self) -> None:
         """Gracefully drain every shard (SIGTERM, wait)."""
         for process in self.processes.values():
             if process.alive():
@@ -308,7 +312,7 @@ class FleetSupervisor:
         for process in self.processes.values():
             if process.proc is not None:
                 try:
-                    process.proc.wait(timeout=timeout)
+                    process.proc.wait(timeout=SHARD_TIMEOUT)
                 except subprocess.TimeoutExpired:
                     process.kill()
                 process.close_pipe()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import time
 from pathlib import Path
 
@@ -55,10 +54,9 @@ def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1e3:.2f}ms"
 
 
-def shard_sources(tsdb: MetricTSDB, window: float = 300.0,
-                  now: float | None = None) -> list[str]:
-    """Scrape sources that look like shards (recently seen, not system)."""
-    seen = tsdb.sources(window=window, now=now)
+def shard_sources(tsdb: MetricTSDB, now: float | None = None) -> list[str]:
+    """Scrape sources seen in the last 5 minutes that are not system planes."""
+    seen = tsdb.sources(window=300.0, now=now)
     return sorted(name for name in seen if name not in _SYSTEM_SOURCES)
 
 
@@ -166,29 +164,24 @@ def run_top(
     window: float = 10.0,
     once: bool = False,
     as_json: bool = False,
-    iterations: int | None = None,
-    out=None,
 ) -> int:
     """The ``top`` command loop; returns a process exit code.
 
     Exit code 2 when ``--once`` finds alerts firing, so CI can assert on
     fleet health with a single invocation.
     """
-    out = sys.stdout if out is None else out
     tsdb = MetricTSDB(tsdb_dir)
-    count = 0
     try:
         while True:
             view = overview(tsdb, window=window)
             if as_json:
-                print(json.dumps(view), file=out, flush=True)
+                print(json.dumps(view), flush=True)
             else:
                 if not once:
-                    print("\x1b[2J\x1b[H", end="", file=out)
-                print(render(view), file=out, flush=True)
-            count += 1
-            if once or (iterations is not None and count >= iterations):
-                return 2 if (once and view["alerts"]) else 0
+                    print("\x1b[2J\x1b[H", end="")
+                print(render(view), flush=True)
+            if once:
+                return 2 if view["alerts"] else 0
             time.sleep(interval)
     except KeyboardInterrupt:
         return 0

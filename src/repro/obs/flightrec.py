@@ -51,16 +51,10 @@ class FlightRecorder:
         self,
         out_dir: str | Path,
         name: str = "proc",
-        capacity: int = DEFAULT_CAPACITY,
-        min_interval: float = DEFAULT_MIN_INTERVAL,
-        hot_sample: int = DEFAULT_HOT_SAMPLE,
         tracer: Tracer | None = None,
     ):
         self.out_dir = Path(out_dir)
         self.name = name
-        self.capacity = capacity
-        self.min_interval = min_interval
-        self.hot_sample = hot_sample
         self.tracer = tracer if tracer is not None else get_tracer()
         self._lock = threading.Lock()
         self._last_dump = 0.0
@@ -80,8 +74,8 @@ class FlightRecorder:
         self._was_enabled = self.tracer.enabled
         self._was_hot_sample = self.tracer.hot_sample
         self._was_cpu_time = self.tracer.cpu_time
-        self.tracer.configure(enabled=True, capacity=self.capacity,
-                              hot_sample=self.hot_sample, cpu_time=False)
+        self.tracer.configure(enabled=True, capacity=DEFAULT_CAPACITY,
+                              hot_sample=DEFAULT_HOT_SAMPLE, cpu_time=False)
 
     def disarm(self) -> None:
         """Restore the tracer's pre-arm enabled and sampling state."""
@@ -97,7 +91,7 @@ class FlightRecorder:
         """
         now = time.time()
         with self._lock:
-            if not force and now - self._last_dump < self.min_interval:
+            if not force and now - self._last_dump < DEFAULT_MIN_INTERVAL:
                 return None
             if not self.tracer.events():
                 return None

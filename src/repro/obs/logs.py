@@ -20,11 +20,9 @@ anything unparsable, the same corruption-as-miss stance the TSDB takes.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import os
-import sys
 import threading
 import time
 from pathlib import Path
@@ -82,47 +80,38 @@ def log_event(logger: logging.Logger, event: str,
 _configure_lock = threading.Lock()
 
 
-def configure_logging(
-    path: str | Path | None = None,
-    stream: io.TextIOBase | None = None,
-    level: int = logging.INFO,
-    logger_name: str = "repro",
-) -> logging.Handler:
+def configure_logging(path: str | Path) -> logging.Handler:
     """Install a JSON-lines handler on the ``repro`` logger tree.
 
-    ``path`` appends to a per-process file (``<path>`` is used verbatim;
-    fleet callers pass ``logs/<shard>.jsonl`` so processes never share a
-    file handle).  Without a path, records go to ``stream`` (default
-    stderr).  Idempotent per target: reconfiguring with the same path
-    replaces the previous JSON handler instead of stacking duplicates.
+    Records append to ``path``, used verbatim; fleet callers pass
+    ``logs/<shard>.jsonl`` so processes never share a file handle.
+    Reconfiguring replaces the previous JSON handler instead of stacking
+    duplicates.
     """
-    if path is not None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handler: logging.Handler = logging.FileHandler(path, encoding="utf-8")
-    else:
-        handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handler = logging.FileHandler(path, encoding="utf-8")
     handler.setFormatter(JsonLineFormatter())
-    logger = logging.getLogger(logger_name)
+    logger = logging.getLogger("repro")
     with _configure_lock:
         for old in list(logger.handlers):
             if isinstance(old.formatter, JsonLineFormatter):
                 logger.removeHandler(old)
                 old.close()
         logger.addHandler(handler)
-        if logger.level == logging.NOTSET or logger.level > level:
-            logger.setLevel(level)
+        if logger.level == logging.NOTSET or logger.level > logging.INFO:
+            logger.setLevel(logging.INFO)
     return handler
 
 
 # -- querying ------------------------------------------------------------
 
-#: Suffix multipliers for relative ``--since``/``--until`` durations.
+#: Suffix multipliers for relative ``--since`` durations.
 _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
 
 def parse_since(text: str, now: float | None = None) -> float:
-    """An absolute epoch timestamp from ``--since``/``--until`` input.
+    """An absolute epoch timestamp from ``--since`` input.
 
     Accepts either an epoch-seconds float (``1717171717.5`` — the only
     form the flag used to take) or a relative duration ``<number><unit>``
@@ -157,7 +146,6 @@ def read_logs(
     level: str | None = None,
     trace_id: str | None = None,
     since: float | None = None,
-    until: float | None = None,
     grep: str | None = None,
 ) -> Iterator[dict]:
     """Yield matching records from a log file or directory, oldest first.
@@ -184,8 +172,6 @@ def read_logs(
                     if not isinstance(ts, (int, float)):
                         continue
                     if since is not None and ts < since:
-                        continue
-                    if until is not None and ts > until:
                         continue
                     if event is not None and doc.get("event") != event:
                         continue

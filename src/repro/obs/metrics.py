@@ -81,13 +81,12 @@ def _label_str(key: tuple) -> str:
 
 
 class _Metric:
-    """Shared machinery: identity, help text, and labeled children."""
+    """Shared machinery: identity and labeled children."""
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str, lock: threading.Lock):
+    def __init__(self, name: str, lock: threading.Lock):
         self.name = name
-        self.help = help
         self._lock = lock
         self._children: dict[tuple, _Metric] = {}
 
@@ -110,8 +109,8 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, lock: threading.Lock):
-        super().__init__(name, help, lock)
+    def __init__(self, name: str, lock: threading.Lock):
+        super().__init__(name, lock)
         self._value = 0
 
     def inc(self, amount: int | float = 1) -> None:
@@ -130,7 +129,7 @@ class Counter(_Metric):
             return self._value + sum(c._value for c in self._children.values())
 
     def _make_child(self) -> "Counter":
-        return Counter(self.name, self.help, self._lock)
+        return Counter(self.name, self._lock)
 
 
 class Gauge(_Metric):
@@ -138,8 +137,8 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, lock: threading.Lock):
-        super().__init__(name, help, lock)
+    def __init__(self, name: str, lock: threading.Lock):
+        super().__init__(name, lock)
         self._value = 0
 
     def set(self, value: int | float) -> None:
@@ -150,16 +149,16 @@ class Gauge(_Metric):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: int | float = 1) -> None:
+    def dec(self) -> None:
         with self._lock:
-            self._value -= amount
+            self._value -= 1
 
     @property
     def value(self) -> int | float:
         return self._value
 
     def _make_child(self) -> "Gauge":
-        return Gauge(self.name, self.help, self._lock)
+        return Gauge(self.name, self._lock)
 
 
 class Histogram(_Metric):
@@ -173,9 +172,8 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str, lock: threading.Lock,
-                 buckets: tuple = DEFAULT_BUCKETS):
-        super().__init__(name, help, lock)
+    def __init__(self, name: str, lock: threading.Lock, buckets: tuple):
+        super().__init__(name, lock)
         self.buckets = tuple(sorted(buckets))
         self._counts = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
@@ -200,7 +198,7 @@ class Histogram(_Metric):
                                      floor=self.min, ceiling=self.max)
 
     def _make_child(self) -> "Histogram":
-        return Histogram(self.name, self.help, self._lock, self.buckets)
+        return Histogram(self.name, self._lock, self.buckets)
 
     def _merge_state(self, state: dict) -> None:
         """Fold a snapshot of another histogram into this one (bucket-wise)."""
@@ -238,18 +236,15 @@ class Registry:
                 )
             return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(
-            name, lambda: Counter(name, help, threading.Lock()), "counter")
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(name, lambda: Counter(name, threading.Lock()), "counter")
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(
-            name, lambda: Gauge(name, help, threading.Lock()), "gauge")
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(name, lambda: Gauge(name, threading.Lock()), "gauge")
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: tuple = DEFAULT_BUCKETS) -> Histogram:
+    def histogram(self, name: str, buckets: tuple = DEFAULT_BUCKETS) -> Histogram:
         return self._get_or_create(
-            name, lambda: Histogram(name, help, threading.Lock(), buckets), "histogram")
+            name, lambda: Histogram(name, threading.Lock(), buckets), "histogram")
 
     # -- export ---------------------------------------------------------
 

@@ -159,19 +159,15 @@ class AlertManager:
         tsdb: MetricTSDB,
         registry=None,
         on_fire=None,
-        on_resolve=None,
     ):
         self.rules = list(rules)
         self.tsdb = tsdb
         self.on_fire = on_fire
-        self.on_resolve = on_resolve
         self._lock = threading.Lock()
         self._state: dict = {}
         if registry is not None:
-            self._fired = registry.counter(
-                "slo_alerts_fired_total", "alerts that entered the firing state")
-            self._resolved = registry.counter(
-                "slo_alerts_resolved_total", "alerts that resolved")
+            self._fired = registry.counter("slo_alerts_fired_total")
+            self._resolved = registry.counter("slo_alerts_resolved_total")
         else:
             self._fired = self._resolved = None
 
@@ -220,8 +216,6 @@ class AlertManager:
             self._emit("alert_resolved", alert)
             if self._resolved is not None:
                 self._resolved.labels(rule=alert.rule).inc()
-            if self.on_resolve is not None:
-                self.on_resolve(alert)
         return firing
 
     def _measure(self, rule: SloRule, now: float, shard_sources: list,

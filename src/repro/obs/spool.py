@@ -35,19 +35,14 @@ _task_seq = itertools.count()
 
 
 @contextlib.contextmanager
-def worker_capture(spool_dir: str | Path | None) -> Iterator[None]:
+def worker_capture(spool_dir: str | Path) -> Iterator[None]:
     """Capture one worker task's spans + metric deltas into the spool.
 
     Inside the block the process-wide tracer is enabled (buffer cleared)
     and the process-wide registry is swapped for a fresh one, so the
     spooled snapshot holds exactly this task's deltas even when the pool
-    reuses a worker across tasks.  With ``spool_dir=None`` this is a
-    no-op passthrough, keeping the worker entry points cheap when the
-    parent did not ask for observability.
+    reuses a worker across tasks.
     """
-    if spool_dir is None:
-        yield
-        return
     from repro.cachefs import atomic_write_bytes
 
     tracer = obs_tracing.get_tracer()

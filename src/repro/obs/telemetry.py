@@ -48,8 +48,16 @@ DEFAULT_INTERVAL = 1.0
 #: Consecutive misses before the watchdog acts on a shard.
 DEFAULT_MISS_THRESHOLD = 2
 
+#: Seconds of the first watchdog backoff; each further restart of a
+#: crash-looping shard doubles it, up to ``BACKOFF_MAX``.
+BACKOFF_BASE = 1.0
+BACKOFF_MAX = 30.0
 
-def _deprioritize_current_thread(niceness: int = 10) -> None:
+#: Seconds a scrape waits for a shard's ``metrics`` connection.
+CONNECT_TIMEOUT = 2.0
+
+
+def _deprioritize_current_thread() -> None:
     """Lower the calling thread's scheduling priority (Linux only).
 
     The scraper shares a host — often a single core — with the router
@@ -58,7 +66,7 @@ def _deprioritize_current_thread(niceness: int = 10) -> None:
     demoted.  Elsewhere (or unprivileged failure) it's a silent no-op.
     """
     try:
-        os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), niceness)
+        os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 10)
     except (AttributeError, OSError):
         pass
 
@@ -74,7 +82,6 @@ class TelemetryScraper:
         interval: float = DEFAULT_INTERVAL,
         registry: Registry | None = None,
         on_tick=None,
-        connect_timeout: float = 2.0,
     ):
         self.tsdb = tsdb
         self.shard_map = shard_map
@@ -82,7 +89,6 @@ class TelemetryScraper:
         self.local_registries = dict(local_registries or {})
         self.interval = interval
         self.on_tick = on_tick
-        self.connect_timeout = connect_timeout
         #: Last successful scrape timestamp per source.
         self.last_seen: dict[str, float] = {}
         #: Consecutive misses per shard source (0 after any success).
@@ -91,10 +97,8 @@ class TelemetryScraper:
         self._thread: threading.Thread | None = None
         self.ticks = 0
         reg = registry if registry is not None else Registry()
-        self._scrapes = reg.counter(
-            "telemetry_scrapes_total", "successful shard metric scrapes")
-        self._miss_counter = reg.counter(
-            "telemetry_scrape_misses_total", "failed shard metric scrapes")
+        self._scrapes = reg.counter("telemetry_scrapes_total")
+        self._miss_counter = reg.counter("telemetry_scrape_misses_total")
 
     # -- one scrape round ------------------------------------------------
 
@@ -104,7 +108,7 @@ class TelemetryScraper:
 
         try:
             with StreamingClient(spec.host, spec.port,
-                                 timeout=self.connect_timeout) as client:
+                                 timeout=CONNECT_TIMEOUT) as client:
                 return client.metrics()
         except (OSError, ServiceError, ProtocolError):
             return None
@@ -185,32 +189,19 @@ class TelemetryScraper:
 class SupervisorWatchdog:
     """Auto-restarts shards the scraper can no longer reach."""
 
-    def __init__(
-        self,
-        supervisor,
-        miss_threshold: int = DEFAULT_MISS_THRESHOLD,
-        backoff_base: float = 1.0,
-        backoff_max: float = 30.0,
-        registry: Registry | None = None,
-        on_restart=None,
-    ):
+    def __init__(self, supervisor, registry: Registry | None = None):
         self.supervisor = supervisor
-        self.miss_threshold = miss_threshold
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.on_restart = on_restart
         self._lock = threading.Lock()
         self._not_before: dict[str, float] = {}
         self._streak: dict[str, int] = {}
         self.restarts: dict[str, int] = {}
         reg = registry if registry is not None else Registry()
-        self._restart_counter = reg.counter(
-            "watchdog_restarts_total", "shards respawned by the watchdog")
+        self._restart_counter = reg.counter("watchdog_restarts_total")
 
     def check(self, misses: dict[str, int], now: float | None = None) -> list[str]:
         """Respawn unhealthy shards; returns the names restarted.
 
-        A shard is unhealthy after ``miss_threshold`` consecutive scrape
+        A shard is unhealthy after ``DEFAULT_MISS_THRESHOLD`` consecutive scrape
         misses.  Dead processes are respawned directly; a process that is
         alive but unreachable for twice the threshold is presumed hung
         and killed first.  Each shard backs off exponentially
@@ -228,12 +219,12 @@ class SupervisorWatchdog:
                 if count == 0:
                     self._streak[name] = 0
                     continue
-                if count < self.miss_threshold:
+                if count < DEFAULT_MISS_THRESHOLD:
                     continue
                 if now < self._not_before.get(name, 0.0):
                     continue
                 alive = process.alive()
-                if alive and count < 2 * self.miss_threshold:
+                if alive and count < 2 * DEFAULT_MISS_THRESHOLD:
                     continue  # reachable-process grace: maybe just slow
                 if alive:
                     log_event(log, "watchdog_kill_hung", level=logging.WARNING,
@@ -257,12 +248,10 @@ class SupervisorWatchdog:
                 log_event(log, "watchdog_restarted_shard", level=logging.WARNING,
                           shard=name, misses=count, streak=streak,
                           backoff_s=self._backoff(streak))
-                if self.on_restart is not None:
-                    self.on_restart(name)
         return restarted
 
     def _backoff(self, streak: int) -> float:
-        return min(self.backoff_max, self.backoff_base * (2 ** max(streak - 1, 0)))
+        return min(BACKOFF_MAX, BACKOFF_BASE * (2 ** max(streak - 1, 0)))
 
 
 class FleetTelemetry:
@@ -273,27 +262,19 @@ class FleetTelemetry:
         root: str | Path,
         shard_map=None,
         supervisor=None,
-        local_registries: dict | None = None,
         rules=None,
         scrape_interval: float = DEFAULT_INTERVAL,
         watchdog: bool = True,
-        flight_dir: str | Path | None = None,
-        registry: Registry | None = None,
         warehouse_dir: str | Path | None = None,
-        triage_dir: str | Path | None = None,
         triage_min_interval: float = 60.0,
     ):
         self.root = Path(root)
-        self.registry = registry if registry is not None else Registry()
+        self.registry = Registry()
         self.tsdb = MetricTSDB(self.root / "tsdb")
         self.tsdb.set_meta(scrape_interval=scrape_interval)
         self.rules = list(rules) if rules is not None \
             else default_fleet_rules(scrape_interval)
-        locals_ = dict(local_registries or {})
-        locals_.setdefault("telemetry", self.registry)
-        self.flight = FlightRecorder(
-            Path(flight_dir) if flight_dir is not None else self.root / "flight",
-            name="router")
+        self.flight = FlightRecorder(self.root / "flight", name="router")
         self.alerts = AlertManager(
             self.rules, self.tsdb, registry=self.registry,
             on_fire=self._on_alert_fire)
@@ -302,15 +283,15 @@ class FleetTelemetry:
             if (watchdog and supervisor is not None) else None
         self.supervisor = supervisor
         self.scraper = TelemetryScraper(
-            self.tsdb, shard_map=shard_map, local_registries=locals_,
+            self.tsdb, shard_map=shard_map,
+            local_registries={"telemetry": self.registry},
             interval=scrape_interval, registry=self.registry,
             on_tick=self._on_tick)
         #: Alert-driven triage: with a warehouse attached, a firing rule
         #: (whose ``triage`` flag is set) produces a triage report next
         #: to the flight recordings.
         self.warehouse_dir = Path(warehouse_dir) if warehouse_dir else None
-        self.triage_dir = Path(triage_dir) if triage_dir \
-            else self.root / "triage"
+        self.triage_dir = self.root / "triage"
         self.triage_min_interval = triage_min_interval
         self.triage_reports = 0
         self.last_triage: dict | None = None
@@ -408,8 +389,7 @@ class FleetTelemetry:
         from repro.store import ProfileWarehouse
         from repro.triage import triage_runs
 
-        skipped = self.registry.counter(
-            "triage_skipped_total", "alert-driven triage passes skipped")
+        skipped = self.registry.counter("triage_skipped_total")
         if self.warehouse_dir is None:
             skipped.labels(reason="no_warehouse").inc()
             return None
@@ -446,9 +426,7 @@ class FleetTelemetry:
             "good": report.good_run, "bad": report.bad_run,
             "minimal_set": report.bisect["minimal_set"],
         }
-        self.registry.counter(
-            "triage_alert_reports_total",
-            "triage reports produced by the alert hook").inc()
+        self.registry.counter("triage_alert_reports_total").inc()
         log_event(log, "triage_report_written", reason=reason,
                   path=str(path), good=report.good_run, bad=report.bad_run,
                   minimal=len(report.bisect["minimal_set"]),

@@ -151,24 +151,23 @@ def current_ids() -> tuple[str | None, str | None]:
 class Tracer:
     """Process-wide span recorder with a bounded ring buffer."""
 
-    def __init__(self, enabled: bool = False, capacity: int = DEFAULT_CAPACITY,
-                 hot_sample: int = DEFAULT_HOT_SAMPLE, cpu_time: bool = True):
-        self.enabled = enabled
+    def __init__(self):
+        self.enabled = False
         #: Capture per-span thread CPU time (``cpu_ms``).  The reading is
         #: two ``thread_time_ns`` syscalls per span — cheap on bare metal,
         #: but that clock has no vDSO fast path and costs ~200us per call
         #: on some virtualized hosts, so continuous (flight-recorder)
         #: tracing turns it off and only explicit ``--trace`` runs pay it.
-        self.cpu_time = bool(cpu_time)
+        self.cpu_time = True
         #: Record 1-in-N of the spans declared ``hot_path=True``.  Event
         #: frames dominate span volume by orders of magnitude while being
         #: near-identical to each other, so sampling them keeps an armed
         #: flight recorder's ring covering a longer window at a fraction
         #: of the per-frame cost; open/close/control spans are always
         #: recorded (structured logs take their trace ids).
-        self.hot_sample = max(1, int(hot_sample))
+        self.hot_sample = DEFAULT_HOT_SAMPLE
         self._hot_seq = 0
-        self._events: deque = deque(maxlen=capacity)
+        self._events: deque = deque(maxlen=DEFAULT_CAPACITY)
 
     # -- recording ------------------------------------------------------
 

@@ -15,10 +15,12 @@ Durability follows the cache/warehouse idioms (:mod:`repro.cachefs`):
 * every appended line is complete-or-absent — the writer flushes whole
   lines, and a reader treats a torn or unparsable trailing line as a
   miss (a SIGKILLed writer loses at most the sample it was writing);
-* ``meta.json`` and compaction rewrites go through atomic publication
-  (write-tmp + rename), so no reader ever sees a half file;
-* segments rotate at a size bound and :meth:`compact` drops samples
-  older than the retention window, rewriting survivors atomically.
+* ``meta.json`` goes through atomic publication (write-tmp + rename),
+  so no reader ever sees a half file;
+* segments rotate at a size bound, and each rotation unlinks every
+  closed segment whose newest sample is older than the retention window
+  (retention is whole-segment: a segment lives until its last sample
+  expires).
 
 Samples are *flattened* snapshots: counters and gauges become scalar
 series keyed ``name`` or ``name{label="v",...}``; histograms keep their
@@ -57,7 +59,8 @@ __all__ = ["MetricTSDB", "Sample", "flatten_snapshot"]
 #: Rotate the active segment once it exceeds this many bytes.
 DEFAULT_SEGMENT_BYTES = 4 << 20
 
-#: Drop samples older than this during :meth:`MetricTSDB.compact`.
+#: A closed segment whose newest sample is this much older than the
+#: newest append is unlinked at the next rotation.
 DEFAULT_RETENTION_SECONDS = 24 * 3600.0
 
 #: Keep this many seconds of appended samples in the in-memory tail
@@ -185,18 +188,9 @@ def _increase(points: list) -> float:
 class MetricTSDB:
     """Append-only JSONL time-series store with window queries."""
 
-    def __init__(
-        self,
-        root: str | Path,
-        segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
-        retention_seconds: float = DEFAULT_RETENTION_SECONDS,
-        tail_seconds: float = DEFAULT_TAIL_SECONDS,
-    ):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.segment_max_bytes = segment_max_bytes
-        self.retention_seconds = retention_seconds
-        self.tail_seconds = tail_seconds
         self._lock = threading.Lock()
         self._fh = None
         indices = [self._segment_index(p) for p in self._segment_paths()]
@@ -213,17 +207,17 @@ class MetricTSDB:
         # falls through to the disk scan, where the writer's flushed
         # lines are visible.
         self._tail: deque = deque()
-        floor = time.time()
+        # Newest sample timestamp of each segment file, learned here and
+        # kept current by append_flat, so expiry at rotation reads no file.
+        self._newest: dict[Path, float] = {}
         for path in self._segment_paths():
             try:
                 text = path.read_text("utf-8")
             except OSError:
                 continue
-            for line in text.splitlines():
-                existing = self._parse_line(line)
-                if existing is not None and existing.ts > floor:
-                    floor = existing.ts
-        self._tail_floor = floor
+            samples = filter(None, map(self._parse_line, text.splitlines()))
+            self._newest[path] = max((s.ts for s in samples), default=-math.inf)
+        self._tail_floor = max([time.time(), *self._newest.values()])
 
     # -- layout ---------------------------------------------------------
 
@@ -285,17 +279,28 @@ class MetricTSDB:
             fh = self._writer()
             fh.write(line)
             fh.flush()
-            if fh.tell() >= self.segment_max_bytes:
+            path = self._segment_path(self._index)
+            self._newest[path] = max(self._newest.get(path, -math.inf), sample.ts)
+            if fh.tell() >= DEFAULT_SEGMENT_BYTES:
                 fh.close()
                 self._fh = None
                 self._index += 1
+                self._expire(sample.ts - DEFAULT_RETENTION_SECONDS)
             self._tail.append(sample)
-            cutoff = sample.ts - self.tail_seconds
+            cutoff = sample.ts - DEFAULT_TAIL_SECONDS
             while self._tail and self._tail[0].ts < cutoff:
                 pruned = self._tail.popleft()
                 if pruned.ts > self._tail_floor:
                     self._tail_floor = pruned.ts
         return sample
+
+    def _expire(self, cutoff: float) -> None:
+        """Unlink every closed segment whose newest sample is before ``cutoff``."""
+        for path, newest in list(self._newest.items()):
+            if newest < cutoff:
+                with _suppress_oserror():
+                    path.unlink()
+                del self._newest[path]
 
     def _writer(self):
         if self._fh is None or self._fh.closed:
@@ -482,53 +487,6 @@ class MetricTSDB:
         # A window delta has no observed min/max, so the default clamps
         # apply: 0 and the last finite bound.
         return bucket_percentile(merged["buckets"], merged["counts"], q)
-
-    # -- retention ------------------------------------------------------
-
-    def compact(self, now: float | None = None) -> dict:
-        """Enforce retention: drop expired segments, rewrite partial ones.
-
-        A segment whose newest sample is older than the retention window
-        is deleted; a segment straddling the cutoff is rewritten (via
-        atomic publication) with only the surviving samples.  The active
-        segment is never rewritten in place — it only ever grows.
-        """
-        from repro.cachefs import atomic_write_bytes
-
-        now = time.time() if now is None else now
-        cutoff = now - self.retention_seconds
-        removed = rewritten = kept = 0
-        with self._lock:
-            if self._fh is not None and not self._fh.closed:
-                self._fh.close()
-                self._fh = None
-            active = self._segment_path(self._index)
-            for path in self._segment_paths():
-                lines = []
-                expired = 0
-                try:
-                    text = path.read_text("utf-8")
-                except OSError:
-                    continue
-                for line in text.splitlines():
-                    sample = self._parse_line(line)
-                    if sample is None or sample.ts < cutoff:
-                        expired += 1
-                        continue
-                    lines.append(line)
-                if not lines:
-                    if path != active:
-                        with _suppress_oserror():
-                            path.unlink()
-                        removed += 1
-                    continue
-                if expired and path != active:
-                    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
-                    rewritten += 1
-                else:
-                    kept += 1
-        return {"segments_removed": removed, "segments_rewritten": rewritten,
-                "segments_kept": kept}
 
     def stats(self) -> dict:
         paths = self._segment_paths()

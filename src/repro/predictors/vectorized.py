@@ -813,9 +813,7 @@ def try_simulate_vectorized(predictor, trace: BranchTrace, reset: bool = True):
         predictions = kernel(predictor, trace.sites, trace.outcomes)
         if predictions is None:
             sp.set("fallback", True)
-            get_registry().counter(
-                "replay_fallbacks_total", "kernels that refused their input state",
-            ).labels(kind=kind).inc()
+            get_registry().counter("replay_fallbacks_total").labels(kind=kind).inc()
             log_event(log, "replay_fallback", kind=kind, predictor=predictor.name,
                       events=len(trace))
             return None
@@ -824,15 +822,10 @@ def try_simulate_vectorized(predictor, trace: BranchTrace, reset: bool = True):
         events_per_sec = len(trace) / elapsed if elapsed > 0 else 0.0
         sp.set("events_per_sec", round(events_per_sec, 1))
     registry = get_registry()
-    registry.counter("replay_events_total",
-                     "dynamic branches replayed (vectorized path)").labels(
-                         kind=kind).inc(len(trace))
-    registry.histogram("replay_seconds",
-                       "wall time of one vectorized replay").labels(
-                           kind=kind).observe(elapsed)
-    registry.gauge("replay_events_per_second",
-                   "throughput of the most recent vectorized replay").labels(
-                       kind=kind).set(round(events_per_sec, 1))
+    registry.counter("replay_events_total").labels(kind=kind).inc(len(trace))
+    registry.histogram("replay_seconds").labels(kind=kind).observe(elapsed)
+    registry.gauge("replay_events_per_second").labels(
+        kind=kind).set(round(events_per_sec, 1))
 
     exec_counts = np.bincount(trace.sites, minlength=trace.num_sites).astype(np.int64)
     correct_counts = np.bincount(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import socket
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -152,7 +152,8 @@ class StreamingClient:
         return self._checked(self._request(protocol.encode_control({"op": "stats"})))["stats"]
 
     def metrics(self) -> dict:
-        """The full registry snapshot reply (``snapshot`` + legacy ``stats``)."""
+        """The ``metrics`` reply: the registry ``snapshot`` and ``sessions``,
+        the events each live session has received."""
         return self._checked(self._request(protocol.encode_control({"op": "metrics"})))
 
     def control(self, payload: dict) -> dict:
@@ -186,7 +187,6 @@ def stream_simulation(
     checkpoint_every: int = 0,
     stop_after: Optional[int] = None,
     num_sites: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     meta: Optional[dict] = None,
 ) -> StreamOutcome:
     """Replay a correctness stream into a server session.
@@ -224,6 +224,4 @@ def stream_simulation(
         batches += 1
         if checkpoint_every and batches % checkpoint_every == 0:
             client.checkpoint(session)
-        if progress is not None:
-            progress(pos, total)
     return StreamOutcome(session, sent, pos, start, completed=True)

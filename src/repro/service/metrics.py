@@ -19,20 +19,20 @@ from repro.obs.metrics import Registry
 
 #: Monotonic counters exposed 1:1 in the stats frame, in payload order.
 _COUNTERS = (
-    ("connections_accepted", "TCP connections accepted"),
-    ("sessions_opened", "sessions opened fresh"),
-    ("sessions_resumed", "sessions resumed from checkpoint or memory"),
-    ("sessions_closed", "sessions closed by clients"),
-    ("sessions_evicted", "idle sessions checkpointed and evicted"),
-    ("events_total", "branch events folded into profilers"),
-    ("frames_total", "frames accepted"),
-    ("frames_rejected", "frames rejected (malformed or over limits)"),
-    ("checkpoints_written", "session checkpoints written"),
-    ("runs_ingested", "closed sessions finalized into the profile warehouse"),
-    ("warehouse_failures", "closed sessions whose warehouse ingest failed"),
-    ("queries_served", "query ops answered"),
-    ("bytes_in", "request bytes received (headers + payloads)"),
-    ("bytes_out", "reply bytes sent"),
+    "connections_accepted",
+    "sessions_opened",
+    "sessions_resumed",
+    "sessions_closed",
+    "sessions_evicted",
+    "events_total",
+    "frames_total",
+    "frames_rejected",
+    "checkpoints_written",
+    "runs_ingested",
+    "warehouse_failures",
+    "queries_served",
+    "bytes_in",
+    "bytes_out",
 )
 
 #: Frame latencies are sub-millisecond on the happy path; start the
@@ -52,23 +52,14 @@ class ServiceMetrics:
 
     def __init__(self):
         self.registry = Registry()
-        for name, help_text in _COUNTERS:
-            setattr(self, name, self.registry.counter(_registry_name(name), help_text))
-        self.connections_open = self.registry.gauge(
-            "service_connections_open", "currently open TCP connections")
-        self.sessions_active = self.registry.gauge(
-            "service_sessions_active", "currently live sessions")
-        self.uptime_seconds = self.registry.gauge(
-            "service_uptime_seconds", "seconds since this server started")
+        for name in _COUNTERS:
+            setattr(self, name, self.registry.counter(_registry_name(name)))
+        self.connections_open = self.registry.gauge("service_connections_open")
+        self.sessions_active = self.registry.gauge("service_sessions_active")
+        self.uptime_seconds = self.registry.gauge("service_uptime_seconds")
         self.frame_latency = self.registry.histogram(
-            "service_frame_latency_seconds",
-            "wall time from frame decode to reply encode",
-            buckets=_LATENCY_BUCKETS,
-        )
-        self.drain_seconds = self.registry.histogram(
-            "service_drain_seconds",
-            "wall time of SIGTERM drains (checkpoint every session, stop)",
-        )
+            "service_frame_latency_seconds", buckets=_LATENCY_BUCKETS)
+        self.drain_seconds = self.registry.histogram("service_drain_seconds")
         self.started_at = time.monotonic()
 
     def uptime(self) -> float:
@@ -96,7 +87,7 @@ def stats_view(snapshot: dict, sessions: dict[str, int]) -> dict:
         "events_per_second": (value("service_events_total") / uptime
                               if uptime > 0 else 0.0),
     }
-    for name, _help in _COUNTERS:
+    for name in _COUNTERS:
         payload[name] = value(_registry_name(name))
     payload["frame_latency"] = {
         "count": latency.get("count", 0),

@@ -134,15 +134,15 @@ def reframe_events(payload: bytes, session_id: int) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def split_header(header: bytes, max_frame: int = MAX_FRAME_BYTES) -> tuple[int, int]:
+def split_header(header: bytes) -> tuple[int, int]:
     """Validate a frame header; return (frame type, payload length)."""
     if len(header) != HEADER_BYTES:
         raise ProtocolError(f"truncated frame header ({len(header)} bytes)")
     frame_type, length = _HEADER.unpack(header)
     if frame_type not in _KNOWN_FRAMES:
         raise ProtocolError(f"unknown frame type 0x{frame_type:02x}")
-    if length > max_frame:
-        raise ProtocolError(f"frame length {length} exceeds limit {max_frame}")
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length {length} exceeds limit {MAX_FRAME_BYTES}")
     return frame_type, length
 
 
@@ -191,7 +191,7 @@ def read_frame_blocking(recv_exact) -> tuple[int, bytes] | None:
     return frame_type, payload
 
 
-async def read_frame_async(reader, max_frame: int = MAX_FRAME_BYTES) -> tuple[int, bytes] | None:
+async def read_frame_async(reader) -> tuple[int, bytes] | None:
     """Read one frame from an :class:`asyncio.StreamReader`.
 
     Returns ``None`` on clean EOF at a frame boundary; raises
@@ -205,7 +205,7 @@ async def read_frame_async(reader, max_frame: int = MAX_FRAME_BYTES) -> tuple[in
         if not exc.partial:
             return None
         raise ProtocolError("connection closed mid-header") from exc
-    frame_type, length = split_header(header, max_frame)
+    frame_type, length = split_header(header)
     try:
         payload = await reader.readexactly(length) if length else b""
     except asyncio.IncompleteReadError as exc:

@@ -74,8 +74,6 @@ class ServiceLimits:
     max_sessions: int = 256
     #: Maximum events one frame may carry; larger batches are rejected.
     max_batch_events: int = 1 << 20
-    #: Maximum frame payload bytes accepted from a client.
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     #: Seconds of inactivity before a session is checkpointed + evicted
     #: (``None`` disables the reaper).
     idle_timeout: Optional[float] = None
@@ -291,7 +289,7 @@ class ProfilingServer:
         try:
             while True:
                 try:
-                    frame = await protocol.read_frame_async(reader, self.limits.max_frame_bytes)
+                    frame = await protocol.read_frame_async(reader)
                 except protocol.ProtocolError as exc:
                     # Unusable header or torn frame: the stream cannot be
                     # re-synchronized, so reject and close this connection.

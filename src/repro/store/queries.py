@@ -18,10 +18,10 @@ ever replayed.  Four query families:
   the live pipeline uses, so labels match bit-for-bit.
 * **Cross-predictor joins** — :func:`join_runs` aligns two runs of the
   same (workload, input) under different predictors per branch.
-* **Windowed observation counts** — :meth:`StoredRun.window_counts`
-  extracts per-site good/bad slice-observation counters over a slice
-  window, the raw material of the triage engine's statistical
-  suspiciousness scores (:mod:`repro.triage.suspicion`).
+* **Observation counts** — :meth:`StoredRun.window_counts` extracts
+  per-site slice-observation counters over the whole run, the raw
+  material of the triage engine's statistical suspiciousness scores
+  (:mod:`repro.triage.suspicion`).
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ from repro.store.segments import SegmentReader
 
 def observe_query(kind: str, seconds: float) -> None:
     """Record one query's latency in the store's histogram."""
-    get_registry().histogram(
-        "store_query_seconds", "warehouse query latency"
-    ).labels(kind=kind).observe(seconds)
+    get_registry().histogram("store_query_seconds").labels(kind=kind).observe(seconds)
 
 
 class timed_query:
@@ -74,20 +72,18 @@ class timed_query:
 
 @dataclass(frozen=True)
 class WindowCounts:
-    """Per-site observation counters over one slice window.
+    """Per-site observation counters over a run's slices.
 
     The stored-run analogue of statistical fault localization's pass/fail
     coverage frequencies: ``total[site]`` counts the site's qualifying
-    slices inside the window, ``low[site]`` the subset whose raw accuracy
-    fell below ``line``.  :mod:`repro.triage.suspicion` combines a good
+    slices, ``low[site]`` the subset whose raw accuracy fell below
+    ``line``, the run's overall accuracy.  :mod:`repro.triage.suspicion` combines a good
     run's and a bad run's counters into tarantula/ochiai scores.
     """
 
     total: np.ndarray
     low: np.ndarray
     line: float
-    lo_slice: int
-    hi_slice: int
 
 
 class StoredRun:
@@ -109,12 +105,12 @@ class StoredRun:
     def overall_accuracy(self) -> float:
         return self.record.overall_accuracy
 
-    def thresholds(self, mean_th=..., std_th: float | None = None,
+    def thresholds(self, std_th: float | None = None,
                    pam_th: float | None = None) -> TestThresholds:
-        """The run's stored thresholds, with optional per-test overrides."""
+        """The run's stored thresholds, with optional STD/PAM overrides."""
         stored = ProfilerConfig.from_dict(self.record.config).thresholds
         return TestThresholds(
-            mean_th=stored.mean_th if mean_th is ... else mean_th,
+            mean_th=stored.mean_th,
             std_th=stored.std_th if std_th is None else std_th,
             pam_th=stored.pam_th if pam_th is None else pam_th,
         )
@@ -159,37 +155,24 @@ class StoredRun:
             )
         return self.reader.run_counts(self.record)
 
-    def window_counts(
-        self,
-        lo_slice: int = 0,
-        hi_slice: int | None = None,
-        low_line: float | None = None,
-    ) -> "WindowCounts":
-        """Per-site observation counters over a slice window.
+    def window_counts(self) -> "WindowCounts":
+        """Per-site observation counters over the whole run.
 
         Each qualifying slice of a branch is one *observation*; an
-        observation whose raw accuracy fell below ``low_line`` (default:
-        the run's overall accuracy) is a *low* observation.  Restricting
-        to ``[lo_slice, hi_slice)`` lets callers score only the window an
-        alert or a phase change points at.  These counters are what
+        observation whose raw accuracy fell below the run's overall
+        accuracy is a *low* observation.  These counters are what
         tarantula/ochiai-style suspiciousness scoring consumes — the
         stored-run analogue of good/bad coverage frequencies in
         statistical fault localization.
         """
         record = self.record
-        hi = record.n_slices if hi_slice is None else int(hi_slice)
-        lo = int(lo_slice)
-        line = record.overall_accuracy if low_line is None else float(low_line)
-        with timed_query("window_counts", run=record.run_id, lo=lo, hi=hi):
-            sites, slice_idx, acc = self._entries()
-            in_window = (slice_idx >= lo) & (slice_idx < hi)
-            total = np.bincount(
-                sites[in_window], minlength=record.num_sites).astype(np.int64)
+        line = record.overall_accuracy
+        with timed_query("window_counts", run=record.run_id):
+            sites, _slice_idx, acc = self._entries()
+            total = np.bincount(sites, minlength=record.num_sites).astype(np.int64)
             low = np.bincount(
-                sites[in_window & (acc < line)],
-                minlength=record.num_sites).astype(np.int64)
-            return WindowCounts(total=total, low=low, line=line,
-                                lo_slice=lo, hi_slice=hi)
+                sites[acc < line], minlength=record.num_sites).astype(np.int64)
+            return WindowCounts(total=total, low=low, line=line)
 
     def as_simulation(self) -> SimulationResult:
         """A counts-only :class:`SimulationResult` view for truth queries."""
@@ -211,7 +194,7 @@ class StoredRun:
 
     # -- derived statistics --------------------------------------------
 
-    def report(self, mean_th=..., std_th: float | None = None,
+    def report(self, std_th: float | None = None,
                pam_th: float | None = None) -> TwoDReport:
         """The run refolded into a :class:`TwoDReport` (no replay).
 
@@ -228,7 +211,7 @@ class StoredRun:
         series[slice_idx, sites] = acc
         config = replace(
             ProfilerConfig.from_dict(record.config),
-            thresholds=self.thresholds(mean_th, std_th, pam_th),
+            thresholds=self.thresholds(std_th, pam_th),
             keep_series=True,
         )
         return report_from_series(series, self.slice_overall(),
@@ -242,7 +225,6 @@ class StoredRun:
 
 def reclassify(
     run: StoredRun,
-    mean_th=...,
     std_th: float | None = None,
     pam_th: float | None = None,
 ) -> dict:
@@ -253,7 +235,7 @@ def reclassify(
     Returns ``{"run", "thresholds", "profiled", "input_dependent", "verdicts"}``.
     """
     with timed_query("reclassify", run=run.run_id):
-        report = run.report(mean_th=mean_th, std_th=std_th, pam_th=pam_th)
+        report = run.report(std_th=std_th, pam_th=pam_th)
         return {
             "run": run.run_id,
             "thresholds": asdict(report.thresholds),

@@ -18,8 +18,9 @@ Durability contract (mirrors the experiment cache's, tested in
   reference are leftovers of crashed ingests; :meth:`gc` sweeps them
   (and ``*.tmp`` litter).  They are never opened by queries.
 * **Corruption-as-miss** — a committed run whose segment files are later
-  truncated or overwritten fails validation; :meth:`find` skips it (so
-  callers re-ingest) and :meth:`check` names it for ``gc --purge-corrupt``.
+  truncated or overwritten fails validation; the ingest dedupe skips it
+  (so an identical run is stored again) and :meth:`check` names it for
+  ``gc --purge-corrupt``.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class ProfileWarehouse:
         """Latest *valid* stored run id per dedupe key, from one manifest read.
 
         The image's key index makes this cost the batch, not the store.
-        Candidates are validated exactly as :meth:`find` does: a corrupt
-        run is a miss and bumps ``store_corrupt_total``.
+        Each candidate is validated: a corrupt run is a miss and bumps
+        ``store_corrupt_total``.
         """
         manifest = self.manifest()
         index = {}
@@ -206,10 +207,10 @@ class ProfileWarehouse:
     @staticmethod
     def _count_ingest(runs: int, rows: int, sizes: dict[str, int]) -> None:
         registry = get_registry()
-        registry.counter("store_runs_total", "runs committed to the warehouse").inc(runs)
-        registry.counter("store_segments_total", "segments written").inc()
-        registry.counter("store_rows_total", "columnar entries committed").inc(rows)
-        registry.counter("store_bytes_total", "segment bytes written").inc(sum(sizes.values()))
+        registry.counter("store_runs_total").inc(runs)
+        registry.counter("store_segments_total").inc()
+        registry.counter("store_rows_total").inc(rows)
+        registry.counter("store_bytes_total").inc(sum(sizes.values()))
 
     # ------------------------------------------------------------------
     # Catalog
@@ -239,31 +240,13 @@ class ProfileWarehouse:
         ]
         return sorted(records, key=lambda rec: rec.run_id)
 
-    def find(
-        self,
-        workload: str,
-        input_name: str,
-        predictor: str,
-        digest: str | None = None,
-        scale: float | None = None,
-    ) -> RunRecord | None:
-        """Latest *valid* run under a key; corrupt candidates are misses."""
-        manifest = self.manifest()
-        return self._latest_valid(manifest, [
-            rec for rec in manifest.runs.values()
-            if rec.key == (workload, input_name, predictor)
-            and (digest is None or rec.digest == digest)
-            and (scale is None or rec.scale == scale)
-        ])
-
     def _latest_valid(self, manifest, candidates: list[RunRecord]) -> RunRecord | None:
         for rec in sorted(candidates, key=lambda rec: rec.run_id, reverse=True):
             try:
                 self._reader(manifest, rec).validate()
             except StoreError as exc:
                 log.warning("run %s unreadable (%s); treating as missing", rec.run_id, exc)
-                get_registry().counter(
-                    "store_corrupt_total", "runs skipped due to segment corruption").inc()
+                get_registry().counter("store_corrupt_total").inc()
                 continue
             return rec
         return None
@@ -445,6 +428,6 @@ class ProfileWarehouse:
             # Best-effort removal of superseded directories; gc can finish.
             for superseded_uid in superseded:
                 shutil.rmtree(self.segments_root / superseded_uid, ignore_errors=True)
-            get_registry().counter("store_compactions_total", "compaction passes").inc()
+            get_registry().counter("store_compactions_total").inc()
             sp.set("runs", stats.runs_rewritten)
             return stats

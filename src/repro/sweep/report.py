@@ -294,7 +294,6 @@ def population_runs(warehouse, tag: str, predictor: str | None = None) -> list:
 def population_report_from_store(
     warehouse,
     tag: str,
-    mean_th=...,
     std_th: float | None = None,
     pam_th: float | None = None,
     predictor: str | None = None,
@@ -314,7 +313,7 @@ def population_report_from_store(
     ):
         lane_rows = []
         for lane, run in enumerate(warehouse.open_runs(records)):
-            report = run.report(mean_th=mean_th, std_th=std_th, pam_th=pam_th)
+            report = run.report(std_th=std_th, pam_th=pam_th)
             lane_rows.append(
                 (lane, run.record.input, run.record.run_id, _lane_verdicts(report))
             )

@@ -29,7 +29,6 @@ from repro.predictors import make_predictor
 from repro.predictors.simulate import simulate
 from repro.sweep.population import PopulationSpec, generate_population
 from repro.trace.capture import capture_traces
-from repro.vm.machine import DEFAULT_FUEL
 from repro.workloads import get_workload
 
 
@@ -71,8 +70,6 @@ def run_sweep(
     spec: PopulationSpec,
     predictor: str = "gshare",
     warehouse=None,
-    profiler_config: ProfilerConfig | None = None,
-    fuel: int = DEFAULT_FUEL,
 ) -> SweepResult:
     """Profile one input population end to end.
 
@@ -84,14 +81,11 @@ def run_sweep(
     started = time.perf_counter()
     workload = get_workload(spec.workload)
     program = workload.program()
-    config = profiler_config or ProfilerConfig()
+    config = ProfilerConfig(keep_series=warehouse is not None)
     batch = None
     if warehouse is not None:
-        import dataclasses
-
         from repro.store.layout import IngestRun
 
-        config = dataclasses.replace(config, keep_series=True)
         batch = []
 
     with get_tracer().span(
@@ -99,7 +93,7 @@ def run_sweep(
         population=spec.tag, lanes=spec.size, predictor=predictor,
     ):
         input_sets = generate_population(spec)
-        traces = capture_traces(program, input_sets, fuel=fuel)
+        traces = capture_traces(program, input_sets)
         result = SweepResult(spec=spec, predictor=predictor)
         for lane, (input_set, trace) in enumerate(zip(input_sets, traces)):
             sim = simulate(make_predictor(predictor), trace)
@@ -123,8 +117,6 @@ def run_sweep(
 
     result.elapsed_seconds = time.perf_counter() - started
     registry = get_registry()
-    registry.counter("sweep_lanes_total", "population lanes profiled").inc(spec.size)
-    registry.counter("sweep_events_total", "branch events profiled by sweeps").inc(
-        result.total_events
-    )
+    registry.counter("sweep_lanes_total").inc(spec.size)
+    registry.counter("sweep_events_total").inc(result.total_events)
     return result

@@ -82,6 +82,5 @@ def triage_runs(
         suspicion=suspicion,
         meta=dict(meta or {}, wall_seconds=time.perf_counter() - start),
     )
-    get_registry().counter(
-        "triage_reports_total", "triage reports produced").inc()
+    get_registry().counter("triage_reports_total").inc()
     return report

@@ -56,6 +56,9 @@ STATE_VERSION = 1
 #: test sets this to land its ``kill -9`` mid-search deterministically.
 STEP_DELAY_ENV = "REPRO_TRIAGE_STEP_DELAY"
 
+#: Halvings of each critical-threshold search (a 2**-24 bracket).
+FLIP_SEARCH_ITERS = 24
+
 
 def _stats_key(stats) -> tuple:
     return (stats.N, stats.SPA, stats.SSPA, stats.NPAM)
@@ -270,11 +273,11 @@ class BisectionEngine:
 
     # -- threshold-space search ----------------------------------------
 
-    def threshold_flips(self, iters: int = 24) -> dict[str, dict[str, float]]:
+    def threshold_flips(self) -> dict[str, dict[str, float]]:
         """Per-site critical thresholds that flip the bad run's verdict.
 
         For every site classified differently by the two endpoint runs,
-        binary search (``iters`` halvings — deterministic) the smallest
+        binary search (``FLIP_SEARCH_ITERS`` halvings — deterministic) the smallest
         ``std_th`` / ``pam_th`` under which the bad run's verdict for
         that site changes; both tests are monotone in their threshold,
         so the search is well defined.  Reuses the same stored stats and
@@ -302,7 +305,7 @@ class BisectionEngine:
                     lo, hi = 0.0, current        # flip lies below it
                 else:
                     continue                     # this test never decides the site
-                for _ in range(iters):
+                for _ in range(FLIP_SEARCH_ITERS):
                     mid = (lo + hi) / 2.0
                     if verdict_at(param, mid) == verdict_at(param, lo):
                         lo = mid
@@ -331,19 +334,11 @@ class BisectionEngine:
             sp.set("minimal", len(minimal))
             sp.set("evals", self.evals)
         wall = time.perf_counter() - start
-        registry.counter(
-            "triage_bisections_total", "bisection searches completed").inc()
-        registry.counter(
-            "triage_evals_total", "hybrid evaluations performed",
-        ).labels(kind="fresh").inc(self.evals)
-        registry.counter(
-            "triage_evals_total", "hybrid evaluations performed",
-        ).labels(kind="cached").inc(self.cached_evals)
-        registry.histogram(
-            "triage_bisect_steps", "fresh evaluations per bisection",
-            buckets=COUNT_BUCKETS).observe(self.evals)
-        registry.histogram(
-            "triage_bisect_seconds", "bisection wall time").observe(wall)
+        registry.counter("triage_bisections_total").inc()
+        registry.counter("triage_evals_total").labels(kind="fresh").inc(self.evals)
+        registry.counter("triage_evals_total").labels(kind="cached").inc(self.cached_evals)
+        registry.histogram("triage_bisect_steps", buckets=COUNT_BUCKETS).observe(self.evals)
+        registry.histogram("triage_bisect_seconds").observe(wall)
         return {
             "mode": self._mode,
             "thresholds": {

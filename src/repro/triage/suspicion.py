@@ -56,8 +56,6 @@ def ochiai(bad_low: int, good_low: int, total_bad: int) -> float:
 def score_sites(
     good: StoredRun,
     bad: StoredRun,
-    lo_slice: int = 0,
-    hi_slice: int | None = None,
     std_th: float | None = None,
     pam_th: float | None = None,
 ) -> list[dict]:
@@ -69,8 +67,8 @@ def score_sites(
     with get_tracer().span("triage.suspicion", cat="triage",
                            good=good.run_id, bad=bad.run_id):
         thresholds = bad.thresholds(std_th=std_th, pam_th=pam_th)
-        wc_good = good.window_counts(lo_slice=lo_slice, hi_slice=hi_slice)
-        wc_bad = bad.window_counts(lo_slice=lo_slice, hi_slice=hi_slice)
+        wc_good = good.window_counts()
+        wc_bad = bad.window_counts()
         total_bad_low = int(wc_bad.low.sum())
         total_good_low = int(wc_good.low.sum())
         stats_good = good.all_stats()

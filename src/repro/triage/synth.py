@@ -39,8 +39,8 @@ _NOISE_STD = 0.004
 _REGRESSION_DROP = 0.25
 
 
-def _build_report(series: np.ndarray, exec_counts: np.ndarray,
-                  predictor: str) -> tuple[TwoDReport, SimulationResult]:
+def _build_report(series: np.ndarray,
+                  exec_counts: np.ndarray) -> tuple[TwoDReport, SimulationResult]:
     num_sites = series.shape[1]
     config = ProfilerConfig(
         slice_size=_EXEC_PER_SLICE, exec_threshold=10,
@@ -52,7 +52,7 @@ def _build_report(series: np.ndarray, exec_counts: np.ndarray,
     slice_overall = series @ weights
     report = report_from_series(series, slice_overall, overall, config)
     sim = SimulationResult(
-        predictor_name=predictor, num_sites=num_sites,
+        predictor_name="gshare", num_sites=num_sites,
         correct=np.zeros(0, dtype=np.uint8),
         exec_counts=exec_counts, correct_counts=correct_counts)
     return report, sim
@@ -63,9 +63,8 @@ def synth_pair(
     n_slices: int = 48,
     regressed: tuple = (3, 7, 11),
     seed: int = 7,
-    predictor: str = "gshare",
 ) -> tuple[TwoDReport, SimulationResult, TwoDReport, SimulationResult]:
-    """(good report, good sim, bad report, bad sim), all seed-determined."""
+    """(good report, good sim, bad report, bad sim) of gshare, all seed-determined."""
     if 0 in regressed:
         raise ValueError("site 0 is the anchor; regress a site >= 1")
     rng = np.random.RandomState(seed)
@@ -82,15 +81,13 @@ def synth_pair(
     exec_counts = np.full(num_sites, _EXEC_PER_SLICE * n_slices,
                           dtype=np.int64)
     exec_counts[0] *= _ANCHOR_WEIGHT
-    good_report, good_sim = _build_report(good, exec_counts, predictor)
-    bad_report, bad_sim = _build_report(bad, exec_counts, predictor)
+    good_report, good_sim = _build_report(good, exec_counts)
+    bad_report, bad_sim = _build_report(bad, exec_counts)
     return good_report, good_sim, bad_report, bad_sim
 
 
 def seeded_run_pair(
     warehouse,
-    workload: str = "synthetic",
-    predictor: str = "gshare",
     num_sites: int = 24,
     n_slices: int = 48,
     regressed: tuple = (3, 7, 11),
@@ -98,17 +95,18 @@ def seeded_run_pair(
 ) -> tuple[str, str]:
     """Ingest a seeded good/bad pair; returns ``(good_id, bad_id)``.
 
-    The good run is stored under input ``base``, the bad one under
-    ``regressed`` — the same (workload, predictor) group, so the
+    Both are gshare runs of workload ``synthetic``; the good run is
+    stored under input ``base``, the bad one under ``regressed`` — the
+    same (workload, predictor) group, so the
     telemetry plane's run selection pairs them automatically.
     """
     good_report, good_sim, bad_report, bad_sim = synth_pair(
         num_sites=num_sites, n_slices=n_slices, regressed=regressed,
-        seed=seed, predictor=predictor)
+        seed=seed)
     good_id, bad_id = warehouse.ingest([
-        IngestRun(good_report, workload, "base", predictor,
+        IngestRun(good_report, "synthetic", "base", "gshare",
                   sim=good_sim, source="synthetic"),
-        IngestRun(bad_report, workload, "regressed", predictor,
+        IngestRun(bad_report, "synthetic", "regressed", "gshare",
                   sim=bad_sim, source="synthetic"),
     ])
     return good_id, bad_id

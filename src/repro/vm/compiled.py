@@ -812,8 +812,7 @@ def compiled(program: Program) -> CompiledProgram:
     if code is None:
         with get_tracer().span("vm.build", cat="vm", program=program.name,
                                functions=len(program.functions)) as span:
-            timer = get_registry().histogram(
-                "vm_build_seconds", "time to compile one program to Python")
+            timer = get_registry().histogram("vm_build_seconds")
             start = time.perf_counter()
             code = CompiledProgram(program)
             timer.observe(time.perf_counter() - start)

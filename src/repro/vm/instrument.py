@@ -38,14 +38,6 @@ class EdgeProfilerTool:
         if taken:
             self.taken_counts[site_id] += 1
 
-    def biases(self) -> dict[int, float]:
-        """Taken rate for every site that executed at least once."""
-        return {
-            site: self.taken_counts[site] / count
-            for site, count in enumerate(self.exec_counts)
-            if count
-        }
-
 
 class PredictorTool:
     """Runs a software branch predictor over the branch stream.

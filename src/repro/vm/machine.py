@@ -148,16 +148,11 @@ class Machine:
             result, engine = self._run(input_set, mode, hook), "interpreter"
         elapsed = time.perf_counter() - start
         registry = get_registry()
-        registry.counter("vm_instructions_total",
-                         "guest instructions retired").inc(result.instructions)
-        registry.counter("vm_branches_total",
-                         "conditional branches executed").inc(result.branches)
-        registry.histogram("vm_run_seconds", "wall time of one VM run",
-                           ).observe(elapsed)
+        registry.counter("vm_instructions_total").inc(result.instructions)
+        registry.counter("vm_branches_total").inc(result.branches)
+        registry.histogram("vm_run_seconds").observe(elapsed)
         events_per_sec = result.branches / elapsed if elapsed > 0 else 0.0
-        registry.gauge("vm_events_per_second",
-                       "branch events/sec of the most recent VM run").set(
-                           round(events_per_sec, 1))
+        registry.gauge("vm_events_per_second").set(round(events_per_sec, 1))
         tracer = get_tracer()
         if tracer.enabled:
             tracer.add_span(
@@ -174,10 +169,8 @@ class Machine:
             return_value, executed, output, trace = compiled(self.program).run(
                 input_set, self.fuel, self._fresh_globals())
         except Bail as bail:
-            get_registry().counter(
-                "vm_compiled_fallbacks_total",
-                "compiled trace runs replayed on the interpreter",
-            ).labels(reason=bail.reason).inc()
+            get_registry().counter("vm_compiled_fallbacks_total").labels(
+                reason=bail.reason).inc()
             log_event(log, "vm_compiled_fallback", reason=bail.reason,
                       program=self.program.name, input=input_set.name)
             return self._run(input_set, "trace"), "interpreter"

@@ -10,6 +10,16 @@ uses. Dunder methods are called by the interpreter and are skipped.
 A definition that only ``tests/`` reference fails this test. Either
 delete it with its tests, or, when it is a test oracle, paper API or a
 documented tool, add it to ``ALLOWED`` with the reason it stays.
+
+The second guard covers the service-side packages (``SCOPED``): every
+parameter with a default there must be set by some call outside
+``tests/``. A call sets it when the called name matches (the class, for
+``__init__``) and the call passes the parameter by keyword, passes
+enough positional arguments to reach it, or splats ``*args``/``**kw``.
+A default no caller changes is one behaviour with a knob on it: make it
+the only behaviour, or a module constant that tests monkeypatch, or add
+it to ``ALLOWED_DEFAULTS`` with the reason it stays. Dataclass fields
+are outside the scan.
 """
 
 from __future__ import annotations
@@ -54,6 +64,25 @@ ALLOWED = {
         "cuts a trace at slice boundaries for the fold and timing tests",
     "repro.triage.report:load_report":
         "reads back the triage_report.json that `triage` writes",
+}
+
+# Packages whose defaulted parameters must each be set by some caller.
+SCOPED = ("obs", "fleet", "service", "store", "sweep", "triage",
+          "core/experiment.py", "core/parallel.py")
+
+# "module:Qualified.name(param)" -> why its default stays unset.
+ALLOWED_DEFAULTS = {
+    "repro.obs.dashboard:overview(now)": "test clock",
+    "repro.obs.logs:parse_since(now)": "test clock",
+    "repro.obs.telemetry:FleetTelemetry.status(now)": "test clock",
+    "repro.obs.spool:merge_spool(tracer)":
+        "tests merge a spool into a private tracer, not the process one",
+    "repro.obs.spool:merge_spool(registry)":
+        "tests merge a spool into a private registry, not the process one",
+    "repro.obs.flightrec:FlightRecorder.__init__(tracer)":
+        "tests arm a recorder on a private tracer, not the process one",
+    "repro.store.warehouse:ProfileWarehouse.ingest(dedupe)":
+        "tests store the duplicate keys that parent-written stores can hold",
 }
 
 
@@ -114,3 +143,84 @@ def test_no_definition_is_used_only_by_tests():
     )
     stale = sorted(set(ALLOWED) - set(unused))
     assert not stale, f"ALLOWED entries that are now used or gone: {stale}"
+
+
+def _scoped_files():
+    src = ROOT / "src" / "repro"
+    for entry in SCOPED:
+        path = src / entry
+        yield from ([path] if path.suffix == ".py" else _py_files(path))
+
+
+def _defaulted_params():
+    """(key, callee name, positional index or None, parameter name)."""
+    src = ROOT / "src"
+    for path in _scoped_files():
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+
+        def walk(body, prefix, cls):
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    yield from walk(node.body, prefix + node.name + ".", node.name)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    first = positional[len(positional) - len(args.defaults):]
+                    skip = 1 if cls and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in node.decorator_list) else 0
+                    callee = cls if node.name == "__init__" else node.name
+                    for arg in first:
+                        index = positional.index(arg) - skip
+                        yield (f"{module}:{prefix}{node.name}({arg.arg})",
+                               callee, index, arg.arg)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                        if default is not None:
+                            yield (f"{module}:{prefix}{node.name}({arg.arg})",
+                                   callee, None, arg.arg)
+
+        yield from walk(ast.parse(path.read_text()).body, "", None)
+
+
+def _calls():
+    """callee name -> [(positional count, keyword names, splats)]."""
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for directory in CALLER_DIRS:
+        for path in _py_files(ROOT / directory):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name is None:
+                    continue
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                splat = (any(k.arg is None for k in node.keywords)
+                         or any(isinstance(a, ast.Starred) for a in node.args))
+                calls.setdefault(name, []).append((len(node.args), keywords, splat))
+    return calls
+
+
+def find_unset_defaults():
+    calls = _calls()
+    unset = []
+    for key, callee, index, param in _defaulted_params():
+        if not any(splat or param in keywords
+                   or (index is not None and positional > index)
+                   for positional, keywords, splat in calls.get(callee, ())):
+            unset.append(key)
+    return unset
+
+
+def test_every_default_is_set_by_some_caller():
+    unset = find_unset_defaults()
+    extra = [key for key in unset if key not in ALLOWED_DEFAULTS]
+    assert not extra, (
+        "defaulted parameters that no caller outside tests/ sets; make the "
+        "default the only behaviour, or a module constant tests monkeypatch:\n  "
+        + "\n  ".join(extra)
+    )
+    stale = sorted(set(ALLOWED_DEFAULTS) - set(unset))
+    assert not stale, f"ALLOWED_DEFAULTS entries that are now set or gone: {stale}"

@@ -37,10 +37,11 @@ class TestCaching:
         path_b = other._trace_path("mcfish", "train")
         assert path_a != path_b
 
-    def test_disk_cache_can_be_disabled(self, tmp_path):
-        runner = ExperimentRunner(
-            SuiteConfig(scale=0.02, cache_dir=tmp_path / "c", use_disk_cache=False)
-        )
+    def test_disk_cache_can_be_disabled(self, tmp_path, monkeypatch):
+        from repro.core import experiment
+
+        monkeypatch.setattr(experiment, "USE_DISK_CACHE", False)
+        runner = ExperimentRunner(SuiteConfig(scale=0.02, cache_dir=tmp_path / "c"))
         runner.trace("mcfish", "train")
         assert not (tmp_path / "c").exists()
 
@@ -95,31 +96,3 @@ class TestIncrementalInputSets:
             assert len(truth.dependent) >= previous
             previous = len(truth.dependent)
 
-
-class TestWarehouseIntegration:
-    def test_warehouse_requires_configuration(self, tiny_runner):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError, match="warehouse_dir"):
-            tiny_runner.warehouse
-
-    def test_profile_2d_auto_ingests(self, tiny_runner, tmp_path):
-        from repro.store import ProfileWarehouse
-
-        runner = ExperimentRunner(SuiteConfig(
-            scale=tiny_runner.config.scale,
-            cache_dir=tiny_runner.config.cache_dir,
-            warehouse_dir=tmp_path / "wh",
-        ))
-        report = runner.profile_2d("mcfish", "bimodal")
-        # keep_series is forced on so the matrix can be stored.
-        assert report.series is not None
-
-        warehouse = ProfileWarehouse(tmp_path / "wh", create=False)
-        records = warehouse.runs("mcfish", "train", "bimodal")
-        assert len(records) == 1
-        assert records[0].source == "experiment" and records[0].has_counts
-
-        # A repeat profile dedupes instead of appending.
-        runner.profile_2d("mcfish", "bimodal")
-        assert len(warehouse.runs()) == 1

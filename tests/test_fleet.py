@@ -48,7 +48,10 @@ def stream_data():
 
 
 def _map_of(*names: str) -> ShardMap:
-    return ShardMap([ShardSpec(n, "127.0.0.1", 9000 + i) for i, n in enumerate(names)])
+    shard_map = ShardMap()
+    for i, name in enumerate(names):
+        shard_map.add(ShardSpec(name, "127.0.0.1", 9000 + i))
+    return shard_map
 
 
 class TestShardMap:
@@ -152,7 +155,6 @@ class TestSessionRegistry:
         registry.record("run-a", "s1", 4000)
         entry = registry.lookup("run-a")
         assert entry["shard"] == "s1" and entry["events"] == 4000
-        assert entry["status"] == "open"
 
     def test_missing_and_corrupt_read_as_absent(self, tmp_path):
         registry = SessionRegistry(tmp_path)
@@ -216,8 +218,11 @@ class TestEventReframing:
 
 
 @pytest.fixture()
-def fleet(tmp_path):
+def fleet(tmp_path, monkeypatch):
     """Two ServerThread shards sharing one checkpoint dir, one router."""
+    import repro.fleet.router as router_module
+
+    monkeypatch.setattr(router_module, "DEAD_COOLDOWN", 0.2)
     ckpt_dir = tmp_path / "ckpt"
     shard_map = ShardMap()
     shards: dict[str, ServerThread] = {}
@@ -226,8 +231,7 @@ def fleet(tmp_path):
             ProfilingServer(checkpoint_dir=ckpt_dir, shard_name=name)).start()
         shards[name] = thread
         shard_map.add(ShardSpec(name, "127.0.0.1", thread.port))
-    router = ServerThread(FleetRouter(shard_map, registry_dir=tmp_path / "registry",
-                                      dead_cooldown=0.2)).start()
+    router = ServerThread(FleetRouter(shard_map, registry_dir=tmp_path / "registry")).start()
     yield SimpleNamespace(router=router, shards=shards, shard_map=shard_map)
     router.shutdown()
     for thread in shards.values():

@@ -29,9 +29,15 @@ from repro.obs.tracing import Tracer, current_ids
 # ----------------------------------------------------------------------
 
 
+def _tracer(**settings) -> Tracer:
+    tracer = Tracer()
+    tracer.configure(**settings)
+    return tracer
+
+
 class TestTracer:
     def test_disabled_is_shared_noop(self):
-        tracer = Tracer(enabled=False)
+        tracer = Tracer()
         a = tracer.span("hot")
         b = tracer.span("loop", cat="x")
         assert a is b  # one shared object, no per-call allocation
@@ -40,7 +46,7 @@ class TestTracer:
         assert tracer.events() == []
 
     def test_span_records_chrome_complete_event(self):
-        tracer = Tracer(enabled=True)
+        tracer = _tracer(enabled=True)
         with tracer.span("work", cat="test", workload="gzipish") as sp:
             time.sleep(0.002)
             sp.set("events", 42)
@@ -55,7 +61,7 @@ class TestTracer:
         assert "cpu_ms" in event["args"]
 
     def test_nesting_parent_links_and_containment(self):
-        tracer = Tracer(enabled=True)
+        tracer = _tracer(enabled=True)
         with tracer.span("outer"):
             with tracer.span("middle"):
                 with tracer.span("inner"):
@@ -69,7 +75,7 @@ class TestTracer:
         assert middle["ts"] + middle["dur"] <= outer["ts"] + outer["dur"] + 1.0
 
     def test_sibling_spans_do_not_link(self):
-        tracer = Tracer(enabled=True)
+        tracer = _tracer(enabled=True)
         with tracer.span("first"):
             pass
         with tracer.span("second"):
@@ -79,7 +85,7 @@ class TestTracer:
         assert "parent" not in second["args"]
 
     def test_ring_buffer_caps_events(self):
-        tracer = Tracer(enabled=True, capacity=10)
+        tracer = _tracer(enabled=True, capacity=10)
         for i in range(25):
             with tracer.span(f"s{i}"):
                 pass
@@ -88,7 +94,7 @@ class TestTracer:
         assert events[0]["name"] == "s15"  # oldest dropped
 
     def test_export_is_valid_chrome_trace(self, tmp_path):
-        tracer = Tracer(enabled=True)
+        tracer = _tracer(enabled=True)
         with tracer.span("alpha"):
             pass
         path = tracer.export(tmp_path / "trace.json")
@@ -102,7 +108,7 @@ class TestTracer:
     def test_tasks_holding_spans_across_awaits_stay_apart(self):
         """Two tasks on one loop interleave spans held across awaits; each
         frame is a root of its own trace and its child stays inside it."""
-        tracer = Tracer(enabled=True)
+        tracer = _tracer(enabled=True)
 
         async def connection(name: str) -> None:
             for _ in range(20):
@@ -129,7 +135,7 @@ class TestTracer:
         assert current_ids() == (None, None)  # nothing left open
 
     def test_span_in_to_thread_is_child_of_the_awaiting_span(self):
-        tracer = Tracer(enabled=True)
+        tracer = _tracer(enabled=True)
 
         def io() -> int:
             with tracer.span("io"):
@@ -146,7 +152,7 @@ class TestTracer:
         assert child["tid"] == worker & 0x7FFFFFFF != frame["tid"]
 
     def test_plain_thread_starts_with_no_current_span(self):
-        tracer = Tracer(enabled=True)
+        tracer = _tracer(enabled=True)
         seen = {}
 
         def run() -> None:
@@ -164,7 +170,7 @@ class TestTracer:
         assert inner["args"]["trace_id"] != outer["args"]["trace_id"]
 
     def test_add_chrome_events_works_while_disabled(self):
-        tracer = Tracer(enabled=False)
+        tracer = Tracer()
         tracer.add_chrome_events([{"name": "w", "ph": "X", "ts": 0, "dur": 1,
                                    "pid": 1234, "tid": 1, "args": {}}])
         assert len(tracer.events()) == 1
@@ -178,7 +184,7 @@ class TestTracer:
 class TestMetrics:
     def test_counter_and_labels(self):
         registry = Registry()
-        hits = registry.counter("cache_hits_total", "cache hits")
+        hits = registry.counter("cache_hits_total")
         hits.inc()
         hits.inc(2)
         hits.labels(kind="trace").inc(5)
@@ -326,7 +332,7 @@ def test_processpool_spans_land_in_parent_trace(tmp_path):
         futures = [pool.submit(_spooled_task, spool_dir, i) for i in range(4)]
         worker_pids = {f.result() for f in futures}
 
-    tracer = Tracer(enabled=False)  # merge works even when parent is disabled
+    tracer = Tracer()  # merge works even when parent is disabled
     registry = Registry()
     merged = merge_spool(spool_dir, tracer=tracer, registry=registry)
     assert merged == 4
@@ -353,11 +359,9 @@ def test_parallel_warm_merges_worker_observability(tmp_path):
     tracer.clear()
     tracer.configure(enabled=True)
     try:
-        runner = ExperimentRunner(SuiteConfig(scale=0.05, cache_dir=tmp_path / "cache"))
-        runner.prefetch(
-            sims=[("gzipish", "train", "gshare"), ("mcfish", "train", "gshare")],
-            jobs=2,
-        )
+        runner = ExperimentRunner(SuiteConfig(scale=0.05, cache_dir=tmp_path / "cache",
+                                              jobs=2))
+        runner.prefetch(sims=[("gzipish", "train", "gshare"), ("mcfish", "train", "gshare")])
         events = tracer.events()
         registry = get_registry()
     finally:

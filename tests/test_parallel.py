@@ -74,17 +74,6 @@ def test_warm_dedupes_specs(tmp_path):
     assert stats.traces == 1 and stats.sims == 1
 
 
-def test_warm_without_disk_cache_falls_back_to_serial(tmp_path):
-    runner = ExperimentRunner(
-        SuiteConfig(scale=SCALE, cache_dir=tmp_path, use_disk_cache=False)
-    )
-    stats = ParallelRunner(runner, jobs=4).warm(sims=[("mcfish", "train", "gshare")])
-    assert stats.sims == 1
-    assert not runner._sim_path("mcfish", "train", "gshare").exists()
-    # The artifacts were still computed (into the in-memory cache).
-    assert ("mcfish", "train", "gshare") in runner._sims
-
-
 def test_warm_propagates_worker_errors(tmp_path):
     runner = _runner(tmp_path, jobs=2)
     with pytest.raises(ExperimentError, match="no-such-workload"):

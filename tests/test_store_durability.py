@@ -123,20 +123,18 @@ class TestSegmentCorruption:
         with pytest.raises(StoreError, match="cannot map|dtype"):
             run.profiled_sites()  # the first read maps the file
 
-    def test_find_treats_corrupt_run_as_miss(self, stocked, caplog):
+    def test_dedupe_treats_corrupt_run_as_miss(self, stocked, caplog):
         warehouse, run_id, report, sim = stocked
         path = _segment_file(warehouse, run_id)
         path.write_bytes(path.read_bytes()[:8])
-        with caplog.at_level("WARNING", logger="repro.store.warehouse"):
-            assert warehouse.find(WORKLOAD, "train", "gshare") is None
-        assert any("unreadable" in rec.message for rec in caplog.records)
         # Re-ingest goes through (dedupe misses the corrupt copy) and the
         # store is healthy again under the same key.
-        [fresh] = warehouse.ingest([IngestRun(report, WORKLOAD, "train", "gshare",
-                                              scale=SCALE, sim=sim)])
+        with caplog.at_level("WARNING", logger="repro.store.warehouse"):
+            [fresh] = warehouse.ingest([IngestRun(report, WORKLOAD, "train", "gshare",
+                                                  scale=SCALE, sim=sim)])
+        assert any("unreadable" in rec.message for rec in caplog.records)
         assert fresh != run_id
-        found = warehouse.find(WORKLOAD, "train", "gshare")
-        assert found is not None and found.run_id == fresh
+        assert warehouse.open_run(fresh).profiled_sites() == report.profiled_sites()
 
     def test_corrupt_manifest_raises_not_empty(self, stocked):
         warehouse, _run_id, _report, _sim = stocked

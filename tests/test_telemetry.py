@@ -112,22 +112,33 @@ class TestMetricTSDB:
             points = [(s.ts, s.scalars["x"]) for s in tsdb.samples(source="s0")]
         assert points == [(1.0, 1), (2.0, 2)]
 
-    def test_segment_rotation_and_retention_compaction(self, tmp_path):
-        tsdb = MetricTSDB(tmp_path, segment_max_bytes=200, retention_seconds=15.0)
+    def test_rotation_expires_segments_past_retention(self, tmp_path, monkeypatch):
+        from repro.obs import tsdb as tsdb_module
+
+        monkeypatch.setattr(tsdb_module, "DEFAULT_SEGMENT_BYTES", 200)
+        monkeypatch.setattr(tsdb_module, "DEFAULT_RETENTION_SECONDS", 15.0)
+        tsdb = MetricTSDB(tmp_path)
         for i in range(30):
             tsdb.append_flat("s0", {"x": i}, ts=float(i))
-        assert tsdb.stats()["segments"] > 1
-        report = tsdb.compact(now=40.0)  # everything before ts=25 expires
-        assert report["segments_removed"] >= 1
-        points = [(s.ts, s.scalars["x"]) for s in tsdb.samples()]
-        # Only the active (never-rewritten) segment may still straddle
-        # the cutoff; everything in older segments is gone.
-        assert points and all(ts >= 20.0 for ts, _v in points)
-        assert not any(ts < 15.0 for ts, _v in points)
-        # Appends keep working after compaction renumbered nothing live.
-        tsdb.append_flat("s0", {"x": 99}, ts=101.0)
-        assert tsdb.latest("x")[1] == 99
+        # No compaction call: each rotation dropped the closed segments
+        # whose newest sample is more than 15 s older than the new append.
+        kept = [s.ts for s in tsdb.samples()]
+        assert kept[-1] == 29.0 and kept[0] > 0.0
+        assert kept == [float(ts) for ts in range(int(kept[0]), 30)]
+        assert kept[0] <= 29.0 - 15.0  # whole segments: nothing in the window went
+        assert tsdb.delta("x", window=10.0, now=29.0) == pytest.approx(10)
         tsdb.close()
+
+        # A new writer learns the old segments' ages when it opens and
+        # expires them at its first rotation.
+        closed = sorted(tmp_path.glob("seg-*.jsonl"))[:-1]
+        assert closed
+        again = MetricTSDB(tmp_path)
+        for i in range(100, 112):
+            again.append_flat("s0", {"x": i}, ts=float(i))
+        assert not any(path.exists() for path in closed)
+        assert again.latest("x") == (111.0, 111)
+        again.close()
 
     def test_reader_instance_sees_live_writer_appends(self, tmp_path):
         # A long-lived read-only instance (live `top` watching another
@@ -179,10 +190,13 @@ class TestTelemetryScraper:
             assert tsdb.latest("jobs_total", source="router") == (10.0, 7)
             assert scraper.ticks == 1
 
-    def test_unreachable_shard_counts_misses(self, tmp_path):
+    def test_unreachable_shard_counts_misses(self, tmp_path, monkeypatch):
         import socket
 
+        from repro.obs import telemetry
         from repro.obs.telemetry import TelemetryScraper
+
+        monkeypatch.setattr(telemetry, "CONNECT_TIMEOUT", 0.2)
 
         # Grab a port that is definitely closed.
         sock = socket.socket()
@@ -192,8 +206,7 @@ class TestTelemetryScraper:
         shard_map = SimpleNamespace(shards=[
             SimpleNamespace(name="s0", host="127.0.0.1", port=port)])
         with MetricTSDB(tmp_path) as tsdb:
-            scraper = TelemetryScraper(tsdb, shard_map=shard_map,
-                                       connect_timeout=0.2)
+            scraper = TelemetryScraper(tsdb, shard_map=shard_map)
             scraper.tick(now=1.0)
             scraper.tick(now=2.0)
             assert scraper.misses["s0"] == 2
@@ -235,23 +248,23 @@ class TestAlertManager:
         return tsdb, AlertManager(rules, tsdb, **kwargs)
 
     def test_value_rule_fires_after_for_ticks_and_resolves(self, tmp_path):
-        fired, resolved = [], []
+        fired = []
+        registry = Registry()
+        resolved = registry.counter("slo_alerts_resolved_total")
         rule = SloRule(name="hot", kind="value", metric="g", threshold=5,
                        for_ticks=2)
         tsdb, manager = self._manager(
-            tmp_path, [rule],
-            on_fire=fired.append, on_resolve=resolved.append)
+            tmp_path, [rule], registry=registry, on_fire=fired.append)
         with tsdb:
             tsdb.append_flat("s0", {"g": 10}, ts=1.0)
             assert manager.evaluate(now=1.0) == []     # pending, 1 of 2 ticks
             firing = manager.evaluate(now=2.0)
             assert [a.rule for a in firing] == ["hot"]
-            assert not resolved
+            assert resolved.total() == 0
             assert manager.active()[0]["source"] == "fleet"
             tsdb.append_flat("s0", {"g": 1}, ts=3.0)
             assert manager.evaluate(now=3.0) == []
-            assert len(fired) == 1 and len(resolved) == 1
-            assert resolved[0].state == "resolved"
+            assert len(fired) == 1 and resolved.total() == 1
             assert manager.active() == []
 
     def test_absent_rule_measures_scrape_age(self, tmp_path):
@@ -321,12 +334,17 @@ class _FakeSupervisor:
 
 
 class TestSupervisorWatchdog:
-    def _watchdog(self, supervisor, **kwargs):
+    @pytest.fixture(autouse=True)
+    def _constants(self, monkeypatch):
+        from repro.obs import telemetry
+
+        monkeypatch.setattr(telemetry, "DEFAULT_MISS_THRESHOLD", 2)
+        monkeypatch.setattr(telemetry, "BACKOFF_BASE", 10.0)
+
+    def _watchdog(self, supervisor):
         from repro.obs.telemetry import SupervisorWatchdog
 
-        kwargs.setdefault("miss_threshold", 2)
-        kwargs.setdefault("backoff_base", 10.0)
-        return SupervisorWatchdog(supervisor, **kwargs)
+        return SupervisorWatchdog(supervisor)
 
     def test_dead_shard_respawns_at_threshold(self):
         supervisor = _FakeSupervisor(alive=False)
@@ -338,7 +356,7 @@ class TestSupervisorWatchdog:
 
     def test_backoff_suppresses_hot_looping(self):
         supervisor = _FakeSupervisor(alive=False)
-        dog = self._watchdog(supervisor, backoff_base=10.0)
+        dog = self._watchdog(supervisor)
         assert dog.check({"s0": 2}, now=0.0) == ["s0"]
         supervisor.processes["s0"]._alive = False  # it crashed again
         assert dog.check({"s0": 2}, now=1.0) == []       # inside backoff
@@ -350,7 +368,7 @@ class TestSupervisorWatchdog:
 
     def test_clean_scrape_resets_the_streak(self):
         supervisor = _FakeSupervisor(alive=False)
-        dog = self._watchdog(supervisor, backoff_base=10.0)
+        dog = self._watchdog(supervisor)
         dog.check({"s0": 2}, now=0.0)
         dog.check({"s0": 0}, now=1.0)  # healthy again
         supervisor.processes["s0"]._alive = False
@@ -379,16 +397,18 @@ class TestSupervisorWatchdog:
 
 
 class TestFlightRecorder:
-    def _recorder(self, tmp_path, **kwargs):
-        from repro.obs.flightrec import FlightRecorder
+    def _recorder(self, tmp_path, monkeypatch, **constants):
+        from repro.obs import flightrec
         from repro.obs.tracing import Tracer
 
-        tracer = Tracer(enabled=False)
-        kwargs.setdefault("min_interval", 100.0)
-        return FlightRecorder(tmp_path, name="t", tracer=tracer, **kwargs), tracer
+        monkeypatch.setattr(flightrec, "DEFAULT_MIN_INTERVAL", 100.0)
+        for name, value in constants.items():
+            monkeypatch.setattr(flightrec, name, value)
+        tracer = Tracer()
+        return flightrec.FlightRecorder(tmp_path, name="t", tracer=tracer), tracer
 
-    def test_dump_writes_ring_and_rate_limits(self, tmp_path):
-        recorder, tracer = self._recorder(tmp_path, capacity=100)
+    def test_dump_writes_ring_and_rate_limits(self, tmp_path, monkeypatch):
+        recorder, tracer = self._recorder(tmp_path, monkeypatch, DEFAULT_CAPACITY=100)
         recorder.arm()
         assert tracer.enabled
         with tracer.span("work"):
@@ -404,22 +424,22 @@ class TestFlightRecorder:
         recorder.disarm()
         assert not tracer.enabled
 
-    def test_empty_buffer_never_dumps(self, tmp_path):
-        recorder, _tracer = self._recorder(tmp_path)
+    def test_empty_buffer_never_dumps(self, tmp_path, monkeypatch):
+        recorder, _tracer = self._recorder(tmp_path, monkeypatch)
         recorder.arm()
         assert recorder.dump(force=True) is None
         assert recorder.dumps() == []
 
-    def test_ring_capacity_bounds_memory(self, tmp_path):
-        recorder, tracer = self._recorder(tmp_path, capacity=10)
+    def test_ring_capacity_bounds_memory(self, tmp_path, monkeypatch):
+        recorder, tracer = self._recorder(tmp_path, monkeypatch, DEFAULT_CAPACITY=10)
         recorder.arm()
         for i in range(50):
             with tracer.span(f"e{i}"):
                 pass
         assert len(tracer.events()) <= 10
 
-    def test_armed_hot_path_spans_are_sampled(self, tmp_path):
-        recorder, tracer = self._recorder(tmp_path, hot_sample=4)
+    def test_armed_hot_path_spans_are_sampled(self, tmp_path, monkeypatch):
+        recorder, tracer = self._recorder(tmp_path, monkeypatch, DEFAULT_HOT_SAMPLE=4)
         recorder.arm()
         for _ in range(100):
             with tracer.span("service.frame", hot_path=True):
@@ -446,14 +466,28 @@ class TestFlightRecorder:
 
 
 class TestStructuredLogs:
-    def test_log_event_roundtrip_with_filters(self, tmp_path):
+    @pytest.fixture
+    def json_log(self, tmp_path):
+        """(log file, a ``repro.*`` logger) with the JSON handler installed."""
         import logging
 
-        from repro.obs.logs import configure_logging, log_event, read_logs
+        from repro.obs.logs import configure_logging
 
+        root = logging.getLogger("repro")
+        level = root.level
         path = tmp_path / "svc.jsonl"
-        configure_logging(path=path, logger_name="tlogs")
-        logger = logging.getLogger("tlogs")
+        handler = configure_logging(path)
+        yield path, logging.getLogger("repro.test_logs")
+        root.removeHandler(handler)
+        handler.close()
+        root.setLevel(level)
+
+    def test_log_event_roundtrip_with_filters(self, json_log):
+        import logging
+
+        from repro.obs.logs import log_event, read_logs
+
+        path, logger = json_log
         log_event(logger, "session_opened", session="a", shard="s0")
         log_event(logger, "session_evicted", level=logging.WARNING,
                   session="a", idle_s=3.5)
@@ -468,16 +502,13 @@ class TestStructuredLogs:
             == ["session_opened"]
         assert list(read_logs(path, grep="idle_s"))[0]["idle_s"] == 3.5
 
-    def test_trace_ids_attach_inside_spans(self, tmp_path):
-        import logging
-
-        from repro.obs.logs import configure_logging, log_event, read_logs
+    def test_trace_ids_attach_inside_spans(self, json_log):
+        from repro.obs.logs import log_event, read_logs
         from repro.obs.tracing import Tracer
 
-        tracer = Tracer(enabled=True)
-        path = tmp_path / "svc.jsonl"
-        configure_logging(path=path, logger_name="tspan")
-        logger = logging.getLogger("tspan")
+        tracer = Tracer()
+        tracer.configure(enabled=True)
+        path, logger = json_log
         with tracer.span("outer"):
             log_event(logger, "first")
             with tracer.span("inner"):
